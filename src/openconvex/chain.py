@@ -9,7 +9,10 @@ minimizes it.
 
 The solver is a phase-I slack minimization followed by log-barrier
 path-following with damped Newton steps; both phases share the same
-barrier machinery.
+barrier machinery.  Every constraint is quadratic, so along a Newton
+direction each slack is an exact quadratic in the step: the line search
+backtracks on those and takes the barrier change in closed form, and
+evaluates the constraints directly only at the step it accepts.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ class ChainSpec:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if not (self.x.shape == self.y.shape == self.g_x.shape == self.g_y.shape):
             raise DimensionMismatch("spec vectors must share one dimension")
+        if not (math.isfinite(self.L) and math.isfinite(self.f_x)
+                and all(np.isfinite(getattr(self, name)).all()
+                        for name in ("x", "y", "g_x", "g_y"))):
+            raise RangeError("L, f_x, x, y, g_x and g_y must be finite")
         if np.array_equal(self.x, self.y):
             raise DegenerateError("spec endpoints coincide")
         if self.L <= 0:
@@ -287,31 +294,59 @@ class _Batch:
             + self.r
         )
 
-    def grad_hess(self, z: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Barrier gradient and Hessian given slacks d = -values > 0."""
+    def local_grads(self, z: np.ndarray) -> np.ndarray:
+        """Per-constraint gradients P u + q over each local variable slot."""
         u = np.append(z, 0.0)[self.idx]
-        lg = np.einsum("mkl,ml->mk", self.P, u) + self.q
+        return np.einsum("mkl,ml->mk", self.P, u) + self.q
+
+    def grad_hess(self, lg: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Barrier gradient and Hessian given local gradients and slacks d > 0."""
         inv = 1.0 / d
-        g = np.zeros(self.n + 1)
-        np.add.at(g, self.idx, lg * inv[:, None])
         w = lg * inv[:, None]
+        g = np.zeros(self.n + 1)
+        np.add.at(g, self.idx, w)
         blocks = np.einsum("mk,ml->mkl", w, w) + self.P * inv[:, None, None]
         H = np.zeros((self.n + 1, self.n + 1))
         np.add.at(H, (self.idx[:, :, None], self.idx[:, None, :]), blocks)
         return g[: self.n], H[: self.n, : self.n]
+
+    def slack_rates(self, lg: np.ndarray, dz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(a, b) with slacks d(alpha) = d - alpha*a - alpha^2*b/2 along dz."""
+        du = np.append(dz, 0.0)[self.idx]
+        a = np.sum(lg * du, axis=1)
+        b = np.einsum("mk,mkl,ml->m", du, self.P, du)
+        return a, b
+
+
+def _step_change(step: float, tcdz: float, a: np.ndarray, b: np.ndarray,
+                 d: np.ndarray) -> float:
+    """Exact change of t*c'z - sum log d over step*dz, inf outside the interior.
+
+    Slacks are quadratic along dz, d(step) = d - step*a - step^2*b/2, so the
+    change needs no barrier values, whose difference is lost to rounding at
+    large t.
+    """
+    drop = step * (a + 0.5 * step * b)
+    if not np.all(drop < d):
+        return math.inf
+    return step * tcdz - float(np.sum(np.log1p(-drop / d)))
 
 
 def _newton_center(
     c: np.ndarray,
     batch: _Batch,
     z: np.ndarray,
+    d: np.ndarray,
     t: float,
     max_newton: int,
-) -> np.ndarray:
-    """Minimize t*c'z - sum log(-h_j(z)) by damped Newton from interior z."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize t*c'z - sum log(-h_j(z)) by damped Newton from interior z.
+
+    d holds the slacks -h_j(z) > 0; returns the new point and its slacks.
+    """
     for _ in range(max_newton):
-        d = -batch.values(z)
-        g, H = batch.grad_hess(z, d)
+        lg = batch.local_grads(z)
+        g, H = batch.grad_hess(lg, d)
         g += t * c
         H[np.diag_indices_from(H)] += 1e-12 * (1.0 + np.abs(H.diagonal()))
         try:
@@ -321,25 +356,27 @@ def _newton_center(
         decrement = -float(g @ dz)
         if decrement <= 0:
             break
-        # backtracking: stay strictly feasible, then Armijo
+        # backtracking on the exact quadratic slacks: stay strictly feasible,
+        # then Armijo on the barrier change taken without cancellation
+        a, b = batch.slack_rates(lg, dz)
+        tcdz = t * float(c @ dz)
         step = 1.0
-        base = t * float(c @ z) - float(np.sum(np.log(d)))
         accepted = False
         for _ in range(60):
-            zn = z + step * dz
-            dn = -batch.values(zn)
-            if np.all(dn > 0.0):
-                val = t * float(c @ zn) - float(np.sum(np.log(dn)))
-                if val <= base - 0.25 * step * decrement:
+            if _step_change(step, tcdz, a, b, d) <= -0.25 * step * decrement:
+                # the direct evaluation guards against rounding in (a, b)
+                zn = z + step * dz
+                dn = -batch.values(zn)
+                if np.all(dn > 0.0):
                     accepted = True
                     break
             step *= 0.5
         if not accepted:
             break
-        z = z + step * dz
+        z, d = zn, dn
         if 0.5 * decrement <= 1e-11:
             break
-    return z
+    return z, d
 
 
 def _barrier_path(
@@ -353,9 +390,10 @@ def _barrier_path(
     """Path-following; returns (z, gap, converged)."""
     m = len(cons)
     batch = _Batch(cons, z.size)
+    d = -batch.values(z)
     t = 1.0 / config.barrier_mu0
     for _ in range(config.max_outer):
-        z = _newton_center(c, batch, z, t, config.max_newton)
+        z, d = _newton_center(c, batch, z, d, t, config.max_newton)
         gap = m / t
         if stop_early is not None and stop_early(z, gap):
             return z, gap, True

@@ -53,6 +53,18 @@ class TestSpecValidation:
             ChainSpec(0.0, np.zeros(2), np.ones(2), 0.0, np.zeros(2),
                       np.zeros(2), 1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("L", math.inf), ("L", math.nan), ("f_x", math.nan), ("f_x", -math.inf),
+        ("x", [math.nan, 0.0]), ("y", [1.0, math.inf]),
+        ("g_x", [0.0, math.nan]), ("g_y", [math.nan, 0.5]),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        args = dict(L=1.0, x=np.zeros(2), y=np.array([1.0, 0.0]), f_x=0.0,
+                    g_x=np.zeros(2), g_y=np.array([0.6, 0.3]), N=2)
+        args[field] = value
+        with pytest.raises(RangeError):
+            ChainSpec(**args)
+
     def test_normalized_out_of_range(self):
         with pytest.raises(RangeError):
             normalized_spec(0.75, 1)
@@ -261,3 +273,67 @@ class TestSweep:
         for row in sweep([0.55, 0.65], [1, 2, 5]):
             assert row.status == OPTIMAL
             assert row.B <= row.U + 1e-9
+
+
+class TestLineSearch:
+    """The closed-form slacks and barrier change behind the Newton line search."""
+
+    @pytest.fixture
+    def interior(self):
+        problem = build_problem(_spec(0.6, 5))
+        rng = np.random.default_rng(7)
+        z = rng.normal(size=problem.n_vars)
+        # shift every constraint so that z is strictly interior
+        shift = max(c.value(z) for c in problem.constraints) + 1.0
+        batch = chain._Batch([c.shifted(shift) for c in problem.constraints], z.size)
+        dz = rng.normal(size=z.size)
+        return batch, z, dz
+
+    def test_predicted_slacks_match_direct_evaluation(self, interior):
+        batch, z, dz = interior
+        d = -batch.values(z)
+        a, b = batch.slack_rates(batch.local_grads(z), dz)
+        for alpha in (0.0, 0.1, 0.5, 1.0, 2.0):
+            predicted = d - alpha * a - 0.5 * alpha ** 2 * b
+            direct = -batch.values(z + alpha * dz)
+            scale = np.maximum(np.abs(direct), 1.0)
+            assert np.max(np.abs(predicted - direct) / scale) <= 1e-12
+
+    def test_exact_change_matches_barrier_difference(self, interior):
+        batch, z, dz = interior
+        problem_c = np.zeros(z.size)
+        problem_c[4] = -1.0
+        t = 1.0  # nothing cancels at t = 1, so the direct difference is accurate
+
+        def barrier(zz):
+            return t * float(problem_c @ zz) - float(np.sum(np.log(-batch.values(zz))))
+
+        d = -batch.values(z)
+        a, b = batch.slack_rates(batch.local_grads(z), dz)
+        tcdz = t * float(problem_c @ dz)
+        checked = 0
+        for alpha in (1e-3, 0.01, 0.1, 0.25):
+            if np.any(-batch.values(z + alpha * dz) <= 0.0):
+                continue
+            exact = chain._step_change(alpha, tcdz, a, b, d)
+            direct = barrier(z + alpha * dz) - barrier(z)
+            assert exact == pytest.approx(direct, rel=1e-9, abs=1e-12)
+            checked += 1
+        assert checked >= 2
+
+    def test_step_outside_interior_is_rejected(self, interior):
+        batch, z, dz = interior
+        d = -batch.values(z)
+        a, b = batch.slack_rates(batch.local_grads(z), dz)
+        # far enough along dz the convex constraints are violated
+        assert chain._step_change(1e6, 0.0, a, b, d) == math.inf
+
+
+class TestReversalPrecision:
+    @pytest.mark.parametrize("s", [0.5, 0.55, 0.6, 0.65, math.sqrt(0.5)])
+    def test_lower_and_upper_sum_to_s(self, s):
+        # reversing the chain maps the lower program onto the upper one: B = s - U
+        lo = solve_spec(_spec(s, 50, LOWER))
+        up = solve_spec(_spec(s, 50, UPPER))
+        assert lo.status == up.status == OPTIMAL
+        assert abs(lo.value + up.value - s) <= 1e-11

@@ -181,6 +181,16 @@ class TestSolve:
         path = _write_spec(tmp_path, doc)
         assert cli.main(["solve", "--in", path]) == cli.EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("field, value", [
+        ("f_x", math.nan), ("L", math.inf), ("g_y", [math.nan, 0.3]),
+    ])
+    def test_non_finite_spec_exit_code(self, tmp_path, field, value):
+        path = _write_spec(tmp_path, dict(SPEC_06_N1, **{field: value}))
+        out = tmp_path / "result.json"
+        assert cli.main(["solve", "--in", path, "--out", str(out)]) \
+            == cli.EXIT_BAD_INPUT
+        assert not out.exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["solve", "--in", str(tmp_path / "nope.json")]) \
             == cli.EXIT_BAD_INPUT
