@@ -55,8 +55,10 @@ from .spline import (
     domain_distance,
     eval_F,
     eval_F_float,
+    eval_float,
     grad_F,
     grad_F_float,
+    grad_float,
     verify_all,
     verify_c1_seams,
     verify_grid_properties,

@@ -18,7 +18,7 @@ evaluates the constraints directly only at the step it accepts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,9 +85,6 @@ class QuadConstraint:
     def value(self, z: np.ndarray) -> float:
         u = z[self.idx]
         return 0.5 * float(u @ self.P @ u) + float(self.q @ u) + self.r
-
-    def local_grad(self, z: np.ndarray) -> np.ndarray:
-        return self.P @ z[self.idx] + self.q
 
     def shifted(self, delta: float) -> "QuadConstraint":
         return QuadConstraint(self.idx, self.P, self.q, self.r - delta)

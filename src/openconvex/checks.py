@@ -24,12 +24,11 @@ def _sample_points(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.column_stack([x0, x1])
 
 
-def _point_data(x0: float, x1: float) -> PointData:
-    return PointData(
-        x=np.array([x0, x1]),
-        f=spline.eval_F_float(x0, x1),
-        g=np.array(spline.grad_F_float(x0, x1)),
-    )
+def _point_data(X: np.ndarray) -> list[PointData]:
+    """PointData at each row of X, from one evaluation of the spline."""
+    f, _ = spline.eval_float(X)
+    g, _ = spline.grad_float(X)
+    return [PointData(x=x, f=v, g=gv) for x, v, gv in zip(X, f.tolist(), g)]
 
 
 def global_bound_max_excursion(n_pairs: int, seed: int = 0) -> float:
@@ -39,14 +38,12 @@ def global_bound_max_excursion(n_pairs: int, seed: int = 0) -> float:
     holds on every sampled pair.
     """
     rng = np.random.default_rng(seed)
-    xs = _sample_points(rng, n_pairs)
-    ys = _sample_points(rng, n_pairs)
+    xs = _point_data(_sample_points(rng, n_pairs))
+    ys = _point_data(_sample_points(rng, n_pairs))
     worst = -math.inf
-    for (a0, a1), (b0, b1) in zip(xs, ys):
-        if a0 == b0 and a1 == b1:
+    for px, py in zip(xs, ys):
+        if np.array_equal(px.x, py.x):
             continue
-        px = _point_data(a0, a1)
-        py = _point_data(b0, b1)
         iv = global_bound_interval(1.0, px, py)
         worst = max(worst, iv.lo - py.f, py.f - iv.hi)
     return worst
@@ -60,15 +57,15 @@ def local_cocoercivity_min_gap(n_pairs: int, seed: int = 0) -> float:
     as y_1 + 23/240.
     """
     rng = np.random.default_rng(seed)
-    ys = _sample_points(rng, n_pairs)
+    Y = _sample_points(rng, n_pairs)
+    # one (angle, radius) draw per pair, in the order of a per-pair loop
+    draws = rng.uniform(0.0, (2.0 * math.pi, 1.0), size=(n_pairs, 2))
+    theta = draws[:, 0]
+    dist_y = Y[:, 1] - spline.DOMAIN_BOUND_F
+    radius = dist_y * np.sqrt(draws[:, 1]) * (1.0 - 1e-6)
+    X = np.column_stack([Y[:, 0] + radius * np.cos(theta),
+                         Y[:, 1] + radius * np.sin(theta)])
     worst = math.inf
-    for b0, b1 in ys:
-        dist_y = b1 - spline.DOMAIN_BOUND_F
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        radius = dist_y * math.sqrt(rng.uniform(0.0, 1.0)) * (1.0 - 1e-6)
-        a0 = b0 + radius * math.cos(theta)
-        a1 = b1 + radius * math.sin(theta)
-        px = _point_data(a0, a1)
-        py = _point_data(b0, b1)
+    for px, py in zip(_point_data(X), _point_data(Y)):
         worst = min(worst, cocoercivity_gap(1.0, px, py))
     return worst

@@ -9,12 +9,14 @@ Subcommands:
   interpolate  solve, build the segment interpolant and sample it
 
 All files are written atomically (temp file + rename); floats are printed
-with 17 significant digits so CSV output is byte-reproducible.
+with 17 significant digits so CSV output is byte-reproducible (for sweep, at
+a fixed BLAS thread count).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -108,25 +110,22 @@ def _svg_lines(series: list[tuple[str, list[tuple[float, float]]]]) -> str:
 
 
 def _svg_heatmap(nx: int, ny: int, values: np.ndarray) -> str:
-    finite = values[np.isfinite(values)]
-    lo, hi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
+    finite = np.isfinite(values)
+    shown = values[finite]
+    lo, hi = (float(shown.min()), float(shown.max())) if shown.size else (0.0, 1.0)
     span = (hi - lo) or 1.0
     cw = (_SVG_W - 2 * _SVG_PAD) / nx
     ch = (_SVG_H - 2 * _SVG_PAD) / ny
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            v = values[j, i]
-            if not math.isfinite(v):
-                continue
-            u = (v - lo) / span
-            r, g, b = int(255 * u), int(64 + 128 * (1 - u)), int(255 * (1 - u))
-            x = _SVG_PAD + i * cw
-            y = _SVG_H - _SVG_PAD - (j + 1) * ch
-            cells.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw + 0.5:.2f}" '
-                f'height="{ch + 0.5:.2f}" fill="rgb({r},{g},{b})"/>'
-            )
+    j, i = np.nonzero(finite)
+    u = (shown - lo) / span
+    r, g, b = (255 * u).astype(int), (64 + 128 * (1 - u)).astype(int), (255 * (1 - u)).astype(int)
+    x = _SVG_PAD + i * cw
+    y = _SVG_H - _SVG_PAD - (j + 1) * ch
+    size = f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}"'
+    cells = [
+        f'<rect x="{xc:.2f}" y="{yc:.2f}" {size} fill="rgb({rc},{gc},{bc})"/>'
+        for xc, yc, rc, gc, bc in zip(x.tolist(), y.tolist(), r.tolist(), g.tolist(), b.tolist())
+    ]
     return _svg_document("\n".join(cells) + "\n")
 
 
@@ -162,20 +161,19 @@ def cmd_contour(args) -> int:
     ymin = args.ymin if args.ymin is not None else spline.DOMAIN_BOUND_F + 1e-6
     x = np.linspace(args.xmin, args.xmax, args.nx)
     y = np.linspace(ymin, args.ymax, args.ny)
-    rows = []
+    rows = y > spline.DOMAIN_BOUND_F
+    X = np.column_stack([np.tile(x, rows.sum()), np.repeat(y[rows], args.nx)])
+    v, piece = spline.eval_float(X)
     values = np.full((args.ny, args.nx), math.nan)
-    for j, x1 in enumerate(y):
-        for i, x0 in enumerate(x):
-            if x1 <= spline.DOMAIN_BOUND_F:
-                continue
-            piece = spline._SPLINE._classify_float(float(x0), float(x1)) + 1
-            v = spline.eval_F_float(float(x0), float(x1))
-            values[j, i] = v
-            rows.append([_fmt(float(x0)), _fmt(float(x1)), str(piece), _fmt(v)])
+    values[rows] = v.reshape(-1, args.nx)
     if args.format == "svg":
         _atomic_write(args.out, _svg_heatmap(args.nx, args.ny, values))
     else:
-        _atomic_write(args.out, _csv(["x0", "x1", "piece", "value"], rows))
+        xs = [_fmt(t) for t in x.tolist()]
+        ys = [_fmt(t) for t in y[rows].tolist()]
+        cells = zip(itertools.product(ys, xs), piece.tolist(), v.tolist())
+        table = [[x0, x1, str(k), _fmt(f)] for (x1, x0), k, f in cells]
+        _atomic_write(args.out, _csv(["x0", "x1", "piece", "value"], table))
     return EXIT_OK
 
 

@@ -6,16 +6,21 @@ and 1-smooth on its domain, yet the pair x=(0,0), y=(2,0) violates the
 co-coercivity inequality, so no 1-smooth convex function on the whole plane
 matches its values and gradients at those two points.
 
-All arithmetic in this module is rational (fractions.Fraction); every
-verification below is exact, with zero floating-point tolerance.
+Every verification below is exact, with zero floating-point tolerance: in
+rational arithmetic (fractions.Fraction), or on the lattice in integers after
+scaling by common denominators.  The float paths (value_float, eval_float and
+their gradients) serve sampling and plotting only.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -144,41 +149,76 @@ class PiecewiseQuadratic:
         return self.pieces[self.classify_region(p) - 1][0].gradient(p)
 
     def value_float(self, x0: float, x1: float) -> float:
-        """Float fast path; piece selection by float comparisons."""
-        if x1 <= DOMAIN_BOUND_F:
-            raise DomainError(f"point ({x0}, {x1}) outside the open domain")
-        k = self._classify_float(x0, x1)
-        q = self.pieces[k][0]
-        return (
-            0.5 * float(q.a00) * x0 * x0
-            + float(q.a01) * x0 * x1
-            + 0.5 * float(q.a11) * x1 * x1
-            + float(q.b0) * x0
-            + float(q.b1) * x1
-            + float(q.c)
-        )
+        """Float value at one point; see eval_float."""
+        v, _ = self.eval_float(np.array([[x0, x1]], dtype=float))
+        return float(v[0])
 
     def gradient_float(self, x0: float, x1: float) -> tuple[float, float]:
-        if x1 <= DOMAIN_BOUND_F:
-            raise DomainError(f"point ({x0}, {x1}) outside the open domain")
-        k = self._classify_float(x0, x1)
-        q = self.pieces[k][0]
-        return (
-            float(q.a00) * x0 + float(q.a01) * x1 + float(q.b0),
-            float(q.a01) * x0 + float(q.a11) * x1 + float(q.b1),
-        )
+        g, _ = self.grad_float(np.array([[x0, x1]], dtype=float))
+        return float(g[0, 0]), float(g[0, 1])
 
-    def _classify_float(self, x0: float, x1: float) -> int:
-        for k, (_, region) in enumerate(self.pieces):
-            ok = True
-            for h in region:
-                v = float(h.normal[0]) * x0 + float(h.normal[1]) * x1
-                if v > float(h.offset):
-                    ok = False
-                    break
-            if ok:
-                return k
-        return len(self.pieces) - 1
+    def eval_float(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Float values and 1-based piece indices at the rows of X (n x 2).
+
+        The piece is the first whose region holds the point by float
+        comparisons, or the last piece when none does.  Raises DomainError if
+        any point has x1 <= -23/240.
+        """
+        x0, x1, k = self._float_pieces(X)
+        c = self._float_coefficients[k].T
+        v = (
+            0.5 * c[0] * x0 * x0
+            + c[1] * x0 * x1
+            + 0.5 * c[2] * x1 * x1
+            + c[3] * x0
+            + c[4] * x1
+            + c[5]
+        )
+        return v, k + 1
+
+    def grad_float(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Float gradients (n x 2) and 1-based piece indices; see eval_float."""
+        x0, x1, k = self._float_pieces(X)
+        c = self._float_coefficients[k].T
+        g = np.column_stack([
+            c[0] * x0 + c[1] * x1 + c[3],
+            c[1] * x0 + c[2] * x1 + c[4],
+        ])
+        return g, k + 1
+
+    @cached_property
+    def _float_coefficients(self) -> np.ndarray:
+        """(a00, a01, a11, b0, b1, c) per piece as floats, one row each."""
+        return np.array([
+            [float(q.a00), float(q.a01), float(q.a11), float(q.b0), float(q.b1), float(q.c)]
+            for q, _ in self.pieces
+        ])
+
+    @cached_property
+    def _float_regions(self) -> list[list[tuple[float, float, float]]]:
+        """Each piece's half-planes as float (normal0, normal1, offset)."""
+        return [
+            [(float(h.normal[0]), float(h.normal[1]), float(h.offset)) for h in region]
+            for _, region in self.pieces
+        ]
+
+    def _float_pieces(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Columns x0, x1 of X and the 0-based active piece of each row."""
+        X = np.asarray(X, dtype=float)
+        x0, x1 = X[:, 0], X[:, 1]
+        outside = x1 <= DOMAIN_BOUND_F
+        if outside.any():
+            p0, p1 = X[outside][0]
+            raise DomainError(f"point ({p0}, {p1}) outside the open domain")
+        regions = self._float_regions
+        k = np.full(len(X), len(regions) - 1)
+        # Lower pieces are written last so that the first match wins.
+        for piece in range(len(regions) - 2, -1, -1):
+            inside = np.ones(len(X), dtype=bool)
+            for n0, n1, offset in regions[piece]:
+                inside &= ~(n0 * x0 + n1 * x1 > offset)
+            k[inside] = piece
+        return x0, x1, k
 
 
 # --- the concrete counterexample spline -----------------------------------
@@ -256,6 +296,14 @@ def eval_F_float(x0: float, x1: float) -> float:
 
 def grad_F_float(x0: float, x1: float) -> tuple[float, float]:
     return _SPLINE.gradient_float(x0, x1)
+
+
+def eval_float(X) -> tuple[np.ndarray, np.ndarray]:
+    return _SPLINE.eval_float(X)
+
+
+def grad_float(X) -> tuple[np.ndarray, np.ndarray]:
+    return _SPLINE.grad_float(X)
 
 
 def domain_distance(p: ExactPoint) -> Q:
@@ -394,19 +442,65 @@ def verify_violation() -> VerificationReport:
     return report
 
 
-def _grid_points(spacing: Q, x_range: tuple[Q, Q], y_range: tuple[Q, Q]) -> list[ExactPoint]:
-    pts = []
-    nx = int((x_range[1] - x_range[0]) / spacing)
-    ny = int((y_range[1] - y_range[0]) / spacing)
-    for i in range(nx + 1):
-        for j in range(ny + 1):
-            pts.append(ExactPoint(x_range[0] + i * spacing, y_range[0] + j * spacing))
-    return pts
-
-
 DEFAULT_GRID_SPACING = Q(1, 16)
 DEFAULT_X_RANGE = (Q(-2), Q(3))
 DEFAULT_Y_RANGE = (DOMAIN_BOUND + Q(1, 240), Q(2))
+
+# The pair checks run in int64 when every intermediate is provably below this,
+# and in Python integers (dtype=object) otherwise.
+_INT64_SAFE = 2 ** 62
+_PAIR_CHUNK = 1 << 16
+
+
+def _den_lcm(values) -> int:
+    """Least common multiple of the denominators of rational values."""
+    return math.lcm(*(_q(v).denominator for v in values))
+
+
+def _contains_scaled(h: HalfPlane, D: int, X0: np.ndarray, X1: np.ndarray) -> np.ndarray:
+    """h.contains at the points X/D, in integers."""
+    H = _den_lcm((*h.normal, h.offset))
+    v = int(h.normal[0] * H) * X0 + int(h.normal[1] * H) * X1
+    o = int(h.offset * H * D)
+    return v < o if h.strict else v <= o
+
+
+def _sampled_pair_checks(X0, X1, f, g0, g1, M: int, pair_stride: int):
+    """(pairs checked, monotone, 1-smooth, descent) over the sampled pairs.
+
+    Points are X/D with values f/(2*M*D^2) and gradients g/(M*D); each test
+    below is the rational one multiplied through by a positive scale.
+    """
+    n = len(X0)
+    row_len = np.arange(n - 1, -1, -1)
+    row_end = np.cumsum(row_len)            # index k of the last pair in each row
+    limit = int(row_end[-1]) if n else 0
+    mono_ok = smooth_ok = descent_ok = True
+    npairs = 0
+    start = pair_stride
+    while start <= limit:
+        k = np.arange(start, min(limit, start + pair_stride * (_PAIR_CHUNK - 1)) + 1,
+                      pair_stride)
+        start = int(k[-1]) + pair_stride
+        a = np.searchsorted(row_end, k)
+        b = a + k - (row_end[a] - row_len[a])
+        d0, d1 = X0[b] - X0[a], X1[b] - X1[a]
+        e0, e1 = g0[b] - g0[a], g1[b] - g1[a]
+        dd = d0 * d0 + d1 * d1
+        lower = f[b] - f[a] - 2 * (g0[a] * d0 + g1[a] * d1)
+        mono = e0 * d0 + e1 * d1 < 0
+        smooth = e0 * e0 + e1 * e1 > M * M * dd
+        descent = (lower < 0) | (lower > M * dd)
+        failed = mono | smooth | descent
+        if failed.any():
+            limit = min(limit, int(row_end[a[failed.argmax()]]))
+            keep = k <= limit
+            mono, smooth, descent, k = mono[keep], smooth[keep], descent[keep], k[keep]
+        npairs += len(k)
+        mono_ok = mono_ok and not mono.any()
+        smooth_ok = smooth_ok and not smooth.any()
+        descent_ok = descent_ok and not descent.any()
+    return npairs, mono_ok, smooth_ok, descent_ok
 
 
 def verify_grid_properties(
@@ -420,57 +514,75 @@ def verify_grid_properties(
 
     Checks region coverage (with seam agreement where regions overlap) at
     every lattice point, and gradient monotonicity, 1-smoothness and the
-    two-sided descent inequality on a deterministic subset of point pairs
-    (every pair_stride-th pair to keep the quadratic pair count in check).
+    two-sided descent inequality on a deterministic subset of point pairs:
+    the k-th pair (a < b, counted row by row from k = 1) for every k that
+    pair_stride divides.  The pair checks stop after the first row a that
+    holds a failing pair.
+
+    The lattice points are X/D with D the common denominator of the spacing
+    and the range origins, and the piece coefficients are integers over a
+    common denominator M.  Then 2*M*D^2*f and M*D*grad f are integers at
+    every lattice point, and each check is an integer comparison with the
+    same sign as the rational one.
     """
     spline = spline or _SPLINE
     report = VerificationReport()
-    pts = [p for p in _grid_points(spacing, x_range, y_range) if spline.in_domain(p)]
 
-    coverage_ok = True
-    overlap_ok = True
-    for p in pts:
-        claims = [
-            k
-            for k, (_, region) in enumerate(spline.pieces)
-            if all(h.contains(p) for h in region)
-        ]
-        if not claims:
-            coverage_ok = False
-            break
-        if len(claims) > 1:
-            vals = {spline.pieces[k][0].value(p) for k in claims}
-            grads = {spline.pieces[k][0].gradient(p) for k in claims}
-            if len(vals) != 1 or len(grads) != 1:
-                overlap_ok = False
-                break
-    report.add(f"region coverage on {len(pts)}-point lattice", coverage_ok)
-    report.add("seam agreement at multiply-claimed lattice points", overlap_ok)
+    D = _den_lcm((spacing, x_range[0], y_range[0]))
+    nx = int((x_range[1] - x_range[0]) / spacing)
+    ny = int((y_range[1] - y_range[0]) / spacing)
+    step, x_org, y_org = int(spacing * D), int(x_range[0] * D), int(y_range[0] * D)
+    coefs = [(q.a00, q.a01, q.a11, q.b0, q.b1, q.c) for q, _ in spline.pieces]
+    M = _den_lcm(v for c in coefs for v in c)
 
-    data = [(p, spline.value(p), spline.gradient(p)) for p in pts]
-    mono_ok = smooth_ok = descent_ok = True
-    npairs = 0
-    n = len(data)
-    idx = 0
-    for a in range(n):
-        pa, fa, ga = data[a]
-        for b in range(a + 1, n):
-            idx += 1
-            if idx % pair_stride:
-                continue
-            pb, fb, gb = data[b]
-            npairs += 1
-            d0, d1 = pb.x0 - pa.x0, pb.x1 - pa.x1
-            g0, g1 = gb[0] - ga[0], gb[1] - ga[1]
-            if g0 * d0 + g1 * d1 < 0:
-                mono_ok = False
-            if g0 * g0 + g1 * g1 > d0 * d0 + d1 * d1:
-                smooth_ok = False
-            lower = fb - fa - (ga[0] * d0 + ga[1] * d1)
-            if lower < 0 or lower > (d0 * d0 + d1 * d1) / 2:
-                descent_ok = False
-        if not (mono_ok and smooth_ok and descent_ok):
-            break
+    # Lattice points in row-major (x0, then x1) order, open domain only, and
+    # per-point values in Python integers (dtype=object): there are few points.
+    X0 = np.repeat(x_org + step * np.arange(nx + 1).astype(object), ny + 1)
+    X1 = np.tile(y_org + step * np.arange(ny + 1).astype(object), nx + 1)
+    inside = _contains_scaled(spline.domain, D, X0, X1)
+    X0, X1 = X0[inside], X1[inside]
+
+    claims, F, G0, G1 = [], [], [], []
+    for c, (_, region) in zip(coefs, spline.pieces):
+        a00, a01, a11, b0, b1, c0 = (int(v * M) for v in c)
+        claim = np.ones(len(X0), dtype=bool)
+        for h in region:
+            claim &= _contains_scaled(h, D, X0, X1)
+        claims.append(claim)
+        F.append(a00 * X0 * X0 + 2 * a01 * X0 * X1 + a11 * X1 * X1
+                 + 2 * D * (b0 * X0 + b1 * X1) + 2 * c0 * D * D)
+        G0.append(a00 * X0 + a01 * X1 + b0 * D)
+        G1.append(a01 * X0 + a11 * X1 + b1 * D)
+    claims = np.array(claims, dtype=bool)
+    F, G0, G1 = (np.array(v, dtype=object) for v in (F, G0, G1))
+
+    # The active piece is the lowest-index claim; the scan stops at the first
+    # point that is unclaimed or where claimed pieces disagree.
+    covered = claims.any(axis=0)
+    first = claims.argmax(axis=0)
+    cols = np.arange(len(X0))
+    f, g0, g1 = F[first, cols], G0[first, cols], G1[first, cols]
+    mismatch = (claims & ((F != f) | (G0 != g0) | (G1 != g1))).any(axis=0)
+    bad = ~covered | mismatch
+    stop = int(bad.argmax()) if bad.any() else None
+    report.add(f"region coverage on {len(X0)}-point lattice", stop is None or covered[stop])
+    report.add("seam agreement at multiply-claimed lattice points",
+               stop is None or not mismatch[stop])
+    if not covered.all():
+        i = int(covered.argmin())
+        raise DomainError(
+            f"point ({Q(int(X0[i]), D)}, {Q(int(X1[i]), D)}) claimed by no region")
+
+    # With |d| <= 2 xmax and |e| <= 2 gmax these bound every pair intermediate.
+    xmax = max((abs(v) for v in (*X0, *X1)), default=0)
+    gmax = max((abs(v) for v in (*g0, *g1)), default=0)
+    fmax = max((abs(v) for v in f), default=0)
+    bound = max(8 * gmax * gmax, 8 * M * M * xmax * xmax, 2 * fmax + 8 * gmax * xmax)
+    if bound < _INT64_SAFE:
+        X0, X1, f, g0, g1 = (v.astype(np.int64) for v in (X0, X1, f, g0, g1))
+
+    npairs, mono_ok, smooth_ok, descent_ok = _sampled_pair_checks(
+        X0, X1, f, g0, g1, M, pair_stride)
     report.add(f"gradient monotonicity on {npairs} lattice pairs", mono_ok)
     report.add("1-smoothness (squared norms) on lattice pairs", smooth_ok)
     report.add("two-sided descent inequality on lattice pairs", descent_ok)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -81,6 +82,24 @@ class TestContour:
         ])
         assert code == cli.EXIT_OK
         assert out.read_text().startswith("<svg")
+
+    # sha256 of the output of the per-point implementation these replaced;
+    # the last two grids start below the domain, whose rows are skipped.
+    @pytest.mark.parametrize("args, digest", [
+        (["--nx", "20", "--ny", "20"],
+         "296ff81c76e0edfd8e8322152b775890fb458f33b3a9b48c8c0a5b8411fa43b1"),
+        (["--nx", "20", "--ny", "20", "--format", "svg"],
+         "ea824d78f792a68dc90b5c1edf90f021708367e980719add70bb7ab5eb2bbb91"),
+        (["--nx", "37", "--ny", "29", "--ymin", "-0.5", "--xmin", "-3", "--xmax", "4"],
+         "2690a78a979cb6e78ebb4ed0caecf64a35b677842e6b03d727f63b48128d5d0d"),
+        (["--nx", "37", "--ny", "29", "--ymin", "-0.5", "--xmin", "-3", "--xmax", "4",
+          "--format", "svg"],
+         "cf59a204e81400625529de1306d328a5a09bf2a5e7be1b86e1372cef890b6bd9"),
+    ])
+    def test_output_bytes_pinned(self, tmp_path, args, digest):
+        out = tmp_path / "contour.out"
+        assert cli.main(["contour", *args, "--out", str(out)]) == cli.EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestRegion:

@@ -1,7 +1,9 @@
 """Exact checks of the piecewise-quadratic spline."""
 
+from dataclasses import replace
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
 from openconvex import spline
@@ -122,27 +124,204 @@ class TestViolation:
         assert "violation" in report.checks[0].detail
 
 
+def _reference_grid_report(spacing, x_range, y_range, pair_stride, model):
+    """The lattice checks as a per-pair Fraction loop: (name, passed) per line."""
+    nx = int((x_range[1] - x_range[0]) / spacing)
+    ny = int((y_range[1] - y_range[0]) / spacing)
+    pts = [
+        ExactPoint(x_range[0] + i * spacing, y_range[0] + j * spacing)
+        for i in range(nx + 1)
+        for j in range(ny + 1)
+    ]
+    pts = [p for p in pts if model.in_domain(p)]
+    coverage_ok = overlap_ok = True
+    for p in pts:
+        claims = [k for k, (_, region) in enumerate(model.pieces)
+                  if all(h.contains(p) for h in region)]
+        if not claims:
+            coverage_ok = False
+            break
+        if len({model.pieces[k][0].value(p) for k in claims}) != 1 or \
+                len({model.pieces[k][0].gradient(p) for k in claims}) != 1:
+            overlap_ok = False
+            break
+    data = [(p, model.value(p), model.gradient(p)) for p in pts]
+    mono_ok = smooth_ok = descent_ok = True
+    npairs = idx = 0
+    for a, (pa, fa, ga) in enumerate(data):
+        for pb, fb, gb in data[a + 1:]:
+            idx += 1
+            if idx % pair_stride:
+                continue
+            npairs += 1
+            d0, d1 = pb.x0 - pa.x0, pb.x1 - pa.x1
+            g0, g1 = gb[0] - ga[0], gb[1] - ga[1]
+            mono_ok &= g0 * d0 + g1 * d1 >= 0
+            smooth_ok &= g0 * g0 + g1 * g1 <= d0 * d0 + d1 * d1
+            lower = fb - fa - (ga[0] * d0 + ga[1] * d1)
+            descent_ok &= 0 <= lower <= (d0 * d0 + d1 * d1) / 2
+        if not (mono_ok and smooth_ok and descent_ok):
+            break
+    return [
+        (f"region coverage on {len(pts)}-point lattice", coverage_ok),
+        ("seam agreement at multiply-claimed lattice points", overlap_ok),
+        (f"gradient monotonicity on {npairs} lattice pairs", mono_ok),
+        ("1-smoothness (squared norms) on lattice pairs", smooth_ok),
+        ("two-sided descent inequality on lattice pairs", descent_ok),
+    ]
+
+
+def _with_piece(k, **coefficients):
+    """The spline with some coefficients of its 0-based piece k replaced."""
+    base = build_spline()
+    pieces = list(base.pieces)
+    q, region = pieces[k]
+    pieces[k] = (replace(q, **coefficients), region)
+    return replace(base, pieces=tuple(pieces))
+
+
+COARSE_LATTICE = dict(
+    spacing=Q(1, 4),
+    x_range=(Q(-2), Q(3)),
+    y_range=(spline.DOMAIN_BOUND + Q(1, 240), Q(2)),
+    pair_stride=3,
+)
+BOUNDARY_BAND = dict(
+    spacing=Q(1, 32),
+    x_range=(Q(-1, 4), Q(1, 4)),
+    y_range=(spline.DOMAIN_BOUND + Q(1, 480), Q(0)),
+    pair_stride=11,
+)
+# Straddles seam 1|2 at (1/36, 0) with a spacing of about 1e-9.  Scaled by
+# their denominator D ~ 3.6e10 the points overflow the int64 bound, so the
+# pair checks run in Python integers (dtype=object).
+_H = Q(1, 10**9 + 7)
+SEAM_CLOSE_UP = dict(
+    spacing=_H,
+    x_range=(Q(1, 36) - 2 * _H, Q(1, 36) + 2 * _H),
+    y_range=(-2 * _H, 2 * _H),
+    pair_stride=2,
+)
+MODELS = {
+    "plain": build_spline(),
+    "piece2+1/1000": build_spline({2: Q(1, 1000)}),
+    "piece4-1/7": build_spline({4: Q(-1, 7)}),
+}
+
+
 class TestGridInvariants:
     def test_coarse_lattice(self):
-        report = spline.verify_grid_properties(
-            spacing=Q(1, 4),
-            x_range=(Q(-2), Q(3)),
-            y_range=(spline.DOMAIN_BOUND + Q(1, 240), Q(2)),
-            pair_stride=3,
-        )
+        report = spline.verify_grid_properties(**COARSE_LATTICE)
         assert report.passed, report.to_text()
 
     def test_near_boundary_band(self):
-        report = spline.verify_grid_properties(
-            spacing=Q(1, 32),
-            x_range=(Q(-1, 4), Q(1, 4)),
-            y_range=(spline.DOMAIN_BOUND + Q(1, 480), Q(0)),
-            pair_stride=11,
-        )
+        report = spline.verify_grid_properties(**BOUNDARY_BAND)
         assert report.passed, report.to_text()
+
+    @pytest.mark.parametrize("lattice", ["coarse", "band", "close-up"])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_matches_fraction_reference(self, lattice, model):
+        kw = {"coarse": COARSE_LATTICE, "band": BOUNDARY_BAND,
+              "close-up": SEAM_CLOSE_UP}[lattice]
+        report = spline.verify_grid_properties(spline=MODELS[model], **kw)
+        expected = _reference_grid_report(model=MODELS[model], **kw)
+        assert [(c.name, c.passed) for c in report.checks] == expected
+
+    @pytest.mark.parametrize("model", [
+        _with_piece(0, a00=Q(2), a11=Q(2)),      # not 1-smooth
+        _with_piece(2, a00=Q(-1, 3)),            # not convex
+    ])
+    def test_non_convex_or_stiff_piece_matches_reference(self, model):
+        report = spline.verify_grid_properties(spline=model, **COARSE_LATTICE)
+        expected = _reference_grid_report(model=model, **COARSE_LATTICE)
+        assert [(c.name, c.passed) for c in report.checks] == expected
+        assert not report.passed
+
+    def test_python_integers_agree_with_int64(self, monkeypatch):
+        model = MODELS["piece4-1/7"]
+        fast = spline.verify_grid_properties(spline=model, **COARSE_LATTICE)
+        monkeypatch.setattr(spline, "_INT64_SAFE", 0)
+        slow = spline.verify_grid_properties(spline=model, **COARSE_LATTICE)
+        assert fast.to_text() == slow.to_text()
+
+    def test_uncovered_point_raises(self):
+        base = build_spline()
+        gap = replace(base, pieces=base.pieces[:3])
+        with pytest.raises(DomainError, match="claimed by no region"):
+            spline.verify_grid_properties(spline=gap, **COARSE_LATTICE)
+
+    def test_default_lattice_counts(self):
+        names = [c.name for c in spline.verify_grid_properties().checks]
+        assert "region coverage on 2754-point lattice" in names
+        assert "gradient monotonicity on 102456 lattice pairs" in names
+
+    def test_perturbed_lattice_stops_after_failing_row(self):
+        report = spline.verify_grid_properties(spline=MODELS["piece2+1/1000"])
+        verdicts = {c.name: c.passed for c in report.checks}
+        assert verdicts["gradient monotonicity on 446 lattice pairs"]
+        assert not verdicts["two-sided descent inequality on lattice pairs"]
 
     def test_domain_distance(self):
         assert spline.domain_distance(ExactPoint.of(0, 0)) == Q(23, 240)
+
+
+def _reference_float(model, x0, x1):
+    """Per-point float value, gradient and 1-based piece, as scalar code."""
+    k = len(model.pieces) - 1
+    for j, (_, region) in enumerate(model.pieces):
+        if all(float(h.normal[0]) * x0 + float(h.normal[1]) * x1 <= float(h.offset)
+               for h in region):
+            k = j
+            break
+    q = model.pieces[k][0]
+    value = (0.5 * float(q.a00) * x0 * x0 + float(q.a01) * x0 * x1
+             + 0.5 * float(q.a11) * x1 * x1 + float(q.b0) * x0 + float(q.b1) * x1
+             + float(q.c))
+    grad = (float(q.a00) * x0 + float(q.a01) * x1 + float(q.b0),
+            float(q.a01) * x0 + float(q.a11) * x1 + float(q.b1))
+    return value, grad, k + 1
+
+
+def _seam_points():
+    """Points whose float seam test evaluates to exactly the float offset."""
+    pts = []
+    for n0, n1, off in ((3.0, -1.0, 1 / 12), (3.0, -1.0, 31 / 12), (1.0, -2.0, 49 / 48)):
+        for x0 in np.linspace(-1.0, 3.0, 33):
+            x1 = (n0 * x0 - off) / -n1
+            if x1 > spline.DOMAIN_BOUND_F and n0 * x0 + n1 * x1 == off:
+                pts.append((x0, x1))
+    return pts
+
+
+class TestFloatEvaluator:
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_matches_scalar_reference_bit_for_bit(self, model):
+        m = MODELS[model]
+        grid = [(x0, x1) for x0 in np.linspace(-2.0, 3.0, 23)
+                for x1 in np.linspace(spline.DOMAIN_BOUND_F + 1e-9, 2.0, 17)]
+        seams = _seam_points()
+        assert len(seams) >= 9
+        X = np.array(grid + seams)
+        values, pieces = m.eval_float(X)
+        grads, gpieces = m.grad_float(X)
+        assert np.array_equal(pieces, gpieces)
+        assert set(pieces.tolist()) == {1, 2, 3, 4}
+        for (x0, x1), v, g, k in zip(X.tolist(), values.tolist(), grads.tolist(), pieces.tolist()):
+            rv, rg, rk = _reference_float(m, x0, x1)
+            assert (v, tuple(g), k) == (rv, rg, rk), (x0, x1)
+            assert m.value_float(x0, x1) == rv
+            assert m.gradient_float(x0, x1) == rg
+
+    def test_outside_domain_rejected(self):
+        for x1 in (spline.DOMAIN_BOUND_F, -1.0):
+            with pytest.raises(DomainError):
+                spline.eval_float(np.array([[0.0, 0.5], [0.0, x1]]))
+            with pytest.raises(DomainError):
+                spline.grad_F_float(0.0, x1)
+
+    def test_empty_input(self):
+        values, pieces = spline.eval_float(np.empty((0, 2)))
+        assert values.shape == pieces.shape == (0,)
 
 
 class TestReport:
