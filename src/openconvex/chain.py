@@ -1,4 +1,4 @@
-"""Chain bound programs and a self-contained log-barrier QCQP solver.
+"""Chain bound programs in canonical form and a self-contained log-barrier solver.
 
 Given endpoint data (x, f_x, g_x, y, g_y) for an L-smooth convex function,
 the value f(y) is bracketed by the optima of two convex quadratically
@@ -7,18 +7,35 @@ points x_i = x + (i/N)(y-x): each adjacent pair must satisfy the two-point
 co-coercivity inequalities.  The upper program maximizes f_N, the lower one
 minimizes it.
 
+Those inequalities are unchanged by adding a linear function to f (a tilt),
+by a rotation, and by rescaling f by L rho^2 and g by L rho, rho = ||y - x||.
+So every spec is the canonical program in (a, b) and N: knots F[0..N] and
+G[0..N] with F_0 = 0, G_0 = 0, G_N = (a, b), chain step e_1/N, and
+
+    h1_i = 1/2 ||G_i - G_i+1||^2 - F_i + F_i+1 - G_i+1 . e_1/N <= 0
+    h2_i = 1/2 ||G_i - G_i+1||^2 + F_i - F_i+1 + G_i . e_1/N   <= 0,
+
+where a and b are the components of (g_y - g_x)/(L rho) along and across
+y - x.  Projecting every G_i onto span{e_1, e_2} keeps a chain feasible and
+F_N unchanged, so two gradient coordinates suffice (one when b = 0).  Only
+the upper program U_N(a, b) is solved: reversing a chain maps the feasible
+set onto itself and F_N to a - F_N, so the lower bound is a - U_N(a, b).
+Tolerances act in canonical units, that is relative to L ||y - x||^2.
+
 The solver is a phase-I slack minimization followed by log-barrier
 path-following with damped Newton steps; both phases share the same
-barrier machinery.  Every constraint is quadratic, so along a Newton
-direction each slack is an exact quadratic in the step: the line search
-backtracks on those and takes the barrier change in closed form, and
-evaluates the constraints directly only at the step it accepts.
+barrier machinery.  Each constraint couples only knots i and i+1, with the
+same +-I curvature on (G_i, G_i+1), so values, gradients and the barrier
+Hessian come from per-segment arrays.  Along a Newton direction each slack
+is an exact quadratic in the step: the line search backtracks on those and
+takes the barrier change in closed form, and evaluates the constraints
+directly only at the step it accepts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,45 +91,41 @@ class SolverConfig:
 
 
 @dataclass
-class QuadConstraint:
-    """h(z) = 1/2 u'Pu + q'u + r over the variable subset z[idx]."""
-
-    idx: np.ndarray
-    P: np.ndarray
-    q: np.ndarray
-    r: float
-
-    def value(self, z: np.ndarray) -> float:
-        u = z[self.idx]
-        return 0.5 * float(u @ self.P @ u) + float(self.q @ u) + self.r
-
-    def shifted(self, delta: float) -> "QuadConstraint":
-        return QuadConstraint(self.idx, self.P, self.q, self.r - delta)
-
-    def with_slack(self, slack_index: int) -> "QuadConstraint":
-        """Augment to h(z) - s <= 0 with s the variable at slack_index."""
-        k = len(self.idx)
-        idx = np.append(self.idx, slack_index)
-        P = np.zeros((k + 1, k + 1))
-        P[:k, :k] = self.P
-        q = np.append(self.q, -1.0)
-        return QuadConstraint(idx, P, q, self.r)
-
-
-@dataclass
 class ChainProblem:
+    """The canonical upper program of ``spec``: maximize F_N over the knots.
+
+    The variables z are knot-major: (F_1, G_1, ..., F_N-1, G_N-1, F_N), so
+    F_N is the last one.  ``knots`` fills in the pinned F_0, G_0 and G_N.
+    """
+
     spec: ChainSpec
-    basis: np.ndarray               # d x reduced_dim, orthonormal columns
-    reduced_dim: int
-    delta_red: np.ndarray           # (y - x)/N in the reduced basis
-    g0_red: np.ndarray
-    gN_red: np.ndarray
-    n_vars: int
-    fN_index: int
-    constraints: list[QuadConstraint] = field(default_factory=list)
+    basis: np.ndarray               # d x r orthonormal: e_1, then e_2 when b > 0
+    gN: np.ndarray                  # G_N = (a, b), or (a,) when b = 0
+    scale: float                    # L rho^2: spec units of one canonical unit of f
+
+    @property
+    def N(self) -> int:
+        return self.spec.N
+
+    @property
+    def reduced_dim(self) -> int:
+        return self.gN.size
+
+    @property
+    def n_vars(self) -> int:
+        return self.N + (self.N - 1) * self.reduced_dim
+
+    def knots(self, z: np.ndarray) -> np.ndarray:
+        """(N+1) x (1+r) rows (F_i, G_i) of the chain z."""
+        m = 1 + self.reduced_dim
+        return np.concatenate([np.zeros(m), z, self.gN]).reshape(self.N + 1, m)
+
+    def values(self, z: np.ndarray) -> np.ndarray:
+        """Constraint values h1_0, h2_0, h1_1, ...; z is feasible when all are <= 0."""
+        return _Barrier(self).values(z)
 
     def max_violation(self, z: np.ndarray) -> float:
-        return max(c.value(z) for c in self.constraints)
+        return float(np.max(self.values(z)))
 
 
 @dataclass
@@ -124,195 +137,90 @@ class BoundResult:
     duality_gap_estimate: float
 
 
-# --- problem construction ---------------------------------------------------
-
-
-def _orthonormal_span(vectors: list[np.ndarray]) -> np.ndarray:
-    """Gram-Schmidt basis of the span; columns orthonormal."""
-    cols: list[np.ndarray] = []
-    scale = max(float(np.linalg.norm(v)) for v in vectors) or 1.0
-    for v in vectors:
-        w = v.astype(float).copy()
-        for u in cols:
-            w -= float(u @ w) * u
-        nw = float(np.linalg.norm(w))
-        if nw > 1e-12 * scale:
-            cols.append(w / nw)
-    return np.column_stack(cols)
-
-
-def build_problem(spec: ChainSpec, reduce: bool = True) -> ChainProblem:
-    """Emit the 2N chain constraints over f_1..f_N and g_1..g_{N-1}.
-
-    With reduce=True the gradient variables live in an orthonormal basis of
-    span{y-x, g_x, g_y} (dimension <= 3): the feasible set is invariant
-    under reflection across that span and reflection preserves f_N, so an
-    optimal solution exists inside the span.
-    """
-    d = spec.x.size
-    if reduce:
-        basis = _orthonormal_span([spec.y - spec.x, spec.g_x, spec.g_y])
+def build_problem(spec: ChainSpec) -> ChainProblem:
+    """Canonicalize: tilt away (f_x, g_x), rotate y - x onto e_1, rescale by L rho^2."""
+    delta = spec.y - spec.x
+    rho = float(np.linalg.norm(delta))
+    e1 = delta / rho
+    g_hat = (spec.g_y - spec.g_x) / (spec.L * rho)
+    a = float(g_hat @ e1)
+    across = g_hat - a * e1
+    b = float(np.linalg.norm(across))
+    if b <= 1e-12 * max(1.0, float(np.linalg.norm(g_hat))):
+        basis, gN = e1[:, None], np.array([a])
     else:
-        basis = np.eye(d)
-    r = basis.shape[1]
-    N = spec.N
-
-    delta_red = basis.T @ (spec.y - spec.x) / N
-    g0 = basis.T @ spec.g_x
-    gN = basis.T @ spec.g_y
-
-    n_vars = N + (N - 1) * r
-    fN_index = N - 1
-
-    def fvar(i: int) -> int:
-        return i - 1  # valid for 1 <= i <= N
-
-    def gvar(i: int) -> np.ndarray:
-        return np.arange(N + (i - 1) * r, N + i * r)  # valid for 1 <= i <= N-1
-
-    inv_l = 1.0 / spec.L
-    constraints: list[QuadConstraint] = []
-
-    for i in range(N):
-        gi_fixed = g0 if i == 0 else None
-        gj_fixed = gN if i + 1 == N else None
-
-        # participating variable indices, in a fixed local order
-        idx_parts: list[np.ndarray] = []
-        if i >= 1:
-            idx_parts.append(np.array([fvar(i)]))
-        idx_parts.append(np.array([fvar(i + 1)]))
-        gi_off = gj_off = -1
-        if gi_fixed is None:
-            gi_off = sum(len(a) for a in idx_parts)
-            idx_parts.append(gvar(i))
-        if gj_fixed is None:
-            gj_off = sum(len(a) for a in idx_parts)
-            idx_parts.append(gvar(i + 1))
-        idx = np.concatenate(idx_parts)
-        k = len(idx)
-
-        # shared quadratic part (1/2L)||g_i - g_{i+1}||^2
-        P = np.zeros((k, k))
-        q_quad = np.zeros(k)
-        r_quad = 0.0
-        if gi_fixed is None and gj_fixed is None:
-            P[gi_off:gi_off + r, gi_off:gi_off + r] = inv_l * np.eye(r)
-            P[gj_off:gj_off + r, gj_off:gj_off + r] = inv_l * np.eye(r)
-            P[gi_off:gi_off + r, gj_off:gj_off + r] = -inv_l * np.eye(r)
-            P[gj_off:gj_off + r, gi_off:gi_off + r] = -inv_l * np.eye(r)
-        elif gi_fixed is None:
-            P[gi_off:gi_off + r, gi_off:gi_off + r] = inv_l * np.eye(r)
-            q_quad[gi_off:gi_off + r] = -inv_l * gj_fixed
-            r_quad = 0.5 * inv_l * float(gj_fixed @ gj_fixed)
-        elif gj_fixed is None:
-            P[gj_off:gj_off + r, gj_off:gj_off + r] = inv_l * np.eye(r)
-            q_quad[gj_off:gj_off + r] = -inv_l * gi_fixed
-            r_quad = 0.5 * inv_l * float(gi_fixed @ gi_fixed)
-        else:
-            dg = gi_fixed - gj_fixed
-            r_quad = 0.5 * inv_l * float(dg @ dg)
-
-        fi_off = 0 if i >= 1 else None
-        fj_off = 1 if i >= 1 else 0
-
-        # h1: quad - f_i + f_{i+1} - <g_{i+1}, delta> <= 0
-        q1 = q_quad.copy()
-        r1 = r_quad
-        if fi_off is None:
-            r1 -= spec.f_x
-        else:
-            q1[fi_off] -= 1.0
-        q1[fj_off] += 1.0
-        if gj_fixed is None:
-            q1[gj_off:gj_off + r] -= delta_red
-        else:
-            r1 -= float(gj_fixed @ delta_red)
-        constraints.append(QuadConstraint(idx.copy(), P.copy(), q1, r1))
-
-        # h2: quad + f_i - f_{i+1} + <g_i, delta> <= 0
-        q2 = q_quad.copy()
-        r2 = r_quad
-        if fi_off is None:
-            r2 += spec.f_x
-        else:
-            q2[fi_off] += 1.0
-        q2[fj_off] -= 1.0
-        if gi_fixed is None:
-            q2[gi_off:gi_off + r] += delta_red
-        else:
-            r2 += float(gi_fixed @ delta_red)
-        constraints.append(QuadConstraint(idx.copy(), P.copy(), q2, r2))
-
-    return ChainProblem(
-        spec=spec,
-        basis=basis,
-        reduced_dim=r,
-        delta_red=delta_red,
-        g0_red=g0,
-        gN_red=gN,
-        n_vars=n_vars,
-        fN_index=fN_index,
-        constraints=constraints,
-    )
+        basis, gN = np.column_stack([e1, across / b]), np.array([a, b])
+    return ChainProblem(spec, basis, gN, spec.L * rho * rho)
 
 
 # --- barrier machinery -------------------------------------------------------
 
 
-class _Batch:
-    """Padded batch view of the constraints for vectorized Newton steps.
+class _Barrier:
+    """The constraints h_j(z) - delta <= 0 as per-segment arrays.
 
-    Every constraint is padded to a common local size with a phantom
-    variable slot (index n, pinned to zero) so values, gradients and
-    Hessian blocks are computed with one einsum each.
+    Segment i's two constraints read only u_i = (F_i, G_i, F_i+1, G_i+1),
+    taken from the padded vector X = (F_0, G_0, z, G_N) by the index rows
+    ``seg``.  Both are h(u) = 1/2 u'Pu + lin.u with the one curvature P,
+    +-I on (G_i, G_i+1); ``lin`` holds the linear parts of h1 and h2.  With
+    ``slack`` the last entry s of z is phase I's slack: one more column of
+    u, with coefficient -1 in every constraint.
     """
 
-    def __init__(self, cons: list[QuadConstraint], n: int):
-        self.n = n
-        m = len(cons)
-        K = max(len(c.idx) for c in cons)
-        self.idx = np.full((m, K), n, dtype=int)
-        self.P = np.zeros((m, K, K))
-        self.q = np.zeros((m, K))
-        self.r = np.zeros(m)
-        for j, c in enumerate(cons):
-            k = len(c.idx)
-            self.idx[j, :k] = c.idx
-            self.P[j, :k, :k] = c.P
-            self.q[j, :k] = c.q
-            self.r[j] = c.r
+    def __init__(self, problem: ChainProblem, slack: bool = False, delta: float = 0.0):
+        N, r = problem.N, problem.reduced_dim
+        m = self.m = 1 + r
+        k = 2 * m + slack
+        self.delta = delta
+        self.head, self.tail = np.zeros(m), problem.gN
+        self.free = slice(m, m + problem.n_vars + slack)
+        self.nx = (N + 1) * m + slack
+        seg = np.arange(N)[:, None] * m + np.arange(2 * m)
+        seg[-1, m + 1:] += slack                    # G_N sits after the slack
+        if slack:
+            seg = np.column_stack([seg, np.full(N, N * m + 1)])
+        self.seg = seg
+        self.pairs = (seg[:, :, None] * self.nx + seg[:, None, :]).ravel()
+        eye = np.eye(r)
+        self.P = np.zeros((k, k))
+        self.P[1:m, 1:m] = self.P[m + 1:2 * m, m + 1:2 * m] = eye
+        self.P[1:m, m + 1:2 * m] = self.P[m + 1:2 * m, 1:m] = -eye
+        self.lin = np.zeros((2, k))
+        self.lin[0, [0, m, m + 1]] = -1.0, 1.0, -1.0 / N
+        self.lin[1, [0, 1, m]] = 1.0, 1.0 / N, -1.0
+        if slack:
+            self.lin[:, -1] = -1.0
+
+    def _entries(self, z: np.ndarray, tail: np.ndarray) -> np.ndarray:
+        return np.concatenate((self.head, z, tail))[self.seg]
 
     def values(self, z: np.ndarray) -> np.ndarray:
-        u = np.append(z, 0.0)[self.idx]
-        return (
-            0.5 * np.einsum("mk,mkl,ml->m", u, self.P, u)
-            + np.sum(self.q * u, axis=1)
-            + self.r
-        )
+        u = self._entries(z, self.tail)
+        m = self.m
+        v = u[:, 1:m] - u[:, m + 1:2 * m]
+        q = 0.5 * np.einsum("ij,ij->i", v, v)
+        return (u @ self.lin.T + q[:, None]).ravel() - self.delta
 
     def local_grads(self, z: np.ndarray) -> np.ndarray:
-        """Per-constraint gradients P u + q over each local variable slot."""
-        u = np.append(z, 0.0)[self.idx]
-        return np.einsum("mkl,ml->mk", self.P, u) + self.q
+        """Gradients P u + lin of h1_i and h2_i over u_i: N x 2 x len(u_i)."""
+        return (self._entries(z, self.tail) @ self.P)[:, None, :] + self.lin
 
     def grad_hess(self, lg: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Barrier gradient and Hessian given local gradients and slacks d > 0."""
-        inv = 1.0 / d
-        w = lg * inv[:, None]
-        g = np.zeros(self.n + 1)
-        np.add.at(g, self.idx, w)
-        blocks = np.einsum("mk,ml->mkl", w, w) + self.P * inv[:, None, None]
-        H = np.zeros((self.n + 1, self.n + 1))
-        np.add.at(H, (self.idx[:, :, None], self.idx[:, None, :]), blocks)
-        return g[: self.n], H[: self.n, : self.n]
+        w = (1.0 / d).reshape(-1, 2)
+        wl = lg * w[:, :, None]
+        blocks = np.einsum("nck,ncl->nkl", wl, wl) + w.sum(axis=1)[:, None, None] * self.P
+        g = np.bincount(self.seg.ravel(), wl.sum(axis=1).ravel(), self.nx)
+        H = np.bincount(self.pairs, blocks.ravel(), self.nx ** 2).reshape(self.nx, self.nx)
+        return g[self.free], H[self.free, self.free]
 
     def slack_rates(self, lg: np.ndarray, dz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(a, b) with slacks d(alpha) = d - alpha*a - alpha^2*b/2 along dz."""
-        du = np.append(dz, 0.0)[self.idx]
-        a = np.sum(lg * du, axis=1)
-        b = np.einsum("mk,mkl,ml->m", du, self.P, du)
-        return a, b
+        du = self._entries(dz, np.zeros(self.m - 1))
+        m = self.m
+        dv = du[:, 1:m] - du[:, m + 1:2 * m]
+        a = np.einsum("nck,nk->nc", lg, du).ravel()
+        return a, np.repeat(np.einsum("ij,ij->i", dv, dv), 2)
 
 
 def _step_change(step: float, tcdz: float, a: np.ndarray, b: np.ndarray,
@@ -331,7 +239,7 @@ def _step_change(step: float, tcdz: float, a: np.ndarray, b: np.ndarray,
 
 def _newton_center(
     c: np.ndarray,
-    batch: _Batch,
+    barrier: _Barrier,
     z: np.ndarray,
     d: np.ndarray,
     t: float,
@@ -342,10 +250,11 @@ def _newton_center(
     d holds the slacks -h_j(z) > 0; returns the new point and its slacks.
     """
     for _ in range(max_newton):
-        lg = batch.local_grads(z)
-        g, H = batch.grad_hess(lg, d)
+        lg = barrier.local_grads(z)
+        g, H = barrier.grad_hess(lg, d)
         g += t * c
-        H[np.diag_indices_from(H)] += 1e-12 * (1.0 + np.abs(H.diagonal()))
+        diag = np.arange(g.size)
+        H[diag, diag] += 1e-12 * (1.0 + np.abs(H[diag, diag]))
         try:
             dz = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
@@ -355,7 +264,7 @@ def _newton_center(
             break
         # backtracking on the exact quadratic slacks: stay strictly feasible,
         # then Armijo on the barrier change taken without cancellation
-        a, b = batch.slack_rates(lg, dz)
+        a, b = barrier.slack_rates(lg, dz)
         tcdz = t * float(c @ dz)
         step = 1.0
         accepted = False
@@ -363,7 +272,7 @@ def _newton_center(
             if _step_change(step, tcdz, a, b, d) <= -0.25 * step * decrement:
                 # the direct evaluation guards against rounding in (a, b)
                 zn = z + step * dz
-                dn = -batch.values(zn)
+                dn = -barrier.values(zn)
                 if np.all(dn > 0.0):
                     accepted = True
                     break
@@ -378,19 +287,18 @@ def _newton_center(
 
 def _barrier_path(
     c: np.ndarray,
-    cons: list[QuadConstraint],
+    barrier: _Barrier,
     z: np.ndarray,
     config: SolverConfig,
     gap_target: float,
     stop_early=None,
 ) -> tuple[np.ndarray, float, bool]:
     """Path-following; returns (z, gap, converged)."""
-    m = len(cons)
-    batch = _Batch(cons, z.size)
-    d = -batch.values(z)
+    d = -barrier.values(z)
+    m = d.size
     t = 1.0 / config.barrier_mu0
     for _ in range(config.max_outer):
-        z, d = _newton_center(c, batch, z, d, t, config.max_newton)
+        z, d = _newton_center(c, barrier, z, d, t, config.max_newton)
         gap = m / t
         if stop_early is not None and stop_early(z, gap):
             return z, gap, True
@@ -401,103 +309,95 @@ def _barrier_path(
 
 
 def _initial_point(problem: ChainProblem) -> np.ndarray:
-    """Linear interpolation initializer; phase I repairs infeasibility."""
-    spec = problem.spec
-    N, r = spec.N, problem.reduced_dim
-    z = np.zeros(problem.n_vars)
-    d = spec.y - spec.x
-    dg = spec.g_y - spec.g_x
-    u1 = spec.f_x + float(spec.g_y @ d) - float(dg @ dg) / (2.0 * spec.L)
-    b1 = spec.f_x + float(spec.g_x @ d) + float(dg @ dg) / (2.0 * spec.L)
-    target = 0.5 * (u1 + b1)
-    for i in range(1, N + 1):
-        z[i - 1] = spec.f_x + (i / N) * (target - spec.f_x)
-    for i in range(1, N):
-        z[N + (i - 1) * r: N + i * r] = (
-            problem.g0_red + (i / N) * (problem.gN_red - problem.g0_red)
-        )
-    return z
+    """Linear interpolation from knot 0 to (a/2, G_N); phase I repairs infeasibility."""
+    N, m = problem.N, 1 + problem.reduced_dim
+    frac = np.arange(N + 1)[:, None] / N
+    K = frac * np.append(0.5 * problem.gN[0], problem.gN)
+    return K.ravel()[m: N * m + 1]
 
 
 def solve(problem: ChainProblem, config: SolverConfig | None = None) -> BoundResult:
-    """Solve the chain program; phase-I feasibility then barrier descent."""
-    config = config or SolverConfig()
-    spec = problem.spec
-    cons = problem.constraints
-    m = len(cons)
-    sign = -1.0 if spec.direction == UPPER else 1.0  # minimize sign * f_N
+    """Solve the canonical upper program: phase-I feasibility, then barrier descent.
 
+    The result is in the units of ``problem.spec``.  A LOWER spec gets the
+    reversed chain and its end value a - U.
+    """
+    config = config or SolverConfig()
     z = _initial_point(problem)
     viol = problem.max_violation(z)
     interior_margin = 1e-7
     delta = 0.0
 
     if viol > -interior_margin:
-        # phase I: minimize slack s subject to h_j(z) - s <= 0
-        s_idx = problem.n_vars
-        aug = [c.with_slack(s_idx) for c in cons]
+        # phase I: minimize the slack s subject to h_j(z) - s <= 0
         z1 = np.append(z, viol + 1.0)
-        c1 = np.zeros(problem.n_vars + 1)
-        c1[s_idx] = 1.0
+        c1 = np.zeros(z1.size)
+        c1[-1] = 1.0
 
         def feasible_enough(zz, gap):
             return problem.max_violation(zz[:-1]) <= -interior_margin
 
         z1, gap1, _ = _barrier_path(
-            c1, aug, z1, config, gap_target=config.feas_tol / 4.0,
-            stop_early=feasible_enough,
+            c1, _Barrier(problem, slack=True), z1, config,
+            gap_target=config.feas_tol / 4.0, stop_early=feasible_enough,
         )
         z = z1[:-1]
-        s_final = float(z1[s_idx])
         m0 = problem.max_violation(z)
         if m0 > -interior_margin:
-            # certified lower bound on the minimal slack
-            if s_final - gap1 > config.feas_tol:
-                return BoundResult(INFEASIBLE, math.nan, [], m0, gap1)
-            if s_final > config.feas_tol / 2.0 and s_final - gap1 > config.feas_tol / 2.0:
-                return BoundResult(INFEASIBLE, math.nan, [], m0, gap1)
+            # s - gap is a certified lower bound on the minimal slack
+            if z1[-1] - gap1 > config.feas_tol / 2.0:
+                return BoundResult(INFEASIBLE, math.nan, [], problem.scale * m0,
+                                   problem.scale * gap1)
             # boundary case: relax so the phase-I point is strictly interior
             delta = max(0.0, m0) + config.feas_tol / 4.0
 
-    work_cons = [c.shifted(delta) for c in cons] if delta > 0.0 else cons
-    c2 = np.zeros(problem.n_vars)
-    c2[problem.fN_index] = sign
-    z, gap, converged = _barrier_path(c2, work_cons, z, config, config.newton_tol)
-
-    status = OPTIMAL if converged else ITERATION_LIMIT
-    value = float(z[problem.fN_index])
-    chain = _recover_chain(problem, z)
+    c2 = np.zeros(z.size)
+    c2[-1] = -1.0                   # maximize F_N
+    z, gap, converged = _barrier_path(c2, _Barrier(problem, delta=delta), z, config,
+                                      config.newton_tol)
+    K = problem.knots(z)
+    if problem.spec.direction == LOWER:
+        K = _reverse(problem, K)
+    chain = _recover_chain(problem, K)
     return BoundResult(
-        status=status,
-        value=value,
+        status=OPTIMAL if converged else ITERATION_LIMIT,
+        value=chain[-1].f,
         chain=chain,
-        max_constraint_violation=max(0.0, problem.max_violation(z)),
-        duality_gap_estimate=gap,
+        max_constraint_violation=problem.scale * max(0.0, problem.max_violation(z)),
+        duality_gap_estimate=problem.scale * gap,
     )
 
 
-def _recover_chain(problem: ChainProblem, z: np.ndarray) -> list[PointData]:
+def _reverse(problem: ChainProblem, K: np.ndarray) -> np.ndarray:
+    """The reversed chain F~_i = F_N-i - F_N + a i/N, G~_i = G_N - G_N-i.
+
+    Its segment i meets the constraints of segment N-1-i with h1 and h2
+    exchanged, so it is feasible wherever K is, and it ends at a - F_N.
+    """
+    N, a = problem.N, problem.gN[0]
+    F = K[::-1, 0] - K[-1, 0] + a * (np.arange(N + 1) / N)
+    return np.column_stack([F, problem.gN - K[::-1, 1:]])
+
+
+def _recover_chain(problem: ChainProblem, K: np.ndarray) -> list[PointData]:
+    """Map canonical knots back to the spec's chain points.
+
+    f_i = f_x + (i/N)<g_x, y - x> + L rho^2 F_i and g_i = g_x + L rho Q G_i,
+    with the columns of Q the reduced basis; g_0 and g_N are the data.
+    """
     spec = problem.spec
-    N, r = spec.N, problem.reduced_dim
-    pts: list[PointData] = []
-    for i in range(N + 1):
-        x_i = spec.x + (i / N) * (spec.y - spec.x)
-        if i == 0:
-            f_i, g_i = spec.f_x, spec.g_x
-        else:
-            f_i = float(z[i - 1])
-            if i == N:
-                g_i = spec.g_y
-            else:
-                g_red = z[N + (i - 1) * r: N + i * r]
-                g_i = problem.basis @ g_red
-        pts.append(PointData(x=x_i, f=f_i, g=g_i))
-    return pts
+    N = spec.N
+    delta = spec.y - spec.x
+    frac = np.arange(N + 1) / N
+    f = spec.f_x + frac * float(spec.g_x @ delta) + problem.scale * K[:, 0]
+    g = spec.g_x + spec.L * float(np.linalg.norm(delta)) * (K[:, 1:] @ problem.basis.T)
+    g[0], g[N] = spec.g_x, spec.g_y
+    return [PointData(x=spec.x + frac[i] * delta, f=float(f[i]), g=g[i])
+            for i in range(N + 1)]
 
 
-def solve_spec(spec: ChainSpec, config: SolverConfig | None = None,
-               reduce: bool = True) -> BoundResult:
-    return solve(build_problem(spec, reduce=reduce), config)
+def solve_spec(spec: ChainSpec, config: SolverConfig | None = None) -> BoundResult:
+    return solve(build_problem(spec), config)
 
 
 # --- closed forms and oracles ------------------------------------------------
@@ -525,31 +425,28 @@ def feasibility_interval_n1(norm_y: float, norm_gy: float, L: float = 1.0) -> In
 def oracle_grid_n2(spec: ChainSpec, resolution: int = 400) -> tuple[float, float]:
     """Brute-force (B2, U2) by grid search over the single free gradient.
 
-    For fixed g_1 the two f-variables collapse to closed-form intervals, so
-    each grid pass reduces to vectorized interval arithmetic.  Summing a
-    segment's two constraints gives ||g_1 - g_0|| <= L||delta|| and likewise
-    from g_2, so a box of half-width L||delta|| around (g_0+g_2)/2 covers
-    the whole feasible set.  The upper objective is concave in g_1 and the
-    lower one convex over that convex set, so zooming onto the best grid
-    cell and re-gridding converges to the true optimum.
+    The search runs in the canonical program: G_0 = 0, G_2 = (a, b) and
+    chain step e_1/2.  For fixed G_1 the two F-variables collapse to
+    closed-form intervals, so each grid pass reduces to vectorized interval
+    arithmetic.  Summing a segment's two constraints gives
+    ||G_1 - G_0|| <= 1/2 and likewise from G_2, so a box of half-width 1/2
+    around G_2/2 covers the whole feasible set.  The upper objective is
+    concave in G_1 and the lower one convex over that convex set, so zooming
+    onto the best grid cell and re-gridding converges to the true optimum.
     """
     if spec.N != 2:
         raise RangeError("grid oracle is defined for N = 2")
     problem = build_problem(spec)
     r = problem.reduced_dim
-    if r > 2:
-        raise RangeError("grid oracle supports reduced dimension <= 2")
-    g0, g2 = problem.g0_red, problem.gN_red
-    delta = problem.delta_red
-    inv2l = 1.0 / (2.0 * spec.L)
+    g2 = problem.gN
 
     def evaluate(G):
-        q01 = inv2l * np.sum((G - g0) ** 2, axis=1)
-        q12 = inv2l * np.sum((G - g2) ** 2, axis=1)
-        u01 = spec.f_x + G @ delta - q01
-        b01 = spec.f_x + float(g0 @ delta) + q01
-        u12 = float(g2 @ delta) - q12
-        b12 = G @ delta + q12
+        q01 = 0.5 * np.sum(G ** 2, axis=1)
+        q12 = 0.5 * np.sum((G - g2) ** 2, axis=1)
+        u01 = 0.5 * G[:, 0] - q01
+        b01 = q01
+        u12 = 0.5 * g2[0] - q12
+        b12 = 0.5 * G[:, 0] + q12
         feas = (b01 <= u01 + 1e-9) & (b12 <= u12 + 1e-9)
         return feas, b01 + b12, u01 + u12
 
@@ -559,9 +456,8 @@ def oracle_grid_n2(spec: ChainSpec, resolution: int = 400) -> tuple[float, float
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
-    center = 0.5 * (g0 + g2)
-    halfwidth = spec.L * float(np.linalg.norm(delta))
-    G = grid(center, halfwidth or 1.0)
+    halfwidth = 0.5
+    G = grid(0.5 * g2, halfwidth)
     feas, lows, ups = evaluate(G)
     if not np.any(feas):
         raise NoFeasiblePoint("no grid point satisfies the chain constraints")
@@ -570,7 +466,7 @@ def oracle_grid_n2(spec: ChainSpec, resolution: int = 400) -> tuple[float, float
     lower = float(np.min(lows[feas]))
     upper = float(np.max(ups[feas]))
 
-    spacing = 2.0 * (halfwidth or 1.0) / max(resolution - 1, 1)
+    spacing = 2.0 * halfwidth / max(resolution - 1, 1)
     for _ in range(3):
         window = 3.0 * spacing
         Gl = grid(lo_at, window)
@@ -584,7 +480,8 @@ def oracle_grid_n2(spec: ChainSpec, resolution: int = 400) -> tuple[float, float
             upper = float(np.max(uu[fu]))
             up_at = Gu[fu][int(np.argmax(uu[fu]))]
         spacing = 2.0 * window / max(resolution - 1, 1)
-    return lower, upper
+    base = spec.f_x + float(spec.g_x @ (spec.y - spec.x))
+    return base + problem.scale * lower, base + problem.scale * upper
 
 
 # --- sweeps -------------------------------------------------------------------
@@ -622,22 +519,17 @@ class SweepRow:
 
 def sweep(s_values, Ns, L: float = 1.0,
           config: SolverConfig | None = None) -> list[SweepRow]:
-    """One row per (s, N): both chain bounds under the normalization."""
+    """One row per (s, N) under the normalization: one upper solve, B = s - U.
+
+    The normalized spec has f_x = 0, g_x = 0 and <g_y, y - x> = s, so the
+    reversal identity B = a - U reads B = s - U in spec units.
+    """
     rows: list[SweepRow] = []
     for s in s_values:
         for N in Ns:
             if s * s > 0.5 + 1e-12 or s < 0.0:
                 rows.append(SweepRow(s, N, math.nan, math.nan, INFEASIBLE))
                 continue
-            lo = solve_spec(normalized_spec(s, N, LOWER, L), config)
-            if lo.status == INFEASIBLE:
-                rows.append(SweepRow(s, N, math.nan, math.nan, INFEASIBLE))
-                continue
             up = solve_spec(normalized_spec(s, N, UPPER, L), config)
-            status = OPTIMAL
-            if INFEASIBLE in (lo.status, up.status):
-                status = INFEASIBLE
-            elif ITERATION_LIMIT in (lo.status, up.status):
-                status = ITERATION_LIMIT
-            rows.append(SweepRow(s, N, lo.value, up.value, status))
+            rows.append(SweepRow(s, N, s - up.value, up.value, up.status))
     return rows

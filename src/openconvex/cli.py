@@ -24,6 +24,7 @@ import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from typing import NoReturn
 
 import numpy as np
 
@@ -129,15 +130,58 @@ def _svg_heatmap(nx: int, ny: int, values: np.ndarray) -> str:
     return _svg_document("\n".join(cells) + "\n")
 
 
+# --- input checks --------------------------------------------------------------
+
+
+def _bad_input(message: str) -> NoReturn:
+    """Report malformed command-line input on one line and exit 4."""
+    print(f"openconvex: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_BAD_INPUT)
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        _bad_input(message)
+
+
+def _fraction(text: str, name: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        _bad_input(f"{name} must be a rational number, got {text!r}")
+
+
+def _n_list(text: str) -> list[int]:
+    try:
+        ns = [int(v) for v in text.split(",")]
+    except ValueError:
+        ns = []
+    _require(bool(ns) and min(ns) >= 1,
+             f"--N-list must be comma-separated positive integers, got {text!r}")
+    return ns
+
+
+def _finite(*values: float | None) -> bool:
+    return all(v is None or math.isfinite(v) for v in values)
+
+
 # --- subcommands -------------------------------------------------------------
 
 
 def cmd_verify(args) -> int:
+    spacing = _fraction(args.grid_spacing, "--grid-spacing")
+    _require(spacing > 0, f"--grid-spacing must be positive, got {args.grid_spacing!r}")
+    delta = _fraction(args.perturb_delta, "--perturb-delta")
+    _require(args.pairs >= 1, f"--pairs must be at least 1, got {args.pairs}")
+    _require(args.seed >= 0, f"--seed must be non-negative, got {args.seed}")
     offsets = None
     if args.perturb_piece is not None:
-        offsets = {args.perturb_piece: Fraction(args.perturb_delta)}
+        offsets = {args.perturb_piece: delta}
     model = spline.build_spline(offsets)
-    report = spline.verify_all(spacing=Fraction(args.grid_spacing), spline=model)
+    _require(args.perturb_piece is None or 1 <= args.perturb_piece <= len(model.pieces),
+             f"--perturb-piece must be a piece index 1..{len(model.pieces)}, "
+             f"got {args.perturb_piece}")
+    report = spline.verify_all(spacing=spacing, spline=model)
 
     excursion = checks.global_bound_max_excursion(args.pairs, seed=args.seed)
     report.add(
@@ -158,6 +202,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_contour(args) -> int:
+    _require(args.nx >= 1 and args.ny >= 1,
+             f"--nx and --ny must be at least 1, got {args.nx} and {args.ny}")
+    _require(_finite(args.xmin, args.xmax, args.ymin, args.ymax),
+             "--xmin, --xmax, --ymin and --ymax must be finite")
     ymin = args.ymin if args.ymin is not None else spline.DOMAIN_BOUND_F + 1e-6
     x = np.linspace(args.xmin, args.xmax, args.nx)
     y = np.linspace(ymin, args.ymax, args.ny)
@@ -178,6 +226,7 @@ def cmd_contour(args) -> int:
 
 
 def cmd_region(args) -> int:
+    _require(args.steps >= 1, f"--steps must be at least 1, got {args.steps}")
     ts = np.linspace(0.0, 1.0, args.steps + 1)
     rows = []
     for t in ts:
@@ -206,12 +255,14 @@ def _sweep_cell(job) -> chain.SweepRow:
 
 
 def cmd_sweep(args) -> int:
+    _require(_finite(args.s_min, args.s_max), "--s-min and --s-max must be finite")
+    _require(args.s_steps >= 1, f"--s-steps must be at least 1, got {args.s_steps}")
+    ns = _n_list(args.n_list)
     s_max = args.s_max if args.s_max is not None else math.sqrt(0.5)
     s_values = [
         args.s_min + k * (s_max - args.s_min) / (args.s_steps - 1)
         for k in range(args.s_steps)
     ] if args.s_steps > 1 else [args.s_min]
-    ns = [int(v) for v in args.n_list.split(",")]
 
     if args.workers > 1:
         jobs = [(s, n) for s in s_values for n in ns]
@@ -255,7 +306,7 @@ def _load_spec(path: str) -> chain.ChainSpec:
             direction=str(doc.get("direction", "upper")).lower(),
         )
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise SystemExit(EXIT_BAD_INPUT) from exc
+        _bad_input(f"cannot read a chain spec from {path!r}: {exc!r}")
 
 
 def cmd_solve(args) -> int:
@@ -277,6 +328,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_interpolate(args) -> int:
+    _require(args.t_steps >= 1, f"--t-steps must be at least 1, got {args.t_steps}")
     spec = _load_spec(getattr(args, "in"))
     result = chain.solve_spec(spec)
     if result.status == chain.INFEASIBLE:

@@ -26,6 +26,7 @@ from openconvex.errors import (
     NoFeasiblePoint,
     RangeError,
 )
+from openconvex.interpolation import two_point_feasible
 
 
 def _spec(s, N, direction=UPPER):
@@ -74,15 +75,22 @@ class TestProblemShape:
     def test_n1_sizes(self):
         p = build_problem(_spec(0.6, 1))
         assert p.n_vars == 1
-        assert len(p.constraints) == 2
-        assert p.fN_index == 0
+        assert p.values(np.zeros(p.n_vars)).shape == (2,)
+        # F_N is the last variable
+        assert p.knots(np.array([0.3]))[-1, 0] == 0.3
 
     def test_n3_sizes(self):
         p = build_problem(_spec(0.6, 3))
         # the normalized family spans only 2 directions (g_x = 0)
         assert p.reduced_dim == 2
         assert p.n_vars == 3 + 2 * 2
-        assert len(p.constraints) == 6
+        z = np.arange(p.n_vars, dtype=float)
+        assert p.values(z).shape == (6,)
+        K = p.knots(z)
+        assert K.shape == (4, 3)
+        assert K[-1, 0] == z[-1]
+        assert np.array_equal(K[0], np.zeros(3))
+        assert np.array_equal(K[-1, 1:], p.gN)
 
     def test_reduction_caps_dimension(self):
         rng = np.random.default_rng(3)
@@ -97,9 +105,19 @@ class TestProblemShape:
             direction=UPPER,
         )
         p = build_problem(spec)
-        assert p.reduced_dim <= 3
-        q = build_problem(spec, reduce=False)
-        assert q.reduced_dim == 5
+        assert p.reduced_dim <= 2
+        assert p.basis.shape == (5, p.reduced_dim)
+        assert np.allclose(p.basis.T @ p.basis, np.eye(p.reduced_dim), atol=1e-14)
+        # g_y - g_x parallel to y - x (s = sqrt(1/2)) leaves one direction
+        assert build_problem(_spec(math.sqrt(0.5), 3)).reduced_dim == 1
+
+    def test_canonical_scalars(self):
+        # (a, b) are the components of (g_y - g_x)/(L rho) along and across y - x
+        spec = ChainSpec(L=2.0, x=np.array([1.0, 1.0]), y=np.array([1.0, 4.0]),
+                         f_x=5.0, g_x=np.array([1.0, 0.0]), g_y=np.array([4.0, 3.0]), N=2)
+        p = build_problem(spec)
+        assert p.gN == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert p.scale == pytest.approx(18.0, abs=1e-12)
 
     def test_constraint_values_at_known_point(self):
         # N=1, s = 0.5: both constraints are tight at f_1 = 1/4
@@ -185,6 +203,7 @@ class TestSolverGeneral:
         assert up.value == pytest.approx(u2o, abs=2e-3)
 
     def test_reduction_agrees_with_full_space(self):
+        optimize = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(5)
         y = rng.normal(size=4)
         spec = ChainSpec(
@@ -197,10 +216,34 @@ class TestSolverGeneral:
             N=3,
             direction=UPPER,
         )
-        red = solve_spec(spec, reduce=True)
-        full = solve_spec(spec, reduce=False)
-        assert red.status == OPTIMAL and full.status == OPTIMAL
-        assert red.value == pytest.approx(full.value, abs=1e-6)
+        red = solve_spec(spec)
+        assert red.status == OPTIMAL
+        # the same program over f_1..f_N and g_1..g_{N-1} in the full space
+        N, d = spec.N, spec.x.size
+        step = (spec.y - spec.x) / N
+
+        def unpack(v):
+            f = np.concatenate([[spec.f_x], v[:N]])
+            g = np.vstack([spec.g_x, v[N:].reshape(N - 1, d), spec.g_y])
+            return f, g
+
+        def slacks(v):
+            f, g = unpack(v)
+            q = np.sum((g[:-1] - g[1:]) ** 2, axis=1) / (2.0 * spec.L)
+            df = f[1:] - f[:-1]
+            return np.concatenate([df - g[:-1] @ step - q, g[1:] @ step - df - q])
+
+        frac = np.arange(1, N + 1) / N
+        # start from the linear interpolation of the endpoint data
+        g0 = spec.g_x + np.outer(frac[:-1], spec.g_y - spec.g_x)
+        v0 = np.concatenate([spec.f_x + frac * float(spec.g_x @ (spec.y - spec.x)), g0.ravel()])
+        full = optimize.minimize(lambda v: -v[N - 1], v0, method="SLSQP",
+                                 constraints=[{"type": "ineq", "fun": slacks}],
+                                 options={"ftol": 1e-14, "maxiter": 500})
+        assert full.success
+        assert np.min(slacks(full.x)) >= -1e-10
+        # the barrier point is within its certified gap of the optimum
+        assert abs(red.value - full.x[N - 1]) <= red.duality_gap_estimate
 
     def test_chain_endpoints_pinned(self):
         res = solve_spec(_spec(0.6, 5, LOWER))
@@ -273,60 +316,109 @@ class TestSweep:
         for row in sweep([0.55, 0.65], [1, 2, 5]):
             assert row.status == OPTIMAL
             assert row.B <= row.U + 1e-9
+            assert row.B == row.s - row.U
+
+    def test_one_solve_per_cell(self, monkeypatch):
+        # the lower bound comes from the upper solve by reversal
+        calls = []
+        real = chain.solve_spec
+        monkeypatch.setattr(chain, "solve_spec",
+                            lambda spec, config=None: calls.append(spec) or real(spec, config))
+        rows = sweep([0.4, 0.55, 0.65], [1, 3])
+        assert len(calls) == len(rows) == 6
+        assert all(spec.direction == UPPER for spec in calls)
+        assert [r.status for r in rows] == [INFEASIBLE] * 2 + [OPTIMAL] * 4
 
 
 class TestLineSearch:
     """The closed-form slacks and barrier change behind the Newton line search."""
 
-    @pytest.fixture
-    def interior(self):
+    @staticmethod
+    def _interior(slack):
         problem = build_problem(_spec(0.6, 5))
         rng = np.random.default_rng(7)
         z = rng.normal(size=problem.n_vars)
-        # shift every constraint so that z is strictly interior
-        shift = max(c.value(z) for c in problem.constraints) + 1.0
-        batch = chain._Batch([c.shifted(shift) for c in problem.constraints], z.size)
+        # relax every constraint (by delta, or by the phase-I slack column)
+        # so that z is strictly interior
+        shift = problem.max_violation(z) + 1.0
+        if slack:
+            barrier = chain._Barrier(problem, slack=True)
+            z = np.append(z, shift)
+        else:
+            barrier = chain._Barrier(problem, delta=shift)
         dz = rng.normal(size=z.size)
-        return batch, z, dz
+        return barrier, z, dz
+
+    @pytest.fixture
+    def interior(self):
+        return self._interior(slack=False)
 
     def test_predicted_slacks_match_direct_evaluation(self, interior):
-        batch, z, dz = interior
-        d = -batch.values(z)
-        a, b = batch.slack_rates(batch.local_grads(z), dz)
+        self._check_predicted_slacks(*interior)
+
+    def test_phase1_slack_column_predicted_slacks(self):
+        self._check_predicted_slacks(*self._interior(slack=True))
+
+    @staticmethod
+    def _check_predicted_slacks(barrier, z, dz):
+        d = -barrier.values(z)
+        a, b = barrier.slack_rates(barrier.local_grads(z), dz)
         for alpha in (0.0, 0.1, 0.5, 1.0, 2.0):
             predicted = d - alpha * a - 0.5 * alpha ** 2 * b
-            direct = -batch.values(z + alpha * dz)
+            direct = -barrier.values(z + alpha * dz)
             scale = np.maximum(np.abs(direct), 1.0)
             assert np.max(np.abs(predicted - direct) / scale) <= 1e-12
 
     def test_exact_change_matches_barrier_difference(self, interior):
-        batch, z, dz = interior
+        barrier, z, dz = interior
         problem_c = np.zeros(z.size)
         problem_c[4] = -1.0
         t = 1.0  # nothing cancels at t = 1, so the direct difference is accurate
 
-        def barrier(zz):
-            return t * float(problem_c @ zz) - float(np.sum(np.log(-batch.values(zz))))
+        def value(zz):
+            return t * float(problem_c @ zz) - float(np.sum(np.log(-barrier.values(zz))))
 
-        d = -batch.values(z)
-        a, b = batch.slack_rates(batch.local_grads(z), dz)
+        d = -barrier.values(z)
+        a, b = barrier.slack_rates(barrier.local_grads(z), dz)
         tcdz = t * float(problem_c @ dz)
         checked = 0
         for alpha in (1e-3, 0.01, 0.1, 0.25):
-            if np.any(-batch.values(z + alpha * dz) <= 0.0):
+            if np.any(-barrier.values(z + alpha * dz) <= 0.0):
                 continue
             exact = chain._step_change(alpha, tcdz, a, b, d)
-            direct = barrier(z + alpha * dz) - barrier(z)
+            direct = value(z + alpha * dz) - value(z)
             assert exact == pytest.approx(direct, rel=1e-9, abs=1e-12)
             checked += 1
         assert checked >= 2
 
     def test_step_outside_interior_is_rejected(self, interior):
-        batch, z, dz = interior
-        d = -batch.values(z)
-        a, b = batch.slack_rates(batch.local_grads(z), dz)
+        barrier, z, dz = interior
+        d = -barrier.values(z)
+        a, b = barrier.slack_rates(barrier.local_grads(z), dz)
         # far enough along dz the convex constraints are violated
         assert chain._step_change(1e6, 0.0, a, b, d) == math.inf
+
+    @pytest.mark.parametrize("slack", [False, True])
+    def test_gradient_and_hessian_match_differences(self, slack):
+        # the per-segment assembly against central differences of -sum log(-h)
+        barrier, z, _ = self._interior(slack)
+
+        def grad(zz):
+            return barrier.grad_hess(barrier.local_grads(zz), -barrier.values(zz))[0]
+
+        def value(zz):
+            return -float(np.sum(np.log(-barrier.values(zz))))
+
+        g, H = barrier.grad_hess(barrier.local_grads(z), -barrier.values(z))
+        assert H.shape == (z.size, z.size)
+        h = 1e-6
+        for k in range(z.size):
+            e = np.zeros(z.size)
+            e[k] = h
+            assert g[k] == pytest.approx((value(z + e) - value(z - e)) / (2 * h),
+                                         rel=1e-6, abs=1e-8)
+            assert H[:, k] == pytest.approx((grad(z + e) - grad(z - e)) / (2 * h),
+                                            rel=1e-6, abs=1e-8)
 
 
 class TestReversalPrecision:
@@ -337,3 +429,95 @@ class TestReversalPrecision:
         up = solve_spec(_spec(s, 50, UPPER))
         assert lo.status == up.status == OPTIMAL
         assert abs(lo.value + up.value - s) <= 1e-11
+
+
+def _quadratic_spec(direction=UPPER, moved=False):
+    """A seeded d=5 spec from f(z) = z'Az/2 + c'z (A <= 0.8 L I), L = 0.05.
+
+    ``moved`` applies a rigid motion z -> Qz + c and adds a linear function
+    and a constant to f; the result is the data of another L-smooth convex
+    function, with the same canonical program.
+    """
+    rng = np.random.default_rng(11)
+    d, L = 5, 0.05
+    M = rng.normal(size=(d, d))
+    A = M @ M.T
+    A *= 0.8 * L / np.linalg.eigvalsh(A)[-1]
+    lin = L * rng.normal(size=d)
+    x = rng.normal(size=d)
+    u = rng.normal(size=d)
+    y = x + 0.3 * u / np.linalg.norm(u)
+    f_x, g_x, g_y = 0.5 * x @ A @ x + lin @ x, A @ x + lin, A @ y + lin
+    if moved:
+        Q, R = np.linalg.qr(rng.normal(size=(d, d)))
+        Q *= np.sign(np.diag(R))
+        shift, tilt = rng.normal(size=d), rng.normal(size=d)
+        x, y = Q @ x + shift, Q @ y + shift
+        f_x = f_x + tilt @ x + 3.0
+        g_x, g_y = Q @ g_x + tilt, Q @ g_y + tilt
+    return ChainSpec(L, x, y, f_x, g_x, g_y, N=4, direction=direction)
+
+
+def _scaled_normalized(c, direction):
+    """normalized_spec(0.6, 5) with lengths scaled by c, so L rho^2 = c^2."""
+    base = normalized_spec(0.6, 5, direction)
+    return ChainSpec(base.L, c * base.x, c * base.y, c * c * base.f_x,
+                     c * base.g_x, c * base.g_y, base.N, direction)
+
+
+class TestUnitInvariance:
+    """Tilt, rigid motion and scale leave the canonical program unchanged."""
+
+    @staticmethod
+    def _expected(spec):
+        # (a, b) taken directly from the data; the canonical spec is solved
+        # at unit scale, where absolute and relative tolerances agree
+        delta = spec.y - spec.x
+        rho = float(np.linalg.norm(delta))
+        g_hat = (spec.g_y - spec.g_x) / (spec.L * rho)
+        a = float(g_hat @ delta) / rho
+        b = math.sqrt(max(0.0, float(g_hat @ g_hat) - a * a))
+        canon = ChainSpec(1.0, np.zeros(2), np.array([1.0, 0.0]), 0.0, np.zeros(2),
+                          np.array([a, b]), spec.N, spec.direction)
+        scale = spec.L * rho * rho
+        return spec.f_x + float(spec.g_x @ delta) + scale * solve_spec(canon).value, scale
+
+    @pytest.mark.parametrize("direction", [UPPER, LOWER])
+    @pytest.mark.parametrize("c", [1e-3, 1e3])
+    def test_scaled_normalized_spec(self, c, direction):
+        res = solve_spec(_scaled_normalized(c, direction))
+        ref = solve_spec(normalized_spec(0.6, 5, direction))
+        assert res.status == ref.status == OPTIMAL
+        assert res.value / (c * c) == pytest.approx(ref.value, rel=1e-8)
+        expected, scale = self._expected(_scaled_normalized(c, direction))
+        assert abs(res.value - expected) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("direction", [UPPER, LOWER])
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_rigid_motion_and_tilt(self, moved, direction):
+        spec = _quadratic_spec(direction, moved)
+        res = solve_spec(spec)
+        assert res.status == OPTIMAL
+        expected, scale = self._expected(spec)
+        assert abs(res.value - expected) <= 1e-8 * scale
+
+
+class TestPrimalWitness:
+    """Every Optimal chain passes the two-point conditions on each adjacent pair."""
+
+    @pytest.mark.parametrize("direction", [UPPER, LOWER])
+    @pytest.mark.parametrize("make", [
+        lambda dr: normalized_spec(0.6, 5, dr),
+        lambda dr: normalized_spec(0.55, 3, dr),
+        lambda dr: normalized_spec(0.7, 8, dr),
+        lambda dr: _quadratic_spec(dr),
+        lambda dr: _quadratic_spec(dr, moved=True),
+    ], ids=["s0.6-N5", "s0.55-N3", "s0.7-N8", "d5", "d5-moved"])
+    def test_chain_is_feasible(self, make, direction):
+        spec = make(direction)
+        res = solve_spec(spec)
+        assert res.status == OPTIMAL
+        assert len(res.chain) == spec.N + 1
+        assert res.chain[-1].f == res.value
+        for p0, p1 in zip(res.chain, res.chain[1:]):
+            assert two_point_feasible(spec.L, p0, p1)

@@ -237,3 +237,34 @@ class TestInterpolate:
         doc = dict(SPEC_06_N1, g_y=[0.4, math.sqrt(0.34)])
         path = _write_spec(tmp_path, doc)
         assert cli.main(["interpolate", "--in", path]) == cli.EXIT_ALL_INFEASIBLE
+
+
+class TestBadInput:
+    # each is refused before any work, with one line on stderr and exit 4
+    # (a traceback exits 1, the code of a failed verification)
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--grid-spacing", "0"],
+        ["verify", "--grid-spacing", "abc"],
+        ["verify", "--grid-spacing=-1/4"],
+        ["verify", "--grid-spacing", "1/0"],
+        ["verify", "--perturb-delta", "abc"],
+        ["verify", "--perturb-piece", "5"],
+        ["verify", "--pairs", "0"],
+        ["verify", "--seed", "-1"],
+        ["sweep", "--N-list", "0"],
+        ["sweep", "--N-list", "x"],
+        ["sweep", "--s-min", "nan"],
+        ["sweep", "--s-steps", "0"],
+        ["contour", "--nx", "0"],
+        ["contour", "--xmax", "inf"],
+        ["region", "--steps", "0"],
+        ["interpolate", "--in", "unread.json", "--t-steps", "0"],
+    ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
+    def test_exit_4_with_one_line(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("openconvex: error: ")
+        assert not out.exists()
