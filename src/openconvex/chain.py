@@ -22,14 +22,18 @@ the upper program U_N(a, b) is solved: reversing a chain maps the feasible
 set onto itself and F_N to a - F_N, so the lower bound is a - U_N(a, b).
 Tolerances act in canonical units, that is relative to L ||y - x||^2.
 
-The solver is a phase-I slack minimization followed by log-barrier
-path-following with damped Newton steps; both phases share the same
-barrier machinery.  Each constraint couples only knots i and i+1, with the
-same +-I curvature on (G_i, G_i+1), so values, gradients and the barrier
-Hessian come from per-segment arrays.  Along a Newton direction each slack
-is an exact quadratic in the step: the line search backtracks on those and
-takes the barrier change in closed form, and evaluates the constraints
-directly only at the step it accepts.
+With m = a - a^2 - b^2 the program is feasible iff m >= 0, so no phase I is
+needed.  For fixed gradients each increment F_i+1 - F_i has an interval,
+and the maximum takes its upper end.  On the boundary m = 0, and for N = 1,
+the gradients are pinned to G_i = (i/N)(a, b), and that gives U_N directly.
+Inside, log-barrier path-following with damped Newton steps starts from
+G_i = (i/N)(a, b), F_i = a i^2 / (2N^2), where every slack is m / (2N^2),
+and F is then re-taken at the upper ends for the barrier's G.  Each
+constraint couples only knots i and i+1, with the same +-I curvature on
+(G_i, G_i+1), so values, gradients and the barrier Hessian come from
+per-segment arrays.  Along a Newton direction each slack is an exact
+quadratic in the step: the line search backtracks on those and takes the
+barrier change in closed form.
 """
 
 from __future__ import annotations
@@ -48,6 +52,10 @@ LOWER = "lower"
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
 ITERATION_LIMIT = "IterationLimit"
+
+# a - a^2 - b^2 within FEAS_BAND * max(1, |a|) of 0 is the boundary of the
+# feasible set; below that band the program is infeasible
+FEAS_BAND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,6 @@ class SolverConfig:
     newton_tol: float = 1e-8        # stop when (#constraints)/t <= newton_tol
     max_outer: int = 80
     max_newton: int = 60
-    feas_tol: float = 1e-8
 
 
 @dataclass
@@ -119,6 +126,10 @@ class ChainProblem:
         """(N+1) x (1+r) rows (F_i, G_i) of the chain z."""
         m = 1 + self.reduced_dim
         return np.concatenate([np.zeros(m), z, self.gN]).reshape(self.N + 1, m)
+
+    def free(self, K: np.ndarray) -> np.ndarray:
+        """The chain z of the knot rows K; the inverse of ``knots``."""
+        return K.ravel()[1 + self.reduced_dim:-self.reduced_dim]
 
     def values(self, z: np.ndarray) -> np.ndarray:
         """Constraint values h1_0, h2_0, h1_1, ...; z is feasible when all are <= 0."""
@@ -157,39 +168,29 @@ def build_problem(spec: ChainSpec) -> ChainProblem:
 
 
 class _Barrier:
-    """The constraints h_j(z) - delta <= 0 as per-segment arrays.
+    """The constraints h_j(z) <= 0 as per-segment arrays.
 
     Segment i's two constraints read only u_i = (F_i, G_i, F_i+1, G_i+1),
     taken from the padded vector X = (F_0, G_0, z, G_N) by the index rows
     ``seg``.  Both are h(u) = 1/2 u'Pu + lin.u with the one curvature P,
-    +-I on (G_i, G_i+1); ``lin`` holds the linear parts of h1 and h2.  With
-    ``slack`` the last entry s of z is phase I's slack: one more column of
-    u, with coefficient -1 in every constraint.
+    +-I on (G_i, G_i+1); ``lin`` holds the linear parts of h1 and h2.
     """
 
-    def __init__(self, problem: ChainProblem, slack: bool = False, delta: float = 0.0):
+    def __init__(self, problem: ChainProblem):
         N, r = problem.N, problem.reduced_dim
         m = self.m = 1 + r
-        k = 2 * m + slack
-        self.delta = delta
         self.head, self.tail = np.zeros(m), problem.gN
-        self.free = slice(m, m + problem.n_vars + slack)
-        self.nx = (N + 1) * m + slack
-        seg = np.arange(N)[:, None] * m + np.arange(2 * m)
-        seg[-1, m + 1:] += slack                    # G_N sits after the slack
-        if slack:
-            seg = np.column_stack([seg, np.full(N, N * m + 1)])
-        self.seg = seg
+        self.free = slice(m, m + problem.n_vars)
+        self.nx = (N + 1) * m
+        seg = self.seg = np.arange(N)[:, None] * m + np.arange(2 * m)
         self.pairs = (seg[:, :, None] * self.nx + seg[:, None, :]).ravel()
         eye = np.eye(r)
-        self.P = np.zeros((k, k))
-        self.P[1:m, 1:m] = self.P[m + 1:2 * m, m + 1:2 * m] = eye
-        self.P[1:m, m + 1:2 * m] = self.P[m + 1:2 * m, 1:m] = -eye
-        self.lin = np.zeros((2, k))
+        self.P = np.zeros((2 * m, 2 * m))
+        self.P[1:m, 1:m] = self.P[m + 1:, m + 1:] = eye
+        self.P[1:m, m + 1:] = self.P[m + 1:, 1:m] = -eye
+        self.lin = np.zeros((2, 2 * m))
         self.lin[0, [0, m, m + 1]] = -1.0, 1.0, -1.0 / N
         self.lin[1, [0, 1, m]] = 1.0, 1.0 / N, -1.0
-        if slack:
-            self.lin[:, -1] = -1.0
 
     def _entries(self, z: np.ndarray, tail: np.ndarray) -> np.ndarray:
         return np.concatenate((self.head, z, tail))[self.seg]
@@ -197,9 +198,9 @@ class _Barrier:
     def values(self, z: np.ndarray) -> np.ndarray:
         u = self._entries(z, self.tail)
         m = self.m
-        v = u[:, 1:m] - u[:, m + 1:2 * m]
+        v = u[:, 1:m] - u[:, m + 1:]
         q = 0.5 * np.einsum("ij,ij->i", v, v)
-        return (u @ self.lin.T + q[:, None]).ravel() - self.delta
+        return (u @ self.lin.T + q[:, None]).ravel()
 
     def local_grads(self, z: np.ndarray) -> np.ndarray:
         """Gradients P u + lin of h1_i and h2_i over u_i: N x 2 x len(u_i)."""
@@ -218,7 +219,7 @@ class _Barrier:
         """(a, b) with slacks d(alpha) = d - alpha*a - alpha^2*b/2 along dz."""
         du = self._entries(dz, np.zeros(self.m - 1))
         m = self.m
-        dv = du[:, 1:m] - du[:, m + 1:2 * m]
+        dv = du[:, 1:m] - du[:, m + 1:]
         a = np.einsum("nck,nk->nc", lg, du).ravel()
         return a, np.repeat(np.einsum("ij,ij->i", dv, dv), 2)
 
@@ -285,77 +286,50 @@ def _newton_center(
     return z, d
 
 
-def _barrier_path(
-    c: np.ndarray,
-    barrier: _Barrier,
-    z: np.ndarray,
-    config: SolverConfig,
-    gap_target: float,
-    stop_early=None,
-) -> tuple[np.ndarray, float, bool]:
-    """Path-following; returns (z, gap, converged)."""
+def _barrier_path(problem: ChainProblem, z: np.ndarray,
+                  config: SolverConfig) -> tuple[np.ndarray, float, bool]:
+    """Maximize F_N by path-following from interior z; returns (z, gap, converged)."""
+    barrier = _Barrier(problem)
+    c = np.zeros(z.size)
+    c[-1] = -1.0
     d = -barrier.values(z)
-    m = d.size
     t = 1.0 / config.barrier_mu0
     for _ in range(config.max_outer):
         z, d = _newton_center(c, barrier, z, d, t, config.max_newton)
-        gap = m / t
-        if stop_early is not None and stop_early(z, gap):
-            return z, gap, True
-        if gap <= gap_target:
-            return z, gap, True
+        if d.size / t <= config.newton_tol:
+            return z, d.size / t, True
         t /= config.mu_shrink
-    return z, m / t, False
+    return z, d.size / t, False
 
 
-def _initial_point(problem: ChainProblem) -> np.ndarray:
-    """Linear interpolation from knot 0 to (a/2, G_N); phase I repairs infeasibility."""
-    N, m = problem.N, 1 + problem.reduced_dim
-    frac = np.arange(N + 1)[:, None] / N
-    K = frac * np.append(0.5 * problem.gN[0], problem.gN)
-    return K.ravel()[m: N * m + 1]
+def _upper_ends(problem: ChainProblem, G: np.ndarray) -> np.ndarray:
+    """Knots with gradients G and each F_i+1 - F_i at the top of its interval,
+    G_i+1.e_1/N - 1/2 |G_i+1 - G_i|^2 (h1_i = 0): the largest F_N through G."""
+    step = G[1:, 0] / problem.N - 0.5 * np.sum(np.diff(G, axis=0) ** 2, axis=1)
+    return np.column_stack([np.concatenate(([0.0], np.cumsum(step))), G])
 
 
 def solve(problem: ChainProblem, config: SolverConfig | None = None) -> BoundResult:
-    """Solve the canonical upper program: phase-I feasibility, then barrier descent.
+    """Solve the canonical upper program U_N(a, b); see the module docstring.
 
     The result is in the units of ``problem.spec``.  A LOWER spec gets the
     reversed chain and its end value a - U.
     """
     config = config or SolverConfig()
-    z = _initial_point(problem)
-    viol = problem.max_violation(z)
-    interior_margin = 1e-7
-    delta = 0.0
-
-    if viol > -interior_margin:
-        # phase I: minimize the slack s subject to h_j(z) - s <= 0
-        z1 = np.append(z, viol + 1.0)
-        c1 = np.zeros(z1.size)
-        c1[-1] = 1.0
-
-        def feasible_enough(zz, gap):
-            return problem.max_violation(zz[:-1]) <= -interior_margin
-
-        z1, gap1, _ = _barrier_path(
-            c1, _Barrier(problem, slack=True), z1, config,
-            gap_target=config.feas_tol / 4.0, stop_early=feasible_enough,
-        )
-        z = z1[:-1]
-        m0 = problem.max_violation(z)
-        if m0 > -interior_margin:
-            # s - gap is a certified lower bound on the minimal slack
-            if z1[-1] - gap1 > config.feas_tol / 2.0:
-                return BoundResult(INFEASIBLE, math.nan, [], problem.scale * m0,
-                                   problem.scale * gap1)
-            # boundary case: relax so the phase-I point is strictly interior
-            delta = max(0.0, m0) + config.feas_tol / 4.0
-
-    c2 = np.zeros(z.size)
-    c2[-1] = -1.0                   # maximize F_N
-    z, gap, converged = _barrier_path(c2, _Barrier(problem, delta=delta), z, config,
-                                      config.newton_tol)
-    K = problem.knots(z)
+    N, gN = problem.N, problem.gN
+    margin = gN[0] - float(gN @ gN)
+    band = FEAS_BAND * max(1.0, abs(gN[0]))
+    frac = np.arange(N + 1) / N
+    G = frac[:, None] * gN
+    gap, converged = 0.0, True
+    if N > 1 and margin > band:
+        K = np.column_stack([0.5 * gN[0] * frac ** 2, G])
+        z, gap, converged = _barrier_path(problem, problem.free(K), config)
+        G = problem.knots(z)[:, 1:]
+    K = _upper_ends(problem, G)
+    violation = problem.scale * max(0.0, problem.max_violation(problem.free(K)))
+    if margin < -band:
+        return BoundResult(INFEASIBLE, math.nan, [], violation, 0.0)
     if problem.spec.direction == LOWER:
         K = _reverse(problem, K)
     chain = _recover_chain(problem, K)
@@ -363,7 +337,7 @@ def solve(problem: ChainProblem, config: SolverConfig | None = None) -> BoundRes
         status=OPTIMAL if converged else ITERATION_LIMIT,
         value=chain[-1].f,
         chain=chain,
-        max_constraint_violation=problem.scale * max(0.0, problem.max_violation(z)),
+        max_constraint_violation=violation,
         duality_gap_estimate=problem.scale * gap,
     )
 

@@ -178,8 +178,8 @@ class TestSolverN1:
         lo = solve_spec(_spec(s, 1, LOWER))
         up = solve_spec(_spec(s, 1, UPPER))
         assert lo.status == OPTIMAL and up.status == OPTIMAL
-        assert lo.value == pytest.approx(b1, abs=1e-6)
-        assert up.value == pytest.approx(u1, abs=1e-6)
+        assert lo.value == pytest.approx(b1, abs=1e-12)
+        assert up.value == pytest.approx(u1, abs=1e-12)
 
     @pytest.mark.parametrize("s", [0.4, 0.45])
     def test_infeasible_below_half(self, s):
@@ -191,6 +191,27 @@ class TestSolverN1:
     def test_violation_within_tolerance(self):
         res = solve_spec(_spec(0.6, 1, UPPER))
         assert res.max_constraint_violation <= 1e-8
+
+
+class TestBoundary:
+    """a^2 + b^2 = a: the feasible set is the single chain G_i = (i/N)(a, b)."""
+
+    @pytest.mark.parametrize("direction", [UPPER, LOWER])
+    @pytest.mark.parametrize("N", [1, 2, 5, 50])
+    def test_s_half_is_a_quarter(self, N, direction):
+        res = solve_spec(_spec(0.5, N, direction))
+        assert res.status == OPTIMAL
+        assert res.value == pytest.approx(0.25, abs=1e-12)
+        assert res.duality_gap_estimate == 0.0
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_refinement_near_boundary(self, k):
+        # U_N - 1/4 shrinks like sqrt(s - 1/2) and U_N rises towards its
+        # limit as N grows, so U_50 may exceed U_5 by a small part of U_5 - 1/4
+        s = 0.5 + 10.0 ** -k
+        u5 = solve_spec(_spec(s, 5)).value
+        u50 = solve_spec(_spec(s, 50)).value
+        assert u5 <= u50 <= u5 + 0.05 * (u5 - 0.25)
 
 
 class TestSolverGeneral:
@@ -333,34 +354,25 @@ class TestSweep:
 class TestLineSearch:
     """The closed-form slacks and barrier change behind the Newton line search."""
 
-    @staticmethod
-    def _interior(slack):
-        problem = build_problem(_spec(0.6, 5))
-        rng = np.random.default_rng(7)
-        z = rng.normal(size=problem.n_vars)
-        # relax every constraint (by delta, or by the phase-I slack column)
-        # so that z is strictly interior
-        shift = problem.max_violation(z) + 1.0
-        if slack:
-            barrier = chain._Barrier(problem, slack=True)
-            z = np.append(z, shift)
-        else:
-            barrier = chain._Barrier(problem, delta=shift)
-        dz = rng.normal(size=z.size)
-        return barrier, z, dz
-
     @pytest.fixture
     def interior(self):
-        return self._interior(slack=False)
+        # the analytic start G_i = (i/N)(a, b), F_i = a i^2/(2N^2), where every
+        # slack is w = m/(2N^2), moved by a small seeded perturbation; the
+        # direction dz is scaled to the same width
+        N = 5
+        problem = build_problem(_spec(0.7, N))
+        a, b = problem.gN
+        width = (a - a * a - b * b) / (2 * N * N)
+        frac = np.arange(N + 1) / N
+        K = np.column_stack([0.5 * a * frac ** 2, frac[:, None] * problem.gN])
+        rng = np.random.default_rng(7)
+        z = problem.free(K) + 0.05 * width * rng.normal(size=problem.n_vars)
+        barrier = chain._Barrier(problem)
+        assert np.all(-barrier.values(z) > 0.5 * width)
+        return barrier, z, width * rng.normal(size=z.size), width
 
     def test_predicted_slacks_match_direct_evaluation(self, interior):
-        self._check_predicted_slacks(*interior)
-
-    def test_phase1_slack_column_predicted_slacks(self):
-        self._check_predicted_slacks(*self._interior(slack=True))
-
-    @staticmethod
-    def _check_predicted_slacks(barrier, z, dz):
+        barrier, z, dz, _ = interior
         d = -barrier.values(z)
         a, b = barrier.slack_rates(barrier.local_grads(z), dz)
         for alpha in (0.0, 0.1, 0.5, 1.0, 2.0):
@@ -370,7 +382,7 @@ class TestLineSearch:
             assert np.max(np.abs(predicted - direct) / scale) <= 1e-12
 
     def test_exact_change_matches_barrier_difference(self, interior):
-        barrier, z, dz = interior
+        barrier, z, dz, _ = interior
         problem_c = np.zeros(z.size)
         problem_c[4] = -1.0
         t = 1.0  # nothing cancels at t = 1, so the direct difference is accurate
@@ -392,16 +404,15 @@ class TestLineSearch:
         assert checked >= 2
 
     def test_step_outside_interior_is_rejected(self, interior):
-        barrier, z, dz = interior
+        barrier, z, dz, _ = interior
         d = -barrier.values(z)
         a, b = barrier.slack_rates(barrier.local_grads(z), dz)
         # far enough along dz the convex constraints are violated
         assert chain._step_change(1e6, 0.0, a, b, d) == math.inf
 
-    @pytest.mark.parametrize("slack", [False, True])
-    def test_gradient_and_hessian_match_differences(self, slack):
+    def test_gradient_and_hessian_match_differences(self, interior):
         # the per-segment assembly against central differences of -sum log(-h)
-        barrier, z, _ = self._interior(slack)
+        barrier, z, _, width = interior
 
         def grad(zz):
             return barrier.grad_hess(barrier.local_grads(zz), -barrier.values(zz))[0]
@@ -411,7 +422,7 @@ class TestLineSearch:
 
         g, H = barrier.grad_hess(barrier.local_grads(z), -barrier.values(z))
         assert H.shape == (z.size, z.size)
-        h = 1e-6
+        h = 1e-4 * width
         for k in range(z.size):
             e = np.zeros(z.size)
             e[k] = h

@@ -238,6 +238,17 @@ class TestInterpolate:
         path = _write_spec(tmp_path, doc)
         assert cli.main(["interpolate", "--in", path]) == cli.EXIT_ALL_INFEASIBLE
 
+    def test_boundary_spec(self, tmp_path):
+        # s = 1/2: the feasible set is the single chain G_i = (i/N) g_y
+        doc = {"L": 1, "x": [0, 0], "y": [1, 0], "f_x": 0, "g_x": [0, 0],
+               "g_y": [0.5, 0.5], "N": 5}
+        path = _write_spec(tmp_path, doc)
+        out = tmp_path / "interp.csv"
+        assert cli.main(["interpolate", "--in", path, "--out", str(out)]) == cli.EXIT_OK
+        last = out.read_text().strip().split("\n")[-1].split(",")
+        assert float(last[0]) == 1.0
+        assert float(last[1]) == pytest.approx(0.25, abs=1e-12)
+
 
 class TestBadInput:
     # each is refused before any work, with one line on stderr and exit 4
