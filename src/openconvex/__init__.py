@@ -25,11 +25,9 @@ from .bounds import (
 from .chain import (
     BoundResult,
     ChainSpec,
-    SolverConfig,
     SweepRow,
     build_problem,
     closed_form_n1,
-    feasibility_interval_n1,
     normalized_spec,
     oracle_grid_n2,
     solve,

@@ -16,19 +16,28 @@ from .errors import DegenerateError, DimensionMismatch, RangeError
 
 @dataclass(frozen=True)
 class PointData:
-    """A (location, value, gradient) triple; the atom of every check."""
+    """A (location, value, gradient) triple, or a stack of n of them.
+
+    One point has x and g of shape (d,) and a float f; a stack has x and g
+    of shape (n, d) and f of shape (n,).  The two-point functions of this
+    module take either, and work row by row on stacks.
+    """
 
     x: np.ndarray
-    f: float
+    f: float | np.ndarray
     g: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "g", np.asarray(self.g, dtype=float))
-        if self.x.shape != self.g.shape or self.x.ndim != 1 or self.x.size < 1:
+        f = np.asarray(self.f, dtype=float)
+        if (self.x.shape != self.g.shape or self.x.ndim not in (1, 2)
+                or self.x.shape[-1] < 1 or f.shape != self.x.shape[:-1]):
             raise DimensionMismatch(
-                f"location shape {self.x.shape} vs gradient shape {self.g.shape}"
+                f"location shape {self.x.shape}, value shape {f.shape}, "
+                f"gradient shape {self.g.shape}"
             )
+        object.__setattr__(self, "f", float(f) if f.ndim == 0 else f)
 
 
 @dataclass(frozen=True)
@@ -58,15 +67,8 @@ class AlphaWeights:
 
 @dataclass(frozen=True)
 class Interval:
-    lo: float
-    hi: float
-    empty: bool = False
-
-    def contains(self, v: float, tol: float = 0.0) -> bool:
-        return not self.empty and self.lo - tol <= v <= self.hi + tol
-
-    def width(self) -> float:
-        return 0.0 if self.empty else self.hi - self.lo
+    lo: float | np.ndarray
+    hi: float | np.ndarray
 
 
 def _check_pair(px: PointData, py: PointData) -> None:
@@ -74,25 +76,26 @@ def _check_pair(px: PointData, py: PointData) -> None:
         raise DimensionMismatch("point dimensions differ")
 
 
-def descent_gap(L: float, px: PointData, py: PointData) -> tuple[float, float]:
+def descent_gap(L: float, px: PointData,
+                py: PointData) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Slack of both sides of the descent inequality for the data pair.
 
     lower_gap >= 0 iff the convexity inequality holds, upper_gap >= 0 iff
-    the quadratic upper bound holds.
+    the quadratic upper bound holds.  On stacks both are arrays.
     """
     _check_pair(px, py)
     d = py.x - px.x
-    lower = py.f - px.f - float(px.g @ d)
-    upper = 0.5 * L * float(d @ d) - lower
+    lower = py.f - px.f - np.vecdot(px.g, d)
+    upper = 0.5 * L * np.vecdot(d, d) - lower
     return lower, upper
 
 
-def cocoercivity_gap(L: float, px: PointData, py: PointData) -> float:
+def cocoercivity_gap(L: float, px: PointData, py: PointData) -> float | np.ndarray:
     """RHS minus LHS of the co-coercivity inequality; >= 0 iff it holds."""
     _check_pair(px, py)
     d = py.x - px.x
     dg = px.g - py.g
-    return py.f - px.f - float(px.g @ d) - float(dg @ dg) / (2.0 * L)
+    return py.f - px.f - np.vecdot(px.g, d) - np.vecdot(dg, dg) / (2.0 * L)
 
 
 def global_bound_interval(L: float, px: PointData, py: PointData) -> Interval:
@@ -103,13 +106,13 @@ def global_bound_interval(L: float, px: PointData, py: PointData) -> Interval:
     """
     _check_pair(px, py)
     d = py.x - px.x
-    dd = float(d @ d)
-    if dd == 0.0:
+    dd = np.vecdot(d, d)
+    if np.any(dd == 0.0):
         raise DegenerateError("global bound requires distinct points")
-    cross = float((py.g - px.g) @ d)
+    cross = np.vecdot(py.g - px.g, d)
     quad = cross * cross / (2.0 * L * dd)
-    lo = px.f + float(px.g @ d) + quad
-    hi = px.f + float(py.g @ d) - quad
+    lo = px.f + np.vecdot(px.g, d) + quad
+    hi = px.f + np.vecdot(py.g, d) - quad
     return Interval(lo, hi)
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import Interval, PointData
+from .bounds import PointData
 from .errors import DegenerateError, DimensionMismatch, NoFeasiblePoint, RangeError
 
 UPPER = "upper"
@@ -56,6 +56,15 @@ ITERATION_LIMIT = "IterationLimit"
 # a - a^2 - b^2 within FEAS_BAND * max(1, |a|) of 0 is the boundary of the
 # feasible set; below that band the program is infeasible
 FEAS_BAND = 1e-12
+
+# the barrier path: t starts at 1/BARRIER_MU0 and grows by 1/MU_SHRINK per
+# centering until (#constraints)/t <= NEWTON_TOL, at most MAX_OUTER times;
+# a centering takes at most MAX_NEWTON Newton steps
+BARRIER_MU0 = 0.1
+MU_SHRINK = 0.2
+NEWTON_TOL = 1e-8
+MAX_OUTER = 80
+MAX_NEWTON = 60
 
 
 @dataclass(frozen=True)
@@ -86,15 +95,6 @@ class ChainSpec:
             raise RangeError("N must be a positive integer")
         if self.direction not in (UPPER, LOWER):
             raise RangeError(f"direction must be '{UPPER}' or '{LOWER}'")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    barrier_mu0: float = 0.1        # initial barrier parameter (1/t)
-    mu_shrink: float = 0.2          # multiplicative decrease per outer step
-    newton_tol: float = 1e-8        # stop when (#constraints)/t <= newton_tol
-    max_outer: int = 80
-    max_newton: int = 60
 
 
 @dataclass
@@ -244,13 +244,15 @@ def _newton_center(
     z: np.ndarray,
     d: np.ndarray,
     t: float,
-    max_newton: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimize t*c'z - sum log(-h_j(z)) by damped Newton from interior z.
 
     d holds the slacks -h_j(z) > 0; returns the new point and its slacks.
+    Stops once the Newton decrement no longer falls: at large t it levels
+    off at the rounding floor, above the 1e-11 stop.
     """
-    for _ in range(max_newton):
+    previous = math.inf
+    for _ in range(MAX_NEWTON):
         lg = barrier.local_grads(z)
         g, H = barrier.grad_hess(lg, d)
         g += t * c
@@ -261,8 +263,9 @@ def _newton_center(
         except np.linalg.LinAlgError:
             dz = np.linalg.lstsq(H, -g, rcond=None)[0]
         decrement = -float(g @ dz)
-        if decrement <= 0:
+        if decrement <= 0 or decrement >= previous:
             break
+        previous = decrement
         # backtracking on the exact quadratic slacks: stay strictly feasible,
         # then Armijo on the barrier change taken without cancellation
         a, b = barrier.slack_rates(lg, dz)
@@ -286,19 +289,18 @@ def _newton_center(
     return z, d
 
 
-def _barrier_path(problem: ChainProblem, z: np.ndarray,
-                  config: SolverConfig) -> tuple[np.ndarray, float, bool]:
+def _barrier_path(problem: ChainProblem, z: np.ndarray) -> tuple[np.ndarray, float, bool]:
     """Maximize F_N by path-following from interior z; returns (z, gap, converged)."""
     barrier = _Barrier(problem)
     c = np.zeros(z.size)
     c[-1] = -1.0
     d = -barrier.values(z)
-    t = 1.0 / config.barrier_mu0
-    for _ in range(config.max_outer):
-        z, d = _newton_center(c, barrier, z, d, t, config.max_newton)
-        if d.size / t <= config.newton_tol:
+    t = 1.0 / BARRIER_MU0
+    for _ in range(MAX_OUTER):
+        z, d = _newton_center(c, barrier, z, d, t)
+        if d.size / t <= NEWTON_TOL:
             return z, d.size / t, True
-        t /= config.mu_shrink
+        t /= MU_SHRINK
     return z, d.size / t, False
 
 
@@ -309,13 +311,12 @@ def _upper_ends(problem: ChainProblem, G: np.ndarray) -> np.ndarray:
     return np.column_stack([np.concatenate(([0.0], np.cumsum(step))), G])
 
 
-def solve(problem: ChainProblem, config: SolverConfig | None = None) -> BoundResult:
+def solve(problem: ChainProblem) -> BoundResult:
     """Solve the canonical upper program U_N(a, b); see the module docstring.
 
     The result is in the units of ``problem.spec``.  A LOWER spec gets the
     reversed chain and its end value a - U.
     """
-    config = config or SolverConfig()
     N, gN = problem.N, problem.gN
     margin = gN[0] - float(gN @ gN)
     band = FEAS_BAND * max(1.0, abs(gN[0]))
@@ -324,7 +325,7 @@ def solve(problem: ChainProblem, config: SolverConfig | None = None) -> BoundRes
     gap, converged = 0.0, True
     if N > 1 and margin > band:
         K = np.column_stack([0.5 * gN[0] * frac ** 2, G])
-        z, gap, converged = _barrier_path(problem, problem.free(K), config)
+        z, gap, converged = _barrier_path(problem, problem.free(K))
         G = problem.knots(z)[:, 1:]
     K = _upper_ends(problem, G)
     violation = problem.scale * max(0.0, problem.max_violation(problem.free(K)))
@@ -370,8 +371,8 @@ def _recover_chain(problem: ChainProblem, K: np.ndarray) -> list[PointData]:
             for i in range(N + 1)]
 
 
-def solve_spec(spec: ChainSpec, config: SolverConfig | None = None) -> BoundResult:
-    return solve(build_problem(spec), config)
+def solve_spec(spec: ChainSpec) -> BoundResult:
+    return solve(build_problem(spec))
 
 
 # --- closed forms and oracles ------------------------------------------------
@@ -385,15 +386,6 @@ def closed_form_n1(spec: ChainSpec) -> tuple[float, float, bool]:
     u1 = spec.f_x + float(spec.g_y @ d) - quad
     b1 = spec.f_x + float(spec.g_x @ d) + quad
     return b1, u1, b1 <= u1 + 1e-15
-
-
-def feasibility_interval_n1(norm_y: float, norm_gy: float, L: float = 1.0) -> Interval:
-    """Admissible range of <g_y, y> under x=0, g_x=0, f_x=0 normalization."""
-    lo = norm_gy * norm_gy / L
-    hi = norm_gy * norm_y
-    if lo > hi:
-        return Interval(math.nan, math.nan, empty=True)
-    return Interval(lo, hi)
 
 
 def oracle_grid_n2(spec: ChainSpec, resolution: int = 400) -> tuple[float, float]:
@@ -491,8 +483,7 @@ class SweepRow:
     status: str
 
 
-def sweep(s_values, Ns, L: float = 1.0,
-          config: SolverConfig | None = None) -> list[SweepRow]:
+def sweep(s_values, Ns, L: float = 1.0) -> list[SweepRow]:
     """One row per (s, N) under the normalization: one upper solve, B = s - U.
 
     The normalized spec has f_x = 0, g_x = 0 and <g_y, y - x> = s, so the
@@ -504,6 +495,6 @@ def sweep(s_values, Ns, L: float = 1.0,
             if s * s > 0.5 + 1e-12 or s < 0.0:
                 rows.append(SweepRow(s, N, math.nan, math.nan, INFEASIBLE))
                 continue
-            up = solve_spec(normalized_spec(s, N, UPPER, L), config)
+            up = solve_spec(normalized_spec(s, N, UPPER, L))
             rows.append(SweepRow(s, N, s - up.value, up.value, up.status))
     return rows

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import PointData
-from .errors import DimensionMismatch, InfeasibleData, MismatchError, RangeError
+from .bounds import PointData, cocoercivity_gap
+from .errors import InfeasibleData, MismatchError, RangeError
 
 FEAS_SLACK = 1e-12
 
@@ -38,14 +38,13 @@ class QuadraticSurrogate:
 
 def two_point_feasible(L: float, p0: PointData, p1: PointData,
                        slack: float = FEAS_SLACK) -> bool:
-    """Both pairwise co-coercivity inequalities, within a small slack."""
-    if p0.x.shape != p1.x.shape:
-        raise DimensionMismatch("point dimensions differ")
-    d = p1.x - p0.x
-    quad = float((p0.g - p1.g) @ (p0.g - p1.g)) / (2.0 * L)
-    lo = p0.f + float(p0.g @ d) + quad       # forces f1 >= lo
-    hi = p0.f + float(p1.g @ d) - quad       # forces f1 <= hi
-    return lo - slack <= p1.f <= hi + slack
+    """Co-coercivity from p0 to p1 and from p1 to p0, within a small slack.
+
+    The first bounds p1.f from below, the second from above.  On stacks it
+    is True iff every pair passes.
+    """
+    gaps = np.minimum(cocoercivity_gap(L, p0, p1), cocoercivity_gap(L, p1, p0))
+    return bool(np.all(gaps >= -slack))
 
 
 @dataclass(frozen=True)

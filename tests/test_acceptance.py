@@ -114,7 +114,7 @@ def test_criterion_06_region_inclusion():
             ok = False
     for t in (0.0, 1.0):
         inner, outer = bounds.analytical_region(t)
-        if inner.width() > 1e-15 or outer.width() > 1e-15:
+        if inner.hi - inner.lo > 1e-15 or outer.hi - outer.lo > 1e-15:
             ok = False
     _report(6, ok, "inner region strictly inside outer on 1000-step grid")
     assert ok

@@ -59,7 +59,7 @@ class TestGlobalBoundInterval:
     def test_counterexample_lower_edge(self):
         iv = bounds.global_bound_interval(1.0, COUNTER_X, COUNTER_Y)
         assert iv.lo == pytest.approx(64009.0 / 115200.0, abs=1e-14)
-        assert iv.contains(COUNTER_Y.f)
+        assert iv.lo <= COUNTER_Y.f <= iv.hi
 
     def test_symmetric_formulation(self):
         # reversing the pair must describe f(x) consistently: the forward
@@ -70,17 +70,12 @@ class TestGlobalBoundInterval:
             py = _pd(rng.normal(size=3), rng.normal(), rng.normal(size=3))
             fwd = bounds.global_bound_interval(1.0, px, py)
             rev = bounds.global_bound_interval(1.0, py, px)
-            assert fwd.contains(py.f, 1e-12) == rev.contains(px.f, 1e-12)
+            assert ((fwd.lo - 1e-12 <= py.f <= fwd.hi + 1e-12)
+                    == (rev.lo - 1e-12 <= px.f <= rev.hi + 1e-12))
 
     def test_coincident_points_degenerate(self):
         with pytest.raises(DegenerateError):
             bounds.global_bound_interval(1.0, COUNTER_X, COUNTER_X)
-
-    def test_interval_helpers(self):
-        iv = bounds.Interval(1.0, 3.0)
-        assert iv.width() == 2.0
-        assert iv.contains(1.0) and not iv.contains(3.0 + 1e-9)
-        assert bounds.Interval(0.0, 0.0, empty=True).width() == 0.0
 
 
 class TestLocalCondition:
@@ -173,8 +168,8 @@ class TestAnalyticalRegion:
     def test_endpoints_collapse(self):
         for t in (0.0, 1.0):
             inner, outer = bounds.analytical_region(t)
-            assert inner.width() == pytest.approx(0.0, abs=1e-15)
-            assert outer.width() == pytest.approx(0.0, abs=1e-15)
+            assert inner.hi - inner.lo == pytest.approx(0.0, abs=1e-15)
+            assert outer.hi - outer.lo == pytest.approx(0.0, abs=1e-15)
 
     def test_strict_inclusion_in_interior(self):
         for t in np.linspace(0.01, 0.99, 99):
@@ -194,3 +189,53 @@ class TestPointData:
             PointData(x=np.zeros((2, 2)), f=0.0, g=np.zeros((2, 2)))
         with pytest.raises(DimensionMismatch):
             PointData(x=np.zeros(2), f=0.0, g=np.zeros(3))
+
+
+class TestStackedPointData:
+    """A stack of n points gives, row by row, exactly the single-point results."""
+
+    @staticmethod
+    def _stacks(n, d, seed=5):
+        rng = np.random.default_rng(seed)
+        return tuple(_pd(rng.normal(size=(n, d)), rng.normal(size=n), rng.normal(size=(n, d)))
+                     for _ in range(2))
+
+    @staticmethod
+    def _rows(p):
+        return [PointData(x=x, f=f, g=g) for x, f, g in zip(p.x, p.f, p.g)]
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_rows_match_bit_for_bit(self, d):
+        px, py = self._stacks(40, d)
+        lower, upper = bounds.descent_gap(1.5, px, py)
+        gap = bounds.cocoercivity_gap(1.5, px, py)
+        iv = bounds.global_bound_interval(1.5, px, py)
+        assert lower.shape == upper.shape == gap.shape == iv.lo.shape == iv.hi.shape == (40,)
+        for i, (qx, qy) in enumerate(zip(self._rows(px), self._rows(py))):
+            assert (lower[i], upper[i]) == bounds.descent_gap(1.5, qx, qy)
+            assert gap[i] == bounds.cocoercivity_gap(1.5, qx, qy)
+            one = bounds.global_bound_interval(1.5, qx, qy)
+            assert (iv.lo[i], iv.hi[i]) == (one.lo, one.hi)
+
+    def test_coincident_row_degenerate(self):
+        px, py = self._stacks(6, 2)
+        y = py.x.copy()
+        y[3] = px.x[3]
+        with pytest.raises(DegenerateError):
+            bounds.global_bound_interval(1.0, px, _pd(y, py.f, py.g))
+
+    def test_mismatched_stacks(self):
+        px, _ = self._stacks(6, 2)
+        _, py = self._stacks(5, 2)
+        for fn in (bounds.descent_gap, bounds.cocoercivity_gap, bounds.global_bound_interval):
+            with pytest.raises(DimensionMismatch):
+                fn(1.0, px, py)
+            with pytest.raises(DimensionMismatch):
+                fn(1.0, px, COUNTER_Y)
+
+    def test_value_shape(self):
+        with pytest.raises(DimensionMismatch):
+            PointData(x=np.zeros((3, 2)), f=np.zeros(2), g=np.zeros((3, 2)))
+        with pytest.raises(DimensionMismatch):
+            PointData(x=np.zeros(2), f=np.zeros(2), g=np.zeros(2))
+        assert PointData(x=np.zeros((3, 2)), f=np.zeros(3), g=np.zeros((3, 2))).f.shape == (3,)

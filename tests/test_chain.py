@@ -14,7 +14,6 @@ from openconvex.chain import (
     ChainSpec,
     build_problem,
     closed_form_n1,
-    feasibility_interval_n1,
     normalized_spec,
     oracle_grid_n2,
     solve_spec,
@@ -163,12 +162,6 @@ class TestClosedFormN1:
         assert feas
         assert b1 == pytest.approx(17545.0 / 23040.0, abs=1e-12)
         assert 16991.0 / 23040.0 < b1 - 1e-3
-
-    def test_feasibility_interval(self):
-        iv = feasibility_interval_n1(1.0, math.sqrt(0.5))
-        assert iv.lo == pytest.approx(0.5, abs=1e-15)
-        assert iv.hi == pytest.approx(math.sqrt(0.5), abs=1e-15)
-        assert feasibility_interval_n1(0.5, 1.0).empty
 
 
 class TestSolverN1:
@@ -344,7 +337,7 @@ class TestSweep:
         calls = []
         real = chain.solve_spec
         monkeypatch.setattr(chain, "solve_spec",
-                            lambda spec, config=None: calls.append(spec) or real(spec, config))
+                            lambda spec: calls.append(spec) or real(spec))
         rows = sweep([0.4, 0.55, 0.65], [1, 3])
         assert len(calls) == len(rows) == 6
         assert all(spec.direction == UPPER for spec in calls)

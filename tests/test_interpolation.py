@@ -44,6 +44,14 @@ class TestTwoPointFeasible:
         assert not two_point_feasible(1.0, p0, _pd(x1, 0.1249, g1))
         assert not two_point_feasible(1.0, p0, _pd(x1, 0.3751, g1))
 
+    def test_stacked_pairs(self):
+        # a stack passes iff every row does
+        p0 = _pd(np.zeros((3, 1)), np.zeros(3), np.zeros((3, 1)))
+        x1, g1 = np.ones((3, 1)), np.full((3, 1), 0.5)
+        assert two_point_feasible(1.0, p0, _pd(x1, np.array([0.125, 0.25, 0.375]), g1))
+        assert not two_point_feasible(1.0, p0, _pd(x1, np.array([0.125, 0.1249, 0.375]), g1))
+        assert not two_point_feasible(1.0, p0, _pd(x1, np.array([0.125, 0.25, 0.3751]), g1))
+
 
 class TestEnvelope:
     def test_coincident_surrogates(self):
