@@ -36,12 +36,10 @@ from .chain import (
 )
 from .interpolation import (
     SegmentInterpolant,
-    TwoPointEnvelope,
     build_segment_interpolant,
     combine,
     envelope_eval,
     eval_interpolant,
-    make_envelope,
     two_point_feasible,
 )
 from .spline import (

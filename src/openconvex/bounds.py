@@ -16,11 +16,12 @@ from .errors import DegenerateError, DimensionMismatch, RangeError
 
 @dataclass(frozen=True)
 class PointData:
-    """A (location, value, gradient) triple, or a stack of n of them.
+    """A (location, value, gradient) triple, or a stack of them.
 
     One point has x and g of shape (d,) and a float f; a stack has x and g
-    of shape (n, d) and f of shape (n,).  The two-point functions of this
-    module take either, and work row by row on stacks.
+    of shape (..., d) and f of shape (...), for example (n, d) and (n,).
+    The two-point functions of this module take either, and work row by
+    row on stacks.  Indexing a stack indexes its leading axes.
     """
 
     x: np.ndarray
@@ -31,13 +32,16 @@ class PointData:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "g", np.asarray(self.g, dtype=float))
         f = np.asarray(self.f, dtype=float)
-        if (self.x.shape != self.g.shape or self.x.ndim not in (1, 2)
+        if (self.x.shape != self.g.shape or self.x.ndim < 1
                 or self.x.shape[-1] < 1 or f.shape != self.x.shape[:-1]):
             raise DimensionMismatch(
                 f"location shape {self.x.shape}, value shape {f.shape}, "
                 f"gradient shape {self.g.shape}"
             )
         object.__setattr__(self, "f", float(f) if f.ndim == 0 else f)
+
+    def __getitem__(self, index) -> PointData:
+        return PointData(self.x[index], self.f[index], self.g[index])
 
 
 @dataclass(frozen=True)

@@ -81,8 +81,9 @@ class ChainSpec:
     def __post_init__(self):
         for name in ("x", "y", "g_x", "g_y"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if not (self.x.shape == self.y.shape == self.g_x.shape == self.g_y.shape):
-            raise DimensionMismatch("spec vectors must share one dimension")
+        if not (self.x.ndim == 1 and self.x.size >= 1
+                and self.x.shape == self.y.shape == self.g_x.shape == self.g_y.shape):
+            raise DimensionMismatch("spec vectors must be 1-D and share one length d >= 1")
         if not (math.isfinite(self.L) and math.isfinite(self.f_x)
                 and all(np.isfinite(getattr(self, name)).all()
                         for name in ("x", "y", "g_x", "g_y"))):
@@ -91,8 +92,8 @@ class ChainSpec:
             raise DegenerateError("spec endpoints coincide")
         if self.L <= 0:
             raise RangeError("L must be positive")
-        if self.N < 1:
-            raise RangeError("N must be a positive integer")
+        if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)) or self.N < 1:
+            raise RangeError(f"N must be a positive integer, got {self.N!r}")
         if self.direction not in (UPPER, LOWER):
             raise RangeError(f"direction must be '{UPPER}' or '{LOWER}'")
 
@@ -143,7 +144,7 @@ class ChainProblem:
 class BoundResult:
     status: str
     value: float
-    chain: list[PointData]
+    chain: PointData                # N+1 stacked knots; 0 rows when infeasible
     max_constraint_violation: float
     duality_gap_estimate: float
 
@@ -330,13 +331,15 @@ def solve(problem: ChainProblem) -> BoundResult:
     K = _upper_ends(problem, G)
     violation = problem.scale * max(0.0, problem.max_violation(problem.free(K)))
     if margin < -band:
-        return BoundResult(INFEASIBLE, math.nan, [], violation, 0.0)
+        d = problem.spec.x.size
+        empty = PointData(np.empty((0, d)), np.empty(0), np.empty((0, d)))
+        return BoundResult(INFEASIBLE, math.nan, empty, violation, 0.0)
     if problem.spec.direction == LOWER:
         K = _reverse(problem, K)
     chain = _recover_chain(problem, K)
     return BoundResult(
         status=OPTIMAL if converged else ITERATION_LIMIT,
-        value=chain[-1].f,
+        value=float(chain.f[-1]),
         chain=chain,
         max_constraint_violation=violation,
         duality_gap_estimate=problem.scale * gap,
@@ -354,8 +357,8 @@ def _reverse(problem: ChainProblem, K: np.ndarray) -> np.ndarray:
     return np.column_stack([F, problem.gN - K[::-1, 1:]])
 
 
-def _recover_chain(problem: ChainProblem, K: np.ndarray) -> list[PointData]:
-    """Map canonical knots back to the spec's chain points.
+def _recover_chain(problem: ChainProblem, K: np.ndarray) -> PointData:
+    """Map canonical knots back to the spec's chain points, as one stack.
 
     f_i = f_x + (i/N)<g_x, y - x> + L rho^2 F_i and g_i = g_x + L rho Q G_i,
     with the columns of Q the reduced basis; g_0 and g_N are the data.
@@ -367,8 +370,7 @@ def _recover_chain(problem: ChainProblem, K: np.ndarray) -> list[PointData]:
     f = spec.f_x + frac * float(spec.g_x @ delta) + problem.scale * K[:, 0]
     g = spec.g_x + spec.L * float(np.linalg.norm(delta)) * (K[:, 1:] @ problem.basis.T)
     g[0], g[N] = spec.g_x, spec.g_y
-    return [PointData(x=spec.x + frac[i] * delta, f=float(f[i]), g=g[i])
-            for i in range(N + 1)]
+    return PointData(x=spec.x + frac[:, None] * delta, f=f, g=g)
 
 
 def solve_spec(spec: ChainSpec) -> BoundResult:

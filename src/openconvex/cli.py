@@ -302,7 +302,7 @@ def _load_spec(path: str) -> chain.ChainSpec:
             f_x=float(doc["f_x"]),
             g_x=np.asarray(doc["g_x"], dtype=float),
             g_y=np.asarray(doc["g_y"], dtype=float),
-            N=int(doc["N"]),
+            N=doc["N"],
             direction=str(doc.get("direction", "upper")).lower(),
         )
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -312,14 +312,13 @@ def _load_spec(path: str) -> chain.ChainSpec:
 def cmd_solve(args) -> int:
     spec = _load_spec(getattr(args, "in"))
     result = chain.solve_spec(spec)
+    knots = zip(result.chain.x.tolist(), result.chain.f.tolist(), result.chain.g.tolist())
     doc = {
         "status": result.status,
         "value": None if math.isnan(result.value) else result.value,
         "max_constraint_violation": result.max_constraint_violation,
         "duality_gap_estimate": result.duality_gap_estimate,
-        "chain": [
-            {"x": p.x.tolist(), "f": p.f, "g": p.g.tolist()} for p in result.chain
-        ],
+        "chain": [{"x": x, "f": f, "g": g} for x, f, g in knots],
     }
     _atomic_write(args.out, json.dumps(doc, indent=2) + "\n")
     if result.status == chain.ITERATION_LIMIT:
@@ -336,11 +335,9 @@ def cmd_interpolate(args) -> int:
     if result.status == chain.ITERATION_LIMIT:
         return EXIT_SOLVER_FAILURE
     interp = interpolation.build_segment_interpolant(spec.L, result.chain)
-    rows = []
-    for k in range(args.t_steps + 1):
-        t = k / args.t_steps
-        v, dv = interpolation.eval_interpolant(interp, t)
-        rows.append([_fmt(t), _fmt(v), _fmt(dv)])
+    t = np.arange(args.t_steps + 1) / args.t_steps
+    v, dv = interpolation.eval_interpolant(interp, t)
+    rows = [list(map(_fmt, row)) for row in zip(t.tolist(), v.tolist(), dv.tolist())]
     _atomic_write(args.out, _csv(["t", "value", "dvalue"], rows))
     return EXIT_OK
 

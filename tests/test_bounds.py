@@ -239,3 +239,10 @@ class TestStackedPointData:
         with pytest.raises(DimensionMismatch):
             PointData(x=np.zeros(2), f=np.zeros(2), g=np.zeros(2))
         assert PointData(x=np.zeros((3, 2)), f=np.zeros(3), g=np.zeros((3, 2))).f.shape == (3,)
+
+    def test_indexing_leading_axes(self):
+        # a stack of stacks, as a mixture of chains holds them
+        p = PointData(x=np.zeros((2, 3, 4)), f=np.arange(6.0).reshape(2, 3), g=np.ones((2, 3, 4)))
+        assert p[1].f.tolist() == [3.0, 4.0, 5.0]
+        assert p[1, 2].f == 5.0 and p[1, 2].x.shape == (4,)
+        assert p[:, 1:].x.shape == (2, 2, 4)

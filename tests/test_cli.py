@@ -272,6 +272,10 @@ class TestBadInput:
         ["interpolate", "--in", "unread.json", "--t-steps", "0"],
     ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
     def test_exit_4_with_one_line(self, argv, tmp_path, capsys):
+        self._refused(argv, tmp_path, capsys)
+
+    @staticmethod
+    def _refused(argv, tmp_path, capsys):
         out = tmp_path / "out"
         assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_BAD_INPUT
         captured = capsys.readouterr()
@@ -279,3 +283,16 @@ class TestBadInput:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("openconvex: error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "interpolate"])
+    @pytest.mark.parametrize("change", [
+        {"N": 2.7},
+        {"N": True},
+        {"x": [[0.0, 0.0]], "y": [[1.0, 0.0]], "g_x": [[0.0, 0.0]], "g_y": [[0.6, 0.3]]},
+        {"x": 0.0, "y": 1.0, "g_x": 0.0, "g_y": 0.6},
+        {"x": [], "y": [], "g_x": [], "g_y": []},
+    ], ids=["N-fraction", "N-bool", "vectors-2d", "vectors-scalar", "vectors-empty"])
+    def test_malformed_spec(self, command, change, tmp_path, capsys):
+        # a truncated N or a vector of another shape is refused, not solved
+        path = _write_spec(tmp_path, dict(SPEC_06_N1, **change))
+        self._refused([command, "--in", path], tmp_path, capsys)

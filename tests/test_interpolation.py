@@ -1,11 +1,9 @@
 """Envelope construction, segment interpolants, and convex combination."""
 
-import math
-
 import numpy as np
 import pytest
 
-from openconvex import chain, interpolation
+from openconvex import chain
 from openconvex.bounds import PointData
 from openconvex.errors import InfeasibleData, MismatchError, RangeError
 from openconvex.interpolation import (
@@ -13,7 +11,6 @@ from openconvex.interpolation import (
     combine,
     envelope_eval,
     eval_interpolant,
-    make_envelope,
     two_point_feasible,
 )
 
@@ -58,9 +55,8 @@ class TestEnvelope:
         # both surrogates equal ||z||^2/2: envelope is that quadratic
         p0 = _pd([0.0, 0.0], 0.0, [0.0, 0.0])
         p1 = _pd([1.0, 0.0], 0.5, [1.0, 0.0])
-        env = make_envelope(1.0, p0, p1)
         for z in ([0.3, 0.0], [0.5, 0.4], [1.0, 0.0]):
-            v, g = envelope_eval(env, z)
+            v, g = envelope_eval(1.0, p0, p1, z)
             z = np.asarray(z)
             assert v == pytest.approx(0.5 * float(z @ z), abs=1e-12)
             assert np.allclose(g, z, atol=1e-12)
@@ -71,25 +67,23 @@ class TestEnvelope:
         p0 = _pd([0.0], 0.0, [0.0])
         p1 = _pd([1.0], 0.25, [0.5])
         assert two_point_feasible(1.0, p0, p1)
-        env = make_envelope(1.0, p0, p1)
-        assert env.t_lo == pytest.approx(0.25, abs=1e-12)
-        assert env.t_hi == pytest.approx(0.75, abs=1e-12)
         # before the window the envelope equals q0
-        v, g = envelope_eval(env, [0.1])
+        v, g = envelope_eval(1.0, p0, p1, [0.1])
         assert v == pytest.approx(0.005, abs=1e-12)
         assert g[0] == pytest.approx(0.1, abs=1e-12)
         # inside the window it is the tangent line
         for z in (0.5, 0.6):
-            v, g = envelope_eval(env, [z])
+            v, g = envelope_eval(1.0, p0, p1, [z])
             assert v == pytest.approx(0.25 * z - 0.03125, abs=1e-12)
             assert g[0] == pytest.approx(0.25, abs=1e-12)
         # past the window it equals q1
-        v, g = envelope_eval(env, [0.9])
+        v, g = envelope_eval(1.0, p0, p1, [0.9])
         assert v == pytest.approx(0.205, abs=1e-12)
         assert g[0] == pytest.approx(0.4, abs=1e-12)
 
     def test_envelope_dominated_by_surrogates(self):
         rng = np.random.default_rng(2)
+        ts = np.linspace(0.0, 1.0, 11)[:, None]
         for _ in range(30):
             p0 = _pd(rng.normal(size=2), 0.0, 0.3 * rng.normal(size=2))
             x1 = p0.x + rng.normal(size=2)
@@ -101,17 +95,16 @@ class TestEnvelope:
             if lo > hi:
                 continue
             p1 = _pd(x1, 0.5 * (lo + hi), g1)
-            env = make_envelope(1.0, p0, p1)
-            for t in np.linspace(0.0, 1.0, 11):
-                z = p0.x + t * d
-                v, _ = envelope_eval(env, z)
-                assert v <= env.q0(z) + 1e-10
-                assert v <= env.q1(z) + 1e-10
+            z = p0.x + ts * d
+            v, _ = envelope_eval(1.0, p0, p1, z)
+            for p in (p0, p1):
+                q = p.f + (z - p.x) @ p.g + 0.5 * np.sum((z - p.x) ** 2, axis=1)
+                assert np.all(v <= q + 1e-10)
 
     def test_infeasible_pair_rejected(self):
-        p0 = _pd([0.0], 0.0, [0.0])
-        with pytest.raises(InfeasibleData):
-            make_envelope(1.0, p0, _pd([1.0], 0.0, [0.5]))
+        pair = _pd([[0.0], [1.0]], [0.0, 0.0], [[0.0], [0.5]])
+        with pytest.raises(InfeasibleData, match=r"pair \(0, 1\)"):
+            build_segment_interpolant(1.0, pair)
 
 
 class TestSegmentInterpolant:
@@ -123,11 +116,19 @@ class TestSegmentInterpolant:
 
     def test_knot_round_trip(self):
         interp, res = self._interp(0.6, 4, chain.UPPER)
-        for k, knot in enumerate(interp.knots):
-            v, dv = eval_interpolant(interp, k / interp.N)
-            assert v == pytest.approx(knot.f, abs=1e-10)
-            assert dv == pytest.approx(float(knot.g @ (interp.y - interp.x)),
-                                       abs=1e-10)
+        v, dv = eval_interpolant(interp, np.arange(interp.N + 1) / interp.N)
+        assert np.allclose(v, interp.knots.f, rtol=0.0, atol=1e-10)
+        assert np.allclose(dv, interp.knots.g @ (interp.y - interp.x), rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("direction", [chain.UPPER, chain.LOWER])
+    def test_array_t_matches_scalar_t(self, direction):
+        # one call over all t gives, bit for bit, what one call per t gives
+        interp, _ = self._interp(0.62, 5, direction)
+        ts = np.linspace(0.0, 1.0, 101)
+        v, dv = eval_interpolant(interp, ts)
+        assert v.shape == dv.shape == ts.shape
+        assert [(a, b) for a, b in zip(v.tolist(), dv.tolist())] \
+            == [eval_interpolant(interp, t) for t in ts.tolist()]
 
     def test_endpoint_matches_bound(self):
         interp, res = self._interp(0.6, 3, chain.LOWER)
@@ -137,34 +138,31 @@ class TestSegmentInterpolant:
     def test_convex_and_smooth_along_segment(self):
         interp, _ = self._interp(0.55, 5, chain.UPPER)
         ts = np.linspace(0.0, 1.0, 201)
-        vals = []
-        ders = []
-        for t in ts:
-            v, dv = eval_interpolant(interp, float(t))
-            vals.append(v)
-            ders.append(dv)
+        _, ders = eval_interpolant(interp, ts)
+        steps = np.diff(ders)
         # convexity: the directional derivative is nondecreasing
-        assert all(d2 >= d1 - 1e-9 for d1, d2 in zip(ders, ders[1:]))
+        assert np.all(steps >= -1e-9)
         # smoothness: derivative is 1-Lipschitz in t (L = 1, unit segment)
-        h = ts[1] - ts[0]
-        assert all(abs(d2 - d1) <= h + 1e-9 for d1, d2 in zip(ders, ders[1:]))
+        assert np.all(np.abs(steps) <= ts[1] - ts[0] + 1e-9)
 
     def test_corrupted_chain_rejected(self):
         spec = chain.normalized_spec(0.6, 3, chain.UPPER)
         res = chain.solve_spec(spec)
-        bad = list(res.chain)
-        bad[1] = PointData(x=bad[1].x, f=bad[1].f + 0.5, g=bad[1].g)
+        f = res.chain.f.copy()
+        f[1] += 0.5
         with pytest.raises(InfeasibleData, match=r"pair \(0, 1\)"):
-            build_segment_interpolant(spec.L, bad)
+            build_segment_interpolant(spec.L, PointData(res.chain.x, f, res.chain.g))
 
     def test_short_chain_rejected(self):
         with pytest.raises(InfeasibleData):
-            build_segment_interpolant(1.0, [_pd([0.0], 0.0, [0.0])])
+            build_segment_interpolant(1.0, _pd([[0.0]], [0.0], [[0.0]]))
 
     def test_t_out_of_range(self):
         interp, _ = self._interp(0.6, 2, chain.UPPER)
         with pytest.raises(RangeError):
             eval_interpolant(interp, 1.0 + 1e-9)
+        with pytest.raises(RangeError):
+            eval_interpolant(interp, np.array([0.0, 0.5, -1e-9]))
 
 
 class TestCombine:

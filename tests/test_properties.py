@@ -1,7 +1,9 @@
 """Properties of the chain program on random canonical (a, b, N).
 
 Each draw is embedded in a spec of another dimension, scale, position and
-tilt, whose canonical program is U_N(a, b).
+tilt, whose canonical program is U_N(a, b).  The segment interpolant of a
+chain is checked the same way: in canonical units it does not depend on the
+spec's units or on a rigid motion.
 """
 
 import math
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from openconvex.chain import (  # noqa: E402
     FEAS_BAND,
@@ -22,7 +24,13 @@ from openconvex.chain import (  # noqa: E402
     build_problem,
     solve_spec,
 )
-from openconvex.interpolation import two_point_feasible  # noqa: E402
+from openconvex.bounds import PointData  # noqa: E402
+from openconvex.errors import InfeasibleData  # noqa: E402
+from openconvex.interpolation import (  # noqa: E402
+    build_segment_interpolant,
+    eval_interpolant,
+    two_point_feasible,
+)
 
 
 def _embedded(a, b, N, seed, direction):
@@ -68,9 +76,56 @@ def test_feasibility_witness_and_reversal(draw):
         return
     for res in (res_up, res_lo):
         if res.status == OPTIMAL:
-            for p0, p1 in zip(res.chain, res.chain[1:]):
-                assert two_point_feasible(up.L, p0, p1)
+            assert two_point_feasible(up.L, res.chain[:-1], res.chain[1:])
     # B + U = a in canonical units
     base = up.f_x + float(up.g_x @ (up.y - up.x))
     total = (res_up.value - base + res_lo.value - base) / problem.scale
     assert total == pytest.approx(ca, abs=1e-12 * max(1.0, 1.0 / problem.scale))
+
+
+def _moved(a, b, N, scale, L, seed):
+    """Spec with canonical (a, b, N), L ||y - x||^2 = scale, under a seeded rigid motion.
+
+    f_x = 0 and g_x = 0, so f divided by scale is the canonical F.  The
+    translation is of the order of ||y - x||: a position far from a short
+    segment would already round y - x in the spec itself.
+    """
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 5))
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    rho = math.sqrt(scale / L)
+    x = rho * rng.normal(size=d)
+    g_y = L * rho * (a * Q[:, 0] + b * Q[:, 1])
+    return ChainSpec(L, x, x + rho * Q[:, 0], 0.0, np.zeros(d), g_y, N, UPPER)
+
+
+def _curve(spec, scale):
+    """The solver's chain, its interpolant at 101 t, and that curve / scale."""
+    res = solve_spec(spec)
+    assert res.status == OPTIMAL
+    v, dv = eval_interpolant(build_segment_interpolant(spec.L, res.chain),
+                             np.arange(101) / 100)
+    return res.chain, np.concatenate([v, dv]) / scale
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(0.6, 0.3, 5), (0.55, 0.1, 3), (0.7, 0.0, 2), (0.5, 0.5, 4),
+                        (0.65, 0.2, 1)]),
+       st.floats(-12.0, 10.0), st.floats(-4.0, 4.0), st.integers(0, 2 ** 32 - 1))
+@example((0.6, 0.3, 5), -12.0, 0.0, 1)
+@example((0.6, 0.3, 5), 0.0, 2.0, 2)
+@example((0.6, 0.3, 5), 10.0, 4.0, 3)
+def test_interpolant_unit_invariance(canonical, log_scale, log_L, seed):
+    a, b, N = canonical
+    scale = 10.0 ** log_scale
+    _, unit = _curve(ChainSpec(1.0, np.zeros(2), np.array([1.0, 0.0]), 0.0,
+                               np.zeros(2), np.array([a, b]), N, UPPER), 1.0)
+    spec = _moved(a, b, N, scale, 10.0 ** log_L, seed)
+    chain, curve = _curve(spec, scale)
+    assert np.max(np.abs(curve - unit)) <= 1e-12
+    # the upper chain takes F_1 at the top of its interval, so raising knot 1
+    # by a tenth of a canonical unit breaks pair (0, 1) at any scale
+    f = chain.f.copy()
+    f[1] += 0.1 * scale
+    with pytest.raises(InfeasibleData, match=r"pair \(0, 1\)"):
+        build_segment_interpolant(spec.L, PointData(chain.x, f, chain.g))
