@@ -10,13 +10,17 @@ Subcommands:
 
 All files are written atomically (temp file + rename); floats are printed
 with 17 significant digits so CSV output is byte-reproducible (for sweep, at
-a fixed BLAS thread count).
+a fixed BLAS thread count).  A CSV table is formatted a block of rows at a
+time, by one ``%`` format over the block's cells (``"%.17g" % v`` is the same
+text as ``format(v, ".17g")``), so no cell is formatted by its own call.
+The argument parser is built once per process and reused by every ``main``
+call.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
+import functools
 import json
 import math
 import os
@@ -24,7 +28,7 @@ import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from typing import NoReturn
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -35,10 +39,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_ALL_INFEASIBLE = 2
 EXIT_SOLVER_FAILURE = 3
 EXIT_BAD_INPUT = 4
-
-
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
 
 
 def _atomic_write(path: str | None, text: str) -> None:
@@ -57,10 +57,21 @@ def _atomic_write(path: str | None, text: str) -> None:
         raise
 
 
-def _csv(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(r) for r in rows)
-    return "\n".join(lines) + "\n"
+def _cells(*columns: list) -> list:
+    """The cells of the rows whose columns are given, row after row."""
+    cells = [None] * (len(columns) * len(columns[0]))
+    for k, column in enumerate(columns):
+        cells[k::len(columns)] = column
+    return cells
+
+
+def _csv(header: str, block: str, blocks: Iterable[list]) -> str:
+    """The header line, then ``block % tuple(cells)`` for each block's cells.
+
+    ``block`` holds one %-conversion per cell of a block of rows, so each
+    block is formatted by one % operation.
+    """
+    return "".join([header, "\n", *(block % tuple(cells) for cells in blocks)])
 
 
 # --- minimal SVG rendering ---------------------------------------------------
@@ -217,35 +228,31 @@ def cmd_contour(args) -> int:
     if args.format == "svg":
         _atomic_write(args.out, _svg_heatmap(args.nx, args.ny, values))
     else:
-        xs = [_fmt(t) for t in x.tolist()]
-        ys = [_fmt(t) for t in y[rows].tolist()]
-        cells = zip(itertools.product(ys, xs), piece.tolist(), v.tolist())
-        table = [[x0, x1, str(k), _fmt(f)] for (x1, x0), k, f in cells]
-        _atomic_write(args.out, _csv(["x0", "x1", "piece", "value"], table))
+        # one block per row of the grid, its x labels formatted once
+        block = ("%.17g,%%s,%%d,%%.17g\n" * args.nx) % tuple(x.tolist())
+        blocks = (
+            _cells(["%.17g" % y1] * args.nx, k, f)
+            for y1, k, f in zip(y[rows].tolist(), piece.reshape(-1, args.nx).tolist(),
+                                v.reshape(-1, args.nx).tolist())
+        )
+        _atomic_write(args.out, _csv("x0,x1,piece,value", block, blocks))
     return EXIT_OK
 
 
 def cmd_region(args) -> int:
     _require(args.steps >= 1, f"--steps must be at least 1, got {args.steps}")
-    ts = np.linspace(0.0, 1.0, args.steps + 1)
-    rows = []
-    for t in ts:
-        inner, outer = bounds.analytical_region(float(t))
-        rows.append([_fmt(float(t)), _fmt(inner.lo), _fmt(inner.hi),
-                     _fmt(outer.lo), _fmt(outer.hi)])
+    ts = np.linspace(0.0, 1.0, args.steps + 1).tolist()
+    edges = [(inner.lo, inner.hi, outer.lo, outer.hi)
+             for inner, outer in map(bounds.analytical_region, ts)]
+    columns = list(zip(*edges))
     if args.format == "svg":
-        series = [
-            ("steelblue", [(float(r[0]), float(r[1])) for r in map(list, rows)]),
-            ("steelblue", [(float(r[0]), float(r[2])) for r in map(list, rows)]),
-            ("firebrick", [(float(r[0]), float(r[3])) for r in map(list, rows)]),
-            ("firebrick", [(float(r[0]), float(r[4])) for r in map(list, rows)]),
-        ]
-        _atomic_write(args.out, _svg_lines(series))
+        colors = ["steelblue", "steelblue", "firebrick", "firebrick"]
+        _atomic_write(args.out, _svg_lines(
+            [(color, list(zip(ts, c))) for color, c in zip(colors, columns)]))
     else:
-        _atomic_write(
-            args.out,
-            _csv(["t", "inner_lo", "inner_hi", "outer_lo", "outer_hi"], rows),
-        )
+        _atomic_write(args.out, _csv("t,inner_lo,inner_hi,outer_lo,outer_hi",
+                                     "%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(ts),
+                                     [_cells(ts, *columns)]))
     return EXIT_OK
 
 
@@ -271,7 +278,6 @@ def cmd_sweep(args) -> int:
     else:
         rows = chain.sweep(s_values, ns)
 
-    table = [[_fmt(r.s), str(r.N), _fmt(r.B), _fmt(r.U), r.status] for r in rows]
     if args.format == "svg":
         series = []
         palette = ["steelblue", "seagreen", "darkorange", "firebrick", "purple"]
@@ -282,7 +288,9 @@ def cmd_sweep(args) -> int:
             series.append((color, [(r.s, r.U) for r in sub]))
         _atomic_write(args.out, _svg_lines(series))
     else:
-        _atomic_write(args.out, _csv(["s", "N", "B", "U", "status"], table))
+        cells = [v for r in rows for v in (r.s, r.N, r.B, r.U, r.status)]
+        _atomic_write(args.out, _csv("s,N,B,U,status",
+                                     "%.17g,%d,%.17g,%.17g,%s\n" * len(rows), [cells]))
 
     if all(r.status == chain.INFEASIBLE for r in rows):
         return EXIT_ALL_INFEASIBLE
@@ -291,17 +299,25 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _numeric(doc: dict, name: str):
+    """doc[name], refused if it is or holds a JSON boolean, which float() reads as 0 or 1."""
+    value = doc[name]
+    if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+        raise TypeError(f"{name} must be numeric, got {json.dumps(value)}")
+    return value
+
+
 def _load_spec(path: str) -> chain.ChainSpec:
     try:
         with open(path) as fh:
             doc = json.load(fh)
         return chain.ChainSpec(
-            L=float(doc["L"]),
-            x=np.asarray(doc["x"], dtype=float),
-            y=np.asarray(doc["y"], dtype=float),
-            f_x=float(doc["f_x"]),
-            g_x=np.asarray(doc["g_x"], dtype=float),
-            g_y=np.asarray(doc["g_y"], dtype=float),
+            L=float(_numeric(doc, "L")),
+            x=np.asarray(_numeric(doc, "x"), dtype=float),
+            y=np.asarray(_numeric(doc, "y"), dtype=float),
+            f_x=float(_numeric(doc, "f_x")),
+            g_x=np.asarray(_numeric(doc, "g_x"), dtype=float),
+            g_y=np.asarray(_numeric(doc, "g_y"), dtype=float),
             N=doc["N"],
             direction=str(doc.get("direction", "upper")).lower(),
         )
@@ -337,12 +353,18 @@ def cmd_interpolate(args) -> int:
     interp = interpolation.build_segment_interpolant(spec.L, result.chain)
     t = np.arange(args.t_steps + 1) / args.t_steps
     v, dv = interpolation.eval_interpolant(interp, t)
-    rows = [list(map(_fmt, row)) for row in zip(t.tolist(), v.tolist(), dv.tolist())]
-    _atomic_write(args.out, _csv(["t", "value", "dvalue"], rows))
+    _atomic_write(args.out, _csv("t,value,dvalue", "%.17g,%.17g,%.17g\n" * t.size,
+                                 [_cells(t.tolist(), v.tolist(), dv.tolist())]))
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process.
+
+    Parsing keeps no state in the parser: each ``parse_args`` call fills a
+    new namespace, so one parser serves every ``main`` call.
+    """
     parser = argparse.ArgumentParser(
         prog="openconvex",
         description="Exact and numerical bounds for smooth convex functions on open sets.",

@@ -139,17 +139,29 @@ def eval_interpolant(interp: SegmentInterpolant, t):
 
 def combine(Fu: SegmentInterpolant, Fb: SegmentInterpolant,
             lam: float) -> SegmentInterpolant:
-    """Pointwise lam*Fu + (1-lam)*Fb; stays L-smooth and convex."""
+    """Pointwise lam*Fu + (1-lam)*Fb; stays L-smooth and convex.
+
+    The two must share knot locations within 1e-12 rho, end values at x
+    within 1e-9 L rho^2 and end gradients within 1e-9 L rho, with
+    rho = ||y - x||: tolerances relative to the data, so that the verdict
+    does not depend on units.
+    """
     if not 0.0 <= lam <= 1.0:
         raise RangeError(f"lambda = {lam} outside [0, 1]")
     ku, kb = Fu.knots, Fb.knots
     if ku.x.shape != kb.x.shape or abs(Fu.L - Fb.L) > 0.0:
         raise MismatchError("interpolants differ in knot count or smoothness")
-    if not np.allclose(ku.x, kb.x, rtol=0.0, atol=1e-12):
+    rho = float(np.linalg.norm(Fu.y - Fu.x))
+    g_tol = 1e-9 * Fu.L * rho
+
+    def close(a, b, tol) -> bool:
+        return bool(np.all(np.abs(a - b) <= tol))
+
+    if not close(ku.x, kb.x, 1e-12 * rho):
         raise MismatchError("knot locations differ")
-    if abs(ku.f[0] - kb.f[0]) > 1e-9 or not np.allclose(ku.g[0], kb.g[0], atol=1e-9):
+    if not (close(ku.f[0], kb.f[0], g_tol * rho) and close(ku.g[0], kb.g[0], g_tol)):
         raise MismatchError("endpoint data at x differs")
-    if not np.allclose(ku.g[-1], kb.g[-1], atol=1e-9):
+    if not close(ku.g[-1], kb.g[-1], g_tol):
         raise MismatchError("endpoint gradient at y differs")
 
     knots = PointData(ku.x, lam * ku.f + (1.0 - lam) * kb.f, lam * ku.g + (1.0 - lam) * kb.g)

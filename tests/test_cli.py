@@ -85,6 +85,7 @@ class TestContour:
 
     # sha256 of the output of the per-point implementation these replaced;
     # the last two grids start below the domain, whose rows are skipped.
+    # The default 400 x 400 grid, last, is the one the benchmark checks.
     @pytest.mark.parametrize("args, digest", [
         (["--nx", "20", "--ny", "20"],
          "296ff81c76e0edfd8e8322152b775890fb458f33b3a9b48c8c0a5b8411fa43b1"),
@@ -95,6 +96,7 @@ class TestContour:
         (["--nx", "37", "--ny", "29", "--ymin", "-0.5", "--xmin", "-3", "--xmax", "4",
           "--format", "svg"],
          "cf59a204e81400625529de1306d328a5a09bf2a5e7be1b86e1372cef890b6bd9"),
+        ([], "0408ad147224d2c2178ad66e85f1e2ff734e0f6f63853c5a36a27b77c72fd4c2"),
     ])
     def test_output_bytes_pinned(self, tmp_path, args, digest):
         out = tmp_path / "contour.out"
@@ -250,6 +252,50 @@ class TestInterpolate:
         assert float(last[1]) == pytest.approx(0.25, abs=1e-12)
 
 
+class TestTableBytes:
+    # sha256 of the output of the per-cell CSV writer the block formats replaced
+    @pytest.mark.parametrize("argv, spec, digest", [
+        (["interpolate"], SPEC_06_N1,
+         "b6fee1a9524eb2d4ff319c76ab80a0e838554f54983721a1dcaaa8f8f9cc3123"),
+        (["interpolate"], dict(SPEC_06_N1, N=5),
+         "e7fd7a60803af93c16f9454a9e3902b43adbe4679314632d79437b94d287ffa8"),
+        (["sweep", "--s-steps", "3", "--N-list", "1,2"], None,
+         "10375b204efecf86dafa1f6b7114cedcf8c45d2dbecba32c3825a7d0a47bf97a"),
+        (["region", "--steps", "10"], None,
+         "1ff596aee5dc5538573631136233ca0b1863155b604836abc2a1f442a1ad9f1b"),
+    ], ids=["interpolate-N1", "interpolate-N5", "sweep", "region"])
+    def test_csv_bytes_pinned(self, tmp_path, argv, spec, digest):
+        if spec is not None:
+            argv = [*argv, "--in", _write_spec(tmp_path, spec)]
+        out = tmp_path / "table.csv"
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1])
+    def test_percent_format_matches_format(self, v):
+        # the tables format floats with "%.17g" %, the writer before them with format()
+        assert "%.17g" % v == format(v, ".17g")
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_state_between_calls(self, tmp_path):
+        # an option given to one call is back at its default in the next
+        quick = ["--grid-spacing", "1/4", "--pairs", "10"]
+        assert cli.main(["verify", *quick, "--perturb-piece", "2",
+                         "--out", str(tmp_path / "bad.txt")]) == cli.EXIT_VERIFY_FAILED
+        assert cli.main(["verify", *quick, "--out", str(tmp_path / "good.txt")]) \
+            == cli.EXIT_OK
+        small = ["--nx", "3", "--ny", "2"]
+        svg, csv = tmp_path / "c.svg", tmp_path / "c.csv"
+        assert cli.main(["contour", *small, "--format", "svg", "--out", str(svg)]) == 0
+        assert cli.main(["contour", *small, "--out", str(csv)]) == 0
+        assert svg.read_text().startswith("<svg")
+        assert csv.read_text().startswith("x0,x1,piece,value\n")
+
+
 class TestBadInput:
     # each is refused before any work, with one line on stderr and exit 4
     # (a traceback exits 1, the code of a failed verification)
@@ -288,11 +334,16 @@ class TestBadInput:
     @pytest.mark.parametrize("change", [
         {"N": 2.7},
         {"N": True},
+        {"L": True},
+        {"f_x": False},
+        {"y": [True, False]},
         {"x": [[0.0, 0.0]], "y": [[1.0, 0.0]], "g_x": [[0.0, 0.0]], "g_y": [[0.6, 0.3]]},
         {"x": 0.0, "y": 1.0, "g_x": 0.0, "g_y": 0.6},
         {"x": [], "y": [], "g_x": [], "g_y": []},
-    ], ids=["N-fraction", "N-bool", "vectors-2d", "vectors-scalar", "vectors-empty"])
+    ], ids=["N-fraction", "N-bool", "L-bool", "f_x-bool", "vector-bool",
+            "vectors-2d", "vectors-scalar", "vectors-empty"])
     def test_malformed_spec(self, command, change, tmp_path, capsys):
-        # a truncated N or a vector of another shape is refused, not solved
+        # a truncated N, a boolean read as 0 or 1, or a vector of another
+        # shape is refused, not solved
         path = _write_spec(tmp_path, dict(SPEC_06_N1, **change))
         self._refused([command, "--in", path], tmp_path, capsys)

@@ -212,6 +212,21 @@ class TestCombine:
         with pytest.raises(RangeError):
             combine(Fu, Fb, 1.5)
 
+    def test_tolerances_relative_to_units(self):
+        # at rho = 1e-6 the end gradients (0.6, 0.3) and (0.6, 0.301), in
+        # canonical units, are 1e-9 apart in spec units
+        def build(g_y, direction):
+            rho = 1e-6
+            spec = chain.ChainSpec(L=1.0, x=np.zeros(2), y=np.array([rho, 0.0]), f_x=0.0,
+                                   g_x=np.zeros(2), g_y=rho * np.asarray(g_y), N=3,
+                                   direction=direction)
+            return build_segment_interpolant(spec.L, chain.solve_spec(spec).chain)
+
+        Fu = build([0.6, 0.3], chain.UPPER)
+        combine(Fu, build([0.6, 0.3], chain.LOWER), 0.5)
+        with pytest.raises(MismatchError, match="gradient at y"):
+            combine(Fu, build([0.6, 0.301], chain.LOWER), 0.5)
+
     def test_mismatched_knot_counts(self):
         Fu, _, _, _ = self._pair(N=2)
         _, Fb3, _, _ = self._pair(N=3)
