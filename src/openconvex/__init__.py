@@ -3,7 +3,7 @@
 The package verifies an exact piecewise-quadratic function showing that
 smooth convex functions on open sets need not extend to the whole space,
 implements the accompanying two-point inequalities, computes chain bounds
-on f(y) with a built-in log-barrier QCQP solver, and realizes chain
+on f(y) with a built-in log-barrier solver, and realizes chain
 solutions as smooth convex interpolants along the segment.
 """
 
@@ -29,7 +29,6 @@ from .chain import (
     build_problem,
     closed_form_n1,
     normalized_spec,
-    oracle_grid_n2,
     solve,
     solve_spec,
     sweep,

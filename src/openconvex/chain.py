@@ -22,18 +22,24 @@ the upper program U_N(a, b) is solved: reversing a chain maps the feasible
 set onto itself and F_N to a - F_N, so the lower bound is a - U_N(a, b).
 Tolerances act in canonical units, that is relative to L ||y - x||^2.
 
-With m = a - a^2 - b^2 the program is feasible iff m >= 0, so no phase I is
-needed.  For fixed gradients each increment F_i+1 - F_i has an interval,
-and the maximum takes its upper end.  On the boundary m = 0, and for N = 1,
-the gradients are pinned to G_i = (i/N)(a, b), and that gives U_N directly.
-Inside, log-barrier path-following with damped Newton steps starts from
-G_i = (i/N)(a, b), F_i = a i^2 / (2N^2), where every slack is m / (2N^2),
-and F is then re-taken at the upper ends for the barrier's G.  Each
-constraint couples only knots i and i+1, with the same +-I curvature on
-(G_i, G_i+1), so values, gradients and the barrier Hessian come from
-per-segment arrays.  Along a Newton direction each slack is an exact
-quadratic in the step: the line search backtracks on those and takes the
-barrier change in closed form.
+For fixed gradients each increment F_i+1 - F_i has an interval, and the
+maximum takes its upper end.  The interval is non-empty iff the gradient
+increment D_j = G_j+1 - G_j lies in the disk D_N with centre e_1/(2N) and
+radius 1/(2N), so with w_j = (N - j)/N
+
+    U_N(a, b) = max sum_j [w_j D_j,1 - 1/2 ||D_j||^2]
+                s.t. D_j in D_N, sum_j D_j = (a, b).
+
+With m = a - a^2 - b^2 this is feasible iff m >= 0, so no phase I is
+needed.  On the boundary m = 0, and for N = 1, the increments are pinned to
+(a, b)/N, and that gives U_N directly.  Inside, log-barrier path-following
+with damped Newton steps starts from D_j = (a, b)/N, where every disk slack
+s_j = 1/(4N^2) - ||D_j - e_1/(2N)||^2 is m/N^2.  Each Newton step inverts
+the r x r blocks H_j = (t + 2/s_j) I + (4/s_j^2) u_j u_j', u_j = D_j -
+e_1/(2N), in closed form and solves one r x r system for the multiplier of
+sum_j D_j = (a, b).  Along a Newton direction each slack and the objective
+are exact quadratics in the step: the line search backtracks on those and
+takes the barrier change in closed form.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import PointData
-from .errors import DegenerateError, DimensionMismatch, NoFeasiblePoint, RangeError
+from .errors import DegenerateError, DimensionMismatch, RangeError
 
 UPPER = "upper"
 LOWER = "lower"
@@ -100,11 +106,7 @@ class ChainSpec:
 
 @dataclass
 class ChainProblem:
-    """The canonical upper program of ``spec``: maximize F_N over the knots.
-
-    The variables z are knot-major: (F_1, G_1, ..., F_N-1, G_N-1, F_N), so
-    F_N is the last one.  ``knots`` fills in the pinned F_0, G_0 and G_N.
-    """
+    """The canonical upper program of ``spec``: maximize F_N over the knots."""
 
     spec: ChainSpec
     basis: np.ndarray               # d x r orthonormal: e_1, then e_2 when b > 0
@@ -118,26 +120,6 @@ class ChainProblem:
     @property
     def reduced_dim(self) -> int:
         return self.gN.size
-
-    @property
-    def n_vars(self) -> int:
-        return self.N + (self.N - 1) * self.reduced_dim
-
-    def knots(self, z: np.ndarray) -> np.ndarray:
-        """(N+1) x (1+r) rows (F_i, G_i) of the chain z."""
-        m = 1 + self.reduced_dim
-        return np.concatenate([np.zeros(m), z, self.gN]).reshape(self.N + 1, m)
-
-    def free(self, K: np.ndarray) -> np.ndarray:
-        """The chain z of the knot rows K; the inverse of ``knots``."""
-        return K.ravel()[1 + self.reduced_dim:-self.reduced_dim]
-
-    def values(self, z: np.ndarray) -> np.ndarray:
-        """Constraint values h1_0, h2_0, h1_1, ...; z is feasible when all are <= 0."""
-        return _Barrier(self).values(z)
-
-    def max_violation(self, z: np.ndarray) -> float:
-        return float(np.max(self.values(z)))
 
 
 @dataclass
@@ -168,141 +150,112 @@ def build_problem(spec: ChainSpec) -> ChainProblem:
 # --- barrier machinery -------------------------------------------------------
 
 
-class _Barrier:
-    """The constraints h_j(z) <= 0 as per-segment arrays.
+def _offsets(D: np.ndarray) -> np.ndarray:
+    """u_j = D_j - e_1/(2N): each increment row's offset from the disk centre."""
+    u = D.copy()
+    u[:, 0] -= 0.5 / D.shape[0]
+    return u
 
-    Segment i's two constraints read only u_i = (F_i, G_i, F_i+1, G_i+1),
-    taken from the padded vector X = (F_0, G_0, z, G_N) by the index rows
-    ``seg``.  Both are h(u) = 1/2 u'Pu + lin.u with the one curvature P,
-    +-I on (G_i, G_i+1); ``lin`` holds the linear parts of h1 and h2.
+
+def _disk_slacks(D: np.ndarray) -> np.ndarray:
+    """s_j = 1/(4N^2) - ||u_j||^2: positive iff increment j is inside D_N."""
+    u = _offsets(D)
+    return 0.25 / D.shape[0] ** 2 - np.vecdot(u, u)
+
+
+def _newton_step(w: np.ndarray, D: np.ndarray, s: np.ndarray,
+                 t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradient g and Newton step (dD, nu) of the centering problem at D.
+
+    The step solves H_j dD_j + g_j + nu = 0 for every j with sum_j dD_j = 0.
+    H_j = c_j I + (4/s_j^2) u_j u_j' with c_j = t + 2/s_j has the inverse
+    (I - beta_j u_j u_j') / c_j, beta_j = 1/(||u_j||^2 + s_j/2 + t s_j^2/4)
+    (Sherman-Morrison), so dD_j = -H_j^-1 (g_j + nu) and nu solves the r x r
+    system (sum_j H_j^-1) nu = -sum_j H_j^-1 g_j.
     """
+    u = _offsets(D)
+    g = t * D + (2.0 / s)[:, None] * u
+    g[:, 0] -= t * w
+    c = t + 2.0 / s
+    beta = 1.0 / (np.vecdot(u, u) + 0.5 * s + 0.25 * t * s * s)
 
-    def __init__(self, problem: ChainProblem):
-        N, r = problem.N, problem.reduced_dim
-        m = self.m = 1 + r
-        self.head, self.tail = np.zeros(m), problem.gN
-        self.free = slice(m, m + problem.n_vars)
-        self.nx = (N + 1) * m
-        seg = self.seg = np.arange(N)[:, None] * m + np.arange(2 * m)
-        self.pairs = (seg[:, :, None] * self.nx + seg[:, None, :]).ravel()
-        eye = np.eye(r)
-        self.P = np.zeros((2 * m, 2 * m))
-        self.P[1:m, 1:m] = self.P[m + 1:, m + 1:] = eye
-        self.P[1:m, m + 1:] = self.P[m + 1:, 1:m] = -eye
-        self.lin = np.zeros((2, 2 * m))
-        self.lin[0, [0, m, m + 1]] = -1.0, 1.0, -1.0 / N
-        self.lin[1, [0, 1, m]] = 1.0, 1.0 / N, -1.0
+    def inverse(v):
+        return (v - (beta * np.vecdot(u, v))[:, None] * u) / c[:, None]
 
-    def _entries(self, z: np.ndarray, tail: np.ndarray) -> np.ndarray:
-        return np.concatenate((self.head, z, tail))[self.seg]
-
-    def values(self, z: np.ndarray) -> np.ndarray:
-        u = self._entries(z, self.tail)
-        m = self.m
-        v = u[:, 1:m] - u[:, m + 1:]
-        q = 0.5 * np.einsum("ij,ij->i", v, v)
-        return (u @ self.lin.T + q[:, None]).ravel()
-
-    def local_grads(self, z: np.ndarray) -> np.ndarray:
-        """Gradients P u + lin of h1_i and h2_i over u_i: N x 2 x len(u_i)."""
-        return (self._entries(z, self.tail) @ self.P)[:, None, :] + self.lin
-
-    def grad_hess(self, lg: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Barrier gradient and Hessian given local gradients and slacks d > 0."""
-        w = (1.0 / d).reshape(-1, 2)
-        wl = lg * w[:, :, None]
-        blocks = np.einsum("nck,ncl->nkl", wl, wl) + w.sum(axis=1)[:, None, None] * self.P
-        g = np.bincount(self.seg.ravel(), wl.sum(axis=1).ravel(), self.nx)
-        H = np.bincount(self.pairs, blocks.ravel(), self.nx ** 2).reshape(self.nx, self.nx)
-        return g[self.free], H[self.free, self.free]
-
-    def slack_rates(self, lg: np.ndarray, dz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(a, b) with slacks d(alpha) = d - alpha*a - alpha^2*b/2 along dz."""
-        du = self._entries(dz, np.zeros(self.m - 1))
-        m = self.m
-        dv = du[:, 1:m] - du[:, m + 1:]
-        a = np.einsum("nck,nk->nc", lg, du).ravel()
-        return a, np.repeat(np.einsum("ij,ij->i", dv, dv), 2)
+    S = np.eye(D.shape[1]) * (1.0 / c).sum() - np.einsum("j,jk,jl->kl", beta / c, u, u)
+    nu = np.linalg.solve(S, -inverse(g).sum(axis=0))
+    return g, -inverse(g + nu), nu
 
 
-def _step_change(step: float, tcdz: float, a: np.ndarray, b: np.ndarray,
-                 d: np.ndarray) -> float:
-    """Exact change of t*c'z - sum log d over step*dz, inf outside the interior.
+def _step_change(step: float, lin: float, quad: float, a: np.ndarray, b: np.ndarray,
+                 s: np.ndarray) -> float:
+    """Exact change of the centering objective over step*dD, inf outside the interior.
 
-    Slacks are quadratic along dz, d(step) = d - step*a - step^2*b/2, so the
-    change needs no barrier values, whose difference is lost to rounding at
-    large t.
+    Along dD the objective part changes by step*lin + step^2*quad/2 and the
+    slacks are s(step) = s - step*a - step^2*b/2, so the change needs no
+    barrier values, whose difference is lost to rounding at large t.
     """
     drop = step * (a + 0.5 * step * b)
-    if not np.all(drop < d):
+    if not (drop < s).all():
         return math.inf
-    return step * tcdz - float(np.sum(np.log1p(-drop / d)))
+    return step * (lin + 0.5 * step * quad) - float(np.log1p(-drop / s).sum())
 
 
-def _newton_center(
-    c: np.ndarray,
-    barrier: _Barrier,
-    z: np.ndarray,
-    d: np.ndarray,
-    t: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize t*c'z - sum log(-h_j(z)) by damped Newton from interior z.
+def _newton_center(w: np.ndarray, D: np.ndarray, s: np.ndarray,
+                   t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize t sum_j [1/2 ||D_j||^2 - w_j D_j,1] - sum_j log s_j over
+    sum_j D_j fixed, by damped Newton from interior D with slacks s.
 
-    d holds the slacks -h_j(z) > 0; returns the new point and its slacks.
-    Stops once the Newton decrement no longer falls: at large t it levels
-    off at the rounding floor, above the 1e-11 stop.
+    Returns the new increments and their slacks.  Stops once the Newton
+    decrement no longer falls: at large t it levels off at the rounding
+    floor, above the 1e-11 stop.
     """
     previous = math.inf
     for _ in range(MAX_NEWTON):
-        lg = barrier.local_grads(z)
-        g, H = barrier.grad_hess(lg, d)
-        g += t * c
-        diag = np.arange(g.size)
-        H[diag, diag] += 1e-12 * (1.0 + np.abs(H[diag, diag]))
-        try:
-            dz = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            dz = np.linalg.lstsq(H, -g, rcond=None)[0]
-        decrement = -float(g @ dz)
+        g, dD, _ = _newton_step(w, D, s, t)
+        decrement = -float((g * dD).sum())
         if decrement <= 0 or decrement >= previous:
             break
         previous = decrement
         # backtracking on the exact quadratic slacks: stay strictly feasible,
         # then Armijo on the barrier change taken without cancellation
-        a, b = barrier.slack_rates(lg, dz)
-        tcdz = t * float(c @ dz)
+        a = 2.0 * np.vecdot(_offsets(D), dD)
+        b = 2.0 * np.vecdot(dD, dD)
+        lin = t * float((D * dD).sum() - w @ dD[:, 0])
+        quad = 0.5 * t * float(b.sum())
         step = 1.0
-        accepted = False
         for _ in range(60):
-            if _step_change(step, tcdz, a, b, d) <= -0.25 * step * decrement:
+            if _step_change(step, lin, quad, a, b, s) <= -0.25 * step * decrement:
                 # the direct evaluation guards against rounding in (a, b)
-                zn = z + step * dz
-                dn = -barrier.values(zn)
-                if np.all(dn > 0.0):
-                    accepted = True
+                Dn = D + step * dD
+                sn = _disk_slacks(Dn)
+                if (sn > 0.0).all():
                     break
             step *= 0.5
-        if not accepted:
+        else:
             break
-        z, d = zn, dn
+        D, s = Dn, sn
         if 0.5 * decrement <= 1e-11:
             break
-    return z, d
+    return D, s
 
 
-def _barrier_path(problem: ChainProblem, z: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """Maximize F_N by path-following from interior z; returns (z, gap, converged)."""
-    barrier = _Barrier(problem)
-    c = np.zeros(z.size)
-    c[-1] = -1.0
-    d = -barrier.values(z)
+def _barrier_path(problem: ChainProblem) -> tuple[np.ndarray, float, bool]:
+    """Increments D (N x r) maximizing U_N by path-following from D_j = (a, b)/N.
+
+    Returns (D, gap, converged); with N disk constraints the gap is N/t.
+    """
+    N = problem.N
+    w = (N - np.arange(N)) / N
+    D = np.tile(problem.gN / N, (N, 1))
+    s = _disk_slacks(D)
     t = 1.0 / BARRIER_MU0
     for _ in range(MAX_OUTER):
-        z, d = _newton_center(c, barrier, z, d, t)
-        if d.size / t <= NEWTON_TOL:
-            return z, d.size / t, True
+        D, s = _newton_center(w, D, s, t)
+        if N / t <= NEWTON_TOL:
+            return D, N / t, True
         t /= MU_SHRINK
-    return z, d.size / t, False
+    return D, N / t, False
 
 
 def _upper_ends(problem: ChainProblem, G: np.ndarray) -> np.ndarray:
@@ -310,6 +263,14 @@ def _upper_ends(problem: ChainProblem, G: np.ndarray) -> np.ndarray:
     G_i+1.e_1/N - 1/2 |G_i+1 - G_i|^2 (h1_i = 0): the largest F_N through G."""
     step = G[1:, 0] / problem.N - 0.5 * np.sum(np.diff(G, axis=0) ** 2, axis=1)
     return np.column_stack([np.concatenate(([0.0], np.cumsum(step))), G])
+
+
+def _constraint_values(problem: ChainProblem, K: np.ndarray) -> np.ndarray:
+    """(h1_i, h2_i) of each segment of the knot rows K = (F_i, G_i): N x 2,
+    feasible when all are <= 0."""
+    dF = np.diff(K[:, 0])
+    q = 0.5 * np.sum(np.diff(K[:, 1:], axis=0) ** 2, axis=1)
+    return np.column_stack([q + dF - K[1:, 1] / problem.N, q - dF + K[:-1, 1] / problem.N])
 
 
 def solve(problem: ChainProblem) -> BoundResult:
@@ -321,15 +282,13 @@ def solve(problem: ChainProblem) -> BoundResult:
     N, gN = problem.N, problem.gN
     margin = gN[0] - float(gN @ gN)
     band = FEAS_BAND * max(1.0, abs(gN[0]))
-    frac = np.arange(N + 1) / N
-    G = frac[:, None] * gN
+    G = (np.arange(N + 1) / N)[:, None] * gN
     gap, converged = 0.0, True
     if N > 1 and margin > band:
-        K = np.column_stack([0.5 * gN[0] * frac ** 2, G])
-        z, gap, converged = _barrier_path(problem, problem.free(K))
-        G = problem.knots(z)[:, 1:]
+        D, gap, converged = _barrier_path(problem)
+        G[1:N] = np.cumsum(D[:-1], axis=0)
     K = _upper_ends(problem, G)
-    violation = problem.scale * max(0.0, problem.max_violation(problem.free(K)))
+    violation = problem.scale * max(0.0, float(np.max(_constraint_values(problem, K))))
     if margin < -band:
         d = problem.spec.x.size
         empty = PointData(np.empty((0, d)), np.empty(0), np.empty((0, d)))
@@ -377,7 +336,7 @@ def solve_spec(spec: ChainSpec) -> BoundResult:
     return solve(build_problem(spec))
 
 
-# --- closed forms and oracles ------------------------------------------------
+# --- closed form -------------------------------------------------------------
 
 
 def closed_form_n1(spec: ChainSpec) -> tuple[float, float, bool]:
@@ -388,68 +347,6 @@ def closed_form_n1(spec: ChainSpec) -> tuple[float, float, bool]:
     u1 = spec.f_x + float(spec.g_y @ d) - quad
     b1 = spec.f_x + float(spec.g_x @ d) + quad
     return b1, u1, b1 <= u1 + 1e-15
-
-
-def oracle_grid_n2(spec: ChainSpec, resolution: int = 400) -> tuple[float, float]:
-    """Brute-force (B2, U2) by grid search over the single free gradient.
-
-    The search runs in the canonical program: G_0 = 0, G_2 = (a, b) and
-    chain step e_1/2.  For fixed G_1 the two F-variables collapse to
-    closed-form intervals, so each grid pass reduces to vectorized interval
-    arithmetic.  Summing a segment's two constraints gives
-    ||G_1 - G_0|| <= 1/2 and likewise from G_2, so a box of half-width 1/2
-    around G_2/2 covers the whole feasible set.  The upper objective is
-    concave in G_1 and the lower one convex over that convex set, so zooming
-    onto the best grid cell and re-gridding converges to the true optimum.
-    """
-    if spec.N != 2:
-        raise RangeError("grid oracle is defined for N = 2")
-    problem = build_problem(spec)
-    r = problem.reduced_dim
-    g2 = problem.gN
-
-    def evaluate(G):
-        q01 = 0.5 * np.sum(G ** 2, axis=1)
-        q12 = 0.5 * np.sum((G - g2) ** 2, axis=1)
-        u01 = 0.5 * G[:, 0] - q01
-        b01 = q01
-        u12 = 0.5 * g2[0] - q12
-        b12 = 0.5 * G[:, 0] + q12
-        feas = (b01 <= u01 + 1e-9) & (b12 <= u12 + 1e-9)
-        return feas, b01 + b12, u01 + u12
-
-    def grid(center, halfwidth):
-        axes = [np.linspace(center[k] - halfwidth, center[k] + halfwidth,
-                            resolution) for k in range(r)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
-
-    halfwidth = 0.5
-    G = grid(0.5 * g2, halfwidth)
-    feas, lows, ups = evaluate(G)
-    if not np.any(feas):
-        raise NoFeasiblePoint("no grid point satisfies the chain constraints")
-    lo_at = G[feas][int(np.argmin(lows[feas]))]
-    up_at = G[feas][int(np.argmax(ups[feas]))]
-    lower = float(np.min(lows[feas]))
-    upper = float(np.max(ups[feas]))
-
-    spacing = 2.0 * halfwidth / max(resolution - 1, 1)
-    for _ in range(3):
-        window = 3.0 * spacing
-        Gl = grid(lo_at, window)
-        fl, ll, _ = evaluate(Gl)
-        if np.any(fl) and float(np.min(ll[fl])) < lower:
-            lower = float(np.min(ll[fl]))
-            lo_at = Gl[fl][int(np.argmin(ll[fl]))]
-        Gu = grid(up_at, window)
-        fu, _, uu = evaluate(Gu)
-        if np.any(fu) and float(np.max(uu[fu])) > upper:
-            upper = float(np.max(uu[fu]))
-            up_at = Gu[fu][int(np.argmax(uu[fu]))]
-        spacing = 2.0 * window / max(resolution - 1, 1)
-    base = spec.f_x + float(spec.g_x @ (spec.y - spec.x))
-    return base + problem.scale * lower, base + problem.scale * upper
 
 
 # --- sweeps -------------------------------------------------------------------

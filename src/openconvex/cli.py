@@ -9,8 +9,8 @@ Subcommands:
   interpolate  solve, build the segment interpolant and sample it
 
 All files are written atomically (temp file + rename); floats are printed
-with 17 significant digits so CSV output is byte-reproducible (for sweep, at
-a fixed BLAS thread count).  A CSV table is formatted a block of rows at a
+with 17 significant digits so CSV output is byte-reproducible, at any BLAS
+thread count.  A CSV table is formatted a block of rows at a
 time, by one ``%`` format over the block's cells (``"%.17g" % v`` is the same
 text as ``format(v, ".17g")``), so no cell is formatted by its own call.
 The argument parser is built once per process and reused by every ``main``

@@ -18,22 +18,21 @@ import numpy as np
 from .bounds import PointData, cocoercivity_gap
 from .errors import InfeasibleData, MismatchError, RangeError
 
-FEAS_SLACK = 1e-12
-
 
 def _pair_gaps(L: float, p0: PointData, p1: PointData) -> float | np.ndarray:
     """The smaller co-coercivity gap of each pair, from p0 to p1 and back."""
     return np.minimum(cocoercivity_gap(L, p0, p1), cocoercivity_gap(L, p1, p0))
 
 
-def two_point_feasible(L: float, p0: PointData, p1: PointData,
-                       slack: float = FEAS_SLACK) -> bool:
-    """Co-coercivity from p0 to p1 and from p1 to p0, within a small slack.
+def two_point_feasible(L: float, p0: PointData, p1: PointData) -> bool:
+    """Co-coercivity from p0 to p1 and from p1 to p0, within 1e-9 L ||p1.x - p0.x||^2.
 
-    The first bounds p1.f from below, the second from above.  On stacks it
-    is True iff every pair passes.
+    The first bounds p1.f from below, the second from above.  The slack is
+    relative to each pair's own L ||p1.x - p0.x||^2, so the verdict does not
+    depend on units.  On stacks it is True iff every pair passes.
     """
-    return bool(np.all(_pair_gaps(L, p0, p1) >= -slack))
+    dx = p1.x - p0.x
+    return bool(np.all(_pair_gaps(L, p0, p1) >= -1e-9 * L * np.vecdot(dx, dx)))
 
 
 def envelope_eval(L: float, p0: PointData, p1: PointData,

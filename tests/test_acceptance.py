@@ -17,6 +17,8 @@ from openconvex import bounds, chain, checks, cli, interpolation, spline
 from openconvex.bounds import PointData
 from openconvex.spline import ExactPoint
 
+from grid_oracle import oracle_grid_n2
+
 S_MAX = math.sqrt(0.5)
 
 
@@ -141,7 +143,7 @@ def test_criterion_08_solver_vs_grid_oracle_n2():
     worst = 0.0
     for s in rng.uniform(0.52, S_MAX - 0.01, size=10):
         spec = chain.normalized_spec(float(s), 2)
-        b2o, u2o = chain.oracle_grid_n2(spec, resolution=400)
+        b2o, u2o = oracle_grid_n2(spec, resolution=400)
         lo = chain.solve_spec(chain.normalized_spec(float(s), 2, chain.LOWER))
         up = chain.solve_spec(chain.normalized_spec(float(s), 2, chain.UPPER))
         worst = max(worst, abs(lo.value - b2o), abs(up.value - u2o))

@@ -15,7 +15,6 @@ from openconvex.chain import (
     build_problem,
     closed_form_n1,
     normalized_spec,
-    oracle_grid_n2,
     solve_spec,
     sweep,
 )
@@ -26,6 +25,8 @@ from openconvex.errors import (
     RangeError,
 )
 from openconvex.interpolation import two_point_feasible
+
+from grid_oracle import oracle_grid_n2
 
 
 def _spec(s, N, direction=UPPER):
@@ -73,23 +74,26 @@ class TestSpecValidation:
 class TestProblemShape:
     def test_n1_sizes(self):
         p = build_problem(_spec(0.6, 1))
-        assert p.n_vars == 1
-        assert p.values(np.zeros(p.n_vars)).shape == (2,)
-        # F_N is the last variable
-        assert p.knots(np.array([0.3]))[-1, 0] == 0.3
+        G = np.array([[0.0, 0.0], p.gN])
+        K = chain._upper_ends(p, G)
+        assert K.shape == (2, 3)
+        assert chain._constraint_values(p, K).shape == (1, 2)
+        # F_N is the last knot's first entry: U_1 = a - (a^2 + b^2)/2
+        assert K[-1, 0] == pytest.approx(0.35, abs=1e-15)
 
     def test_n3_sizes(self):
         p = build_problem(_spec(0.6, 3))
         # the normalized family spans only 2 directions (g_x = 0)
         assert p.reduced_dim == 2
-        assert p.n_vars == 3 + 2 * 2
-        z = np.arange(p.n_vars, dtype=float)
-        assert p.values(z).shape == (6,)
-        K = p.knots(z)
+        G = (np.arange(4) / 3)[:, None] * p.gN
+        K = chain._upper_ends(p, G)
         assert K.shape == (4, 3)
-        assert K[-1, 0] == z[-1]
         assert np.array_equal(K[0], np.zeros(3))
         assert np.array_equal(K[-1, 1:], p.gN)
+        h = chain._constraint_values(p, K)
+        assert h.shape == (3, 2)
+        # the upper ends make every h1 tight
+        assert np.max(np.abs(h[:, 0])) <= 1e-15
 
     def test_reduction_caps_dimension(self):
         rng = np.random.default_rng(3)
@@ -121,8 +125,10 @@ class TestProblemShape:
     def test_constraint_values_at_known_point(self):
         # N=1, s = 0.5: both constraints are tight at f_1 = 1/4
         p = build_problem(_spec(0.5, 1))
-        z = np.array([0.25])
-        assert p.max_violation(z) == pytest.approx(0.0, abs=1e-12)
+        K = np.array([[0.0, 0.0, 0.0], [0.25, *p.gN]])
+        h = chain._constraint_values(p, K)
+        assert h.shape == (1, 2)
+        assert np.max(np.abs(h)) <= 1e-12
 
 
 class TestClosedFormN1:
@@ -205,6 +211,14 @@ class TestBoundary:
         u5 = solve_spec(_spec(s, 5)).value
         u50 = solve_spec(_spec(s, 50)).value
         assert u5 <= u50 <= u5 + 0.05 * (u5 - 0.25)
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-7])
+    def test_refinement_just_above_half(self, eps):
+        # refining a feasible chain keeps it feasible, so U_1 <= U_5 <= U_50;
+        # here every disk slack starts at m/N^2 with m = eps
+        u1, u5, u50 = (solve_spec(_spec(0.5 + eps, N)).value for N in (1, 5, 50))
+        assert u1 <= u5 + 1e-12
+        assert u5 <= u50 + 1e-12
 
 
 class TestSolverGeneral:
@@ -345,84 +359,114 @@ class TestSweep:
 
 
 class TestLineSearch:
-    """The closed-form slacks and barrier change behind the Newton line search."""
+    """The Newton step and the closed-form slacks and barrier change behind its line search."""
+
+    T = 1.0  # nothing cancels at t = 1, so direct differences are accurate
 
     @pytest.fixture
     def interior(self):
-        # the analytic start G_i = (i/N)(a, b), F_i = a i^2/(2N^2), where every
-        # slack is w = m/(2N^2), moved by a small seeded perturbation; the
-        # direction dz is scaled to the same width
+        # the start D_j = (a, b)/N, where every disk slack is width = m/N^2,
+        # moved by a small seeded perturbation; the direction dD is scaled to
+        # the same width and sums to 0, as a Newton step does
         N = 5
         problem = build_problem(_spec(0.7, N))
         a, b = problem.gN
-        width = (a - a * a - b * b) / (2 * N * N)
-        frac = np.arange(N + 1) / N
-        K = np.column_stack([0.5 * a * frac ** 2, frac[:, None] * problem.gN])
+        width = (a - a * a - b * b) / N ** 2
         rng = np.random.default_rng(7)
-        z = problem.free(K) + 0.05 * width * rng.normal(size=problem.n_vars)
-        barrier = chain._Barrier(problem)
-        assert np.all(-barrier.values(z) > 0.5 * width)
-        return barrier, z, width * rng.normal(size=z.size), width
+        D = problem.gN / N + 0.05 * width * rng.normal(size=(N, 2))
+        assert np.all(chain._disk_slacks(D) > 0.5 * width)
+        dD = width * rng.normal(size=(N, 2))
+        w = (N - np.arange(N)) / N
+        return w, D, dD - dD.mean(axis=0), width
+
+    @classmethod
+    def _value(cls, w, D):
+        # the centering objective t sum_j [1/2 |D_j|^2 - w_j D_j,1] - sum_j log s_j
+        return (cls.T * float(0.5 * np.sum(D * D) - w @ D[:, 0])
+                - float(np.sum(np.log(chain._disk_slacks(D)))))
+
+    @staticmethod
+    def _rates(D, dD):
+        a = 2.0 * np.sum(chain._offsets(D) * dD, axis=1)
+        return a, 2.0 * np.sum(dD * dD, axis=1)
+
+    @classmethod
+    def _blocks(cls, D):
+        # H_j = (t + 2/s_j) I + (4/s_j^2) u_j u_j', one r x r block per increment
+        s, u = chain._disk_slacks(D), chain._offsets(D)
+        eye = np.eye(D.shape[1])
+        return ((cls.T + 2.0 / s)[:, None, None] * eye
+                + (4.0 / s ** 2)[:, None, None] * u[:, :, None] * u[:, None, :])
 
     def test_predicted_slacks_match_direct_evaluation(self, interior):
-        barrier, z, dz, _ = interior
-        d = -barrier.values(z)
-        a, b = barrier.slack_rates(barrier.local_grads(z), dz)
+        _, D, dD, _ = interior
+        s = chain._disk_slacks(D)
+        a, b = self._rates(D, dD)
         for alpha in (0.0, 0.1, 0.5, 1.0, 2.0):
-            predicted = d - alpha * a - 0.5 * alpha ** 2 * b
-            direct = -barrier.values(z + alpha * dz)
-            scale = np.maximum(np.abs(direct), 1.0)
-            assert np.max(np.abs(predicted - direct) / scale) <= 1e-12
+            predicted = s - alpha * a - 0.5 * alpha ** 2 * b
+            direct = chain._disk_slacks(D + alpha * dD)
+            assert np.max(np.abs(predicted - direct) / np.abs(direct)) <= 1e-12
 
     def test_exact_change_matches_barrier_difference(self, interior):
-        barrier, z, dz, _ = interior
-        problem_c = np.zeros(z.size)
-        problem_c[4] = -1.0
-        t = 1.0  # nothing cancels at t = 1, so the direct difference is accurate
-
-        def value(zz):
-            return t * float(problem_c @ zz) - float(np.sum(np.log(-barrier.values(zz))))
-
-        d = -barrier.values(z)
-        a, b = barrier.slack_rates(barrier.local_grads(z), dz)
-        tcdz = t * float(problem_c @ dz)
+        w, D, dD, _ = interior
+        s = chain._disk_slacks(D)
+        a, b = self._rates(D, dD)
+        lin = self.T * float(np.sum(D * dD) - w @ dD[:, 0])
+        quad = self.T * float(np.sum(dD * dD))
         checked = 0
         for alpha in (1e-3, 0.01, 0.1, 0.25):
-            if np.any(-barrier.values(z + alpha * dz) <= 0.0):
+            if np.any(chain._disk_slacks(D + alpha * dD) <= 0.0):
                 continue
-            exact = chain._step_change(alpha, tcdz, a, b, d)
-            direct = value(z + alpha * dz) - value(z)
+            exact = chain._step_change(alpha, lin, quad, a, b, s)
+            direct = self._value(w, D + alpha * dD) - self._value(w, D)
             assert exact == pytest.approx(direct, rel=1e-9, abs=1e-12)
             checked += 1
         assert checked >= 2
 
     def test_step_outside_interior_is_rejected(self, interior):
-        barrier, z, dz, _ = interior
-        d = -barrier.values(z)
-        a, b = barrier.slack_rates(barrier.local_grads(z), dz)
-        # far enough along dz the convex constraints are violated
-        assert chain._step_change(1e6, 0.0, a, b, d) == math.inf
+        _, D, dD, _ = interior
+        a, b = self._rates(D, dD)
+        # far enough along dD every increment leaves its disk
+        assert chain._step_change(1e6, 0.0, 0.0, a, b, chain._disk_slacks(D)) == math.inf
 
     def test_gradient_and_hessian_match_differences(self, interior):
-        # the per-segment assembly against central differences of -sum log(-h)
-        barrier, z, _, width = interior
+        # the per-block gradient against central differences of the centering
+        # objective, and the blocks H_j against central differences of it
+        w, D, _, width = interior
 
-        def grad(zz):
-            return barrier.grad_hess(barrier.local_grads(zz), -barrier.values(zz))[0]
+        def grad(DD):
+            return chain._newton_step(w, DD, chain._disk_slacks(DD), self.T)[0]
 
-        def value(zz):
-            return -float(np.sum(np.log(-barrier.values(zz))))
-
-        g, H = barrier.grad_hess(barrier.local_grads(z), -barrier.values(z))
-        assert H.shape == (z.size, z.size)
+        g, H = grad(D), self._blocks(D)
         h = 1e-4 * width
-        for k in range(z.size):
-            e = np.zeros(z.size)
-            e[k] = h
-            assert g[k] == pytest.approx((value(z + e) - value(z - e)) / (2 * h),
-                                         rel=1e-6, abs=1e-8)
-            assert H[:, k] == pytest.approx((grad(z + e) - grad(z - e)) / (2 * h),
-                                            rel=1e-6, abs=1e-8)
+        for j, k in np.ndindex(D.shape):
+            e = np.zeros(D.shape)
+            e[j, k] = h
+            assert g[j, k] == pytest.approx(
+                (self._value(w, D + e) - self._value(w, D - e)) / (2 * h), rel=1e-6, abs=1e-8)
+            column = (grad(D + e) - grad(D - e)) / (2 * h)
+            assert column[j] == pytest.approx(H[j, :, k], rel=1e-6, abs=1e-8)
+            # the Hessian is block diagonal: no other increment moves
+            assert np.delete(column, j, axis=0) == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("t", [1.0, 1e6])
+    def test_step_solves_full_kkt_system(self, interior, t):
+        # the block-eliminated step against the dense KKT system
+        #   [blockdiag(H_j)  A'] [dD]   [-g]
+        #   [A               0 ] [nu] = [ 0],   A = [I I ... I]
+        w, D, _, _ = interior
+        N, r = D.shape
+        g, dD, nu = chain._newton_step(w, D, chain._disk_slacks(D), t)
+        blocks = self._blocks(D) + (t - self.T) * np.eye(r)
+        kkt = np.zeros((N * r + r, N * r + r))
+        for j in range(N):
+            kkt[j * r:(j + 1) * r, j * r:(j + 1) * r] = blocks[j]
+        kkt[:N * r, N * r:] = np.tile(np.eye(r), (N, 1))
+        kkt[N * r:, :N * r] = kkt[:N * r, N * r:].T
+        ref = np.linalg.solve(kkt, np.concatenate([-g.ravel(), np.zeros(r)]))
+        got = np.concatenate([dD.ravel(), nu])
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert np.max(np.abs(dD.sum(axis=0))) <= 1e-10 * np.max(np.abs(dD))
 
 
 class TestReversalPrecision:

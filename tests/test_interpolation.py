@@ -49,6 +49,20 @@ class TestTwoPointFeasible:
         assert not two_point_feasible(1.0, p0, _pd(x1, np.array([0.125, 0.1249, 0.375]), g1))
         assert not two_point_feasible(1.0, p0, _pd(x1, np.array([0.125, 0.25, 0.3751]), g1))
 
+    def test_slack_relative_to_pair(self):
+        # at L ||y - x||^2 = 1e-12 a solver chain passes, and raising knot 1 by
+        # 0.1 canonical units (1e-13 here, below any absolute slack) fails
+        base = chain.normalized_spec(0.6, 5)
+        c = 1e-6
+        spec = chain.ChainSpec(base.L, c * base.x, c * base.y, 0.0, c * base.g_x,
+                               c * base.g_y, base.N)
+        knots = chain.solve_spec(spec).chain
+        assert two_point_feasible(spec.L, knots[:-1], knots[1:])
+        f = knots.f.copy()
+        f[1] += 0.1 * c * c
+        raised = PointData(knots.x, f, knots.g)
+        assert not two_point_feasible(spec.L, raised[:-1], raised[1:])
+
 
 class TestEnvelope:
     def test_coincident_surrogates(self):
