@@ -8,7 +8,9 @@ matches its values and gradients at those two points.
 
 Every verification below is exact, with zero floating-point tolerance: in
 rational arithmetic (fractions.Fraction), or on the lattice in integers after
-scaling by common denominators.  The float paths (value_float, eval_float and
+scaling by common denominators.  The lattice is built in int64 when an
+a-priori bound on its intermediates is below 2^62, and in Python integers
+otherwise.  The float paths (value_float, eval_float and
 their gradients) serve sampling and plotting only.
 """
 
@@ -446,8 +448,8 @@ DEFAULT_GRID_SPACING = Q(1, 16)
 DEFAULT_X_RANGE = (Q(-2), Q(3))
 DEFAULT_Y_RANGE = (DOMAIN_BOUND + Q(1, 240), Q(2))
 
-# The pair checks run in int64 when every intermediate is provably below this,
-# and in Python integers (dtype=object) otherwise.
+# The lattice is built and checked in int64 when an a-priori bound on every
+# intermediate is below this, and in Python integers (dtype=object) otherwise.
 _INT64_SAFE = 2 ** 62
 _PAIR_CHUNK = 1 << 16
 
@@ -463,6 +465,32 @@ def _contains_scaled(h: HalfPlane, D: int, X0: np.ndarray, X1: np.ndarray) -> np
     v = int(h.normal[0] * H) * X0 + int(h.normal[1] * H) * X1
     o = int(h.offset * H * D)
     return v < o if h.strict else v <= o
+
+
+def _lattice_dtype(spline: PiecewiseQuadratic, D: int, M: int, ints, step: int,
+                   corners) -> type:
+    """np.int64 if no lattice intermediate can reach _INT64_SAFE, else object.
+
+    x >= 1 bounds D, the step and |X0|, |X1| at every lattice point, which
+    the corners bound.  With ints the coefficients times M, the sums of
+    absolute terms g = (|a00| + |a01| + |b0|) x (or its x1 twin) and
+    fv = (|a00| + 2|a01| + |a11| + 2|b0| + 2|b1| + 2|c0|) x^2 bound every
+    partial sum and product of M*D*grad f and 2*M*D^2*f, as
+    (|n0| + |n1| + |offset|) x does for a half-plane test over its common
+    denominator.  With |d| <= 2x and |e| <= 2g, the pair checks stay below
+    max(8 g^2, 8 M^2 x^2, 2 fv + 8 g x).
+    """
+    x = max(D, step, *map(abs, corners))
+    g = x * max(max(abs(a00) + abs(a01) + abs(b0), abs(a01) + abs(a11) + abs(b1))
+                for a00, a01, a11, b0, b1, _ in ints)
+    fv = x * x * max(abs(a00) + 2 * abs(a01) + abs(a11) + 2 * (abs(b0) + abs(b1) + abs(c0))
+                     for a00, a01, a11, b0, b1, c0 in ints)
+    half = 0
+    for h in (spline.domain, *(h for _, region in spline.pieces for h in region)):
+        H = _den_lcm((*h.normal, h.offset))
+        half = max(half, x * sum(abs(int(v * H)) for v in (*h.normal, h.offset)))
+    bound = max(8 * g * g, 8 * M * M * x * x, 2 * fv + 8 * g * x, half)
+    return np.int64 if bound < _INT64_SAFE else object
 
 
 def _sampled_pair_checks(X0, X1, f, g0, g1, M: int, pair_stride: int):
@@ -523,7 +551,9 @@ def verify_grid_properties(
     and the range origins, and the piece coefficients are integers over a
     common denominator M.  Then 2*M*D^2*f and M*D*grad f are integers at
     every lattice point, and each check is an integer comparison with the
-    same sign as the rational one.
+    same sign as the rational one.  The integers are int64 when the
+    a-priori bound of _lattice_dtype, from the lattice corners and the
+    coefficients, is below 2^62, and Python integers otherwise.
     """
     spline = spline or _SPLINE
     report = VerificationReport()
@@ -534,27 +564,25 @@ def verify_grid_properties(
     step, x_org, y_org = int(spacing * D), int(x_range[0] * D), int(y_range[0] * D)
     coefs = [(q.a00, q.a01, q.a11, q.b0, q.b1, q.c) for q, _ in spline.pieces]
     M = _den_lcm(v for c in coefs for v in c)
+    ints = [tuple(int(v * M) for v in c) for c in coefs]
+    dtype = _lattice_dtype(spline, D, M, ints, step,
+                           (x_org, x_org + step * nx, y_org, y_org + step * ny))
 
-    # Lattice points in row-major (x0, then x1) order, open domain only, and
-    # per-point values in Python integers (dtype=object): there are few points.
-    X0 = np.repeat(x_org + step * np.arange(nx + 1).astype(object), ny + 1)
-    X1 = np.tile(y_org + step * np.arange(ny + 1).astype(object), nx + 1)
+    # Lattice points in row-major (x0, then x1) order, open domain only.
+    X0 = np.repeat(x_org + step * np.arange(nx + 1, dtype=dtype), ny + 1)
+    X1 = np.tile(y_org + step * np.arange(ny + 1, dtype=dtype), nx + 1)
     inside = _contains_scaled(spline.domain, D, X0, X1)
     X0, X1 = X0[inside], X1[inside]
 
-    claims, F, G0, G1 = [], [], [], []
-    for c, (_, region) in zip(coefs, spline.pieces):
-        a00, a01, a11, b0, b1, c0 = (int(v * M) for v in c)
-        claim = np.ones(len(X0), dtype=bool)
+    claims = np.ones((len(ints), len(X0)), dtype=bool)
+    F, G0, G1 = (np.empty(claims.shape, dtype=dtype) for _ in range(3))
+    for k, ((a00, a01, a11, b0, b1, c0), (_, region)) in enumerate(zip(ints, spline.pieces)):
         for h in region:
-            claim &= _contains_scaled(h, D, X0, X1)
-        claims.append(claim)
-        F.append(a00 * X0 * X0 + 2 * a01 * X0 * X1 + a11 * X1 * X1
-                 + 2 * D * (b0 * X0 + b1 * X1) + 2 * c0 * D * D)
-        G0.append(a00 * X0 + a01 * X1 + b0 * D)
-        G1.append(a01 * X0 + a11 * X1 + b1 * D)
-    claims = np.array(claims, dtype=bool)
-    F, G0, G1 = (np.array(v, dtype=object) for v in (F, G0, G1))
+            claims[k] &= _contains_scaled(h, D, X0, X1)
+        F[k] = (a00 * X0 * X0 + 2 * a01 * X0 * X1 + a11 * X1 * X1
+                + 2 * D * (b0 * X0 + b1 * X1) + 2 * c0 * D * D)
+        G0[k] = a00 * X0 + a01 * X1 + b0 * D
+        G1[k] = a01 * X0 + a11 * X1 + b1 * D
 
     # The active piece is the lowest-index claim; the scan stops at the first
     # point that is unclaimed or where claimed pieces disagree.
@@ -572,14 +600,6 @@ def verify_grid_properties(
         i = int(covered.argmin())
         raise DomainError(
             f"point ({Q(int(X0[i]), D)}, {Q(int(X1[i]), D)}) claimed by no region")
-
-    # With |d| <= 2 xmax and |e| <= 2 gmax these bound every pair intermediate.
-    xmax = max((abs(v) for v in (*X0, *X1)), default=0)
-    gmax = max((abs(v) for v in (*g0, *g1)), default=0)
-    fmax = max((abs(v) for v in f), default=0)
-    bound = max(8 * gmax * gmax, 8 * M * M * xmax * xmax, 2 * fmax + 8 * gmax * xmax)
-    if bound < _INT64_SAFE:
-        X0, X1, f, g0, g1 = (v.astype(np.int64) for v in (X0, X1, f, g0, g1))
 
     npairs, mono_ok, smooth_ok, descent_ok = _sampled_pair_checks(
         X0, X1, f, g0, g1, M, pair_stride)

@@ -57,6 +57,21 @@ class TestVerify:
         assert code == cli.EXIT_VERIFY_FAILED
         assert "FAIL" in out.read_text()
 
+    # sha256 of the reports of the Python-integer lattice these replaced;
+    # the default text is the one the benchmark checks
+    @pytest.mark.parametrize("args, code, digest", [
+        ([], cli.EXIT_OK,
+         "837a4246b60cba86df164fd471d79975253d67d62009e31e114c52ffb6f9a611"),
+        (["--format", "json"], cli.EXIT_OK,
+         "f4885e84419db11a70be10d0a022890342ae05bbc34b0b878b436e943887cfa0"),
+        (["--perturb-piece", "2"], cli.EXIT_VERIFY_FAILED,
+         "9150a33b04e283ba3027ce7551e72de567f518d3b05aebcbfa660e777e621830"),
+    ], ids=["text", "json", "perturb-piece-2"])
+    def test_output_bytes_pinned(self, tmp_path, args, code, digest):
+        out = tmp_path / "report.out"
+        assert cli.main(["verify", *args, "--out", str(out)]) == code
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestContour:
     def test_csv_has_exact_value_at_violation_point(self, tmp_path):

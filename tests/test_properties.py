@@ -3,7 +3,9 @@
 Each draw is embedded in a spec of another dimension, scale, position and
 tilt, whose canonical program is U_N(a, b).  The segment interpolant of a
 chain is checked the same way: in canonical units it does not depend on the
-spec's units or on a rigid motion.
+spec's units or on a rigid motion.  Refinement is checked on the canonical
+program itself: U_N <= U_kN up to the certified gap, also within 1e-8 of the
+boundary circle a^2 + b^2 = a.
 """
 
 import math
@@ -129,3 +131,50 @@ def test_interpolant_unit_invariance(canonical, log_scale, log_L, seed):
     f[1] += 0.1 * scale
     with pytest.raises(InfeasibleData, match=r"pair \(0, 1\)"):
         build_segment_interpolant(spec.L, PointData(chain.x, f, chain.g))
+
+
+def _canonical_spec(a, b, N):
+    """The canonical spec of U_N(a, b): L = 1, x = 0, y = e_1, f_x = 0, g_x = 0."""
+    return ChainSpec(1.0, np.zeros(2), np.array([1.0, 0.0]), 0.0, np.zeros(2),
+                     np.array([a, b]), N, UPPER)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.0, math.pi), st.floats(0.0, 1.0), st.booleans(), st.floats(-12.0, -8.0),
+       st.integers(1, 6), st.sampled_from([2, 3, 5]))
+@example(0.5, 0.0, True, -12.0, 5, 5)
+@example(0.5, 0.0, True, -8.0, 1, 2)
+def test_refinement_monotone(theta, r, near_boundary, log_distance, N, k):
+    # (a, b) = (1/2, 0) + (r/2)(cos theta, sin theta) lies (1 - r)/2 inside the
+    # circle a^2 + b^2 = a; near_boundary puts it 1e-12 to 1e-8 inside
+    if near_boundary:
+        r = 1.0 - 2.0 * 10.0 ** log_distance
+    a, b = 0.5 + 0.5 * r * math.cos(theta), 0.5 * r * math.sin(theta)
+    coarse, fine = solve_spec(_canonical_spec(a, b, N)), solve_spec(_canonical_spec(a, b, k * N))
+    assert coarse.status == fine.status == OPTIMAL
+    # a feasible N-chain refines to a feasible kN-chain, so U_N <= U_kN
+    assert coarse.value <= fine.value + fine.duality_gap_estimate + 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.0, math.pi), st.floats(0.0, 1.0), st.integers(1, 6),
+       st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1))
+@example(1.0, 0.5, 5, -3.0, 3.0, 1)
+@example(1.0, 0.5, 5, 3.0, -3.0, 2)
+def test_scale_motion_and_tilt_invariance(theta, r, N, log_L, log_rho, seed):
+    a, b = 0.5 + 0.5 * r * math.cos(theta), 0.5 * r * math.sin(theta)
+    L, rho = 10.0 ** log_L, 10.0 ** log_rho
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    c, c0 = rng.normal(size=3), float(rng.normal())
+    x = rng.normal(size=3)
+    y = x + rho * Q[:, 0]
+    g_y = c + L * rho * (a * Q[:, 0] + b * Q[:, 1])
+    # f + c0 + <c, z> for an f with f(x) = 0 and grad f(x) = 0
+    spec = ChainSpec(L, x, y, c0 + float(c @ x), c, g_y, N, UPPER)
+    unit, res = solve_spec(_canonical_spec(a, b, N)), solve_spec(spec)
+    assert unit.status == res.status == OPTIMAL
+    scale, tilt = L * rho * rho, c0 + float(c @ y)
+    tol = (scale * unit.duality_gap_estimate + res.duality_gap_estimate
+           + 1e-12 * max(scale, abs(c0) + abs(float(c @ y))))
+    assert abs(res.value - (tilt + scale * unit.value)) <= tol

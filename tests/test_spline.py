@@ -193,8 +193,8 @@ BOUNDARY_BAND = dict(
     pair_stride=11,
 )
 # Straddles seam 1|2 at (1/36, 0) with a spacing of about 1e-9.  Scaled by
-# their denominator D ~ 3.6e10 the points overflow the int64 bound, so the
-# pair checks run in Python integers (dtype=object).
+# their denominator D ~ 3.6e10 the pair checks could overflow int64, so the
+# whole lattice is built in Python integers (dtype=object).
 _H = Q(1, 10**9 + 7)
 SEAM_CLOSE_UP = dict(
     spacing=_H,
@@ -207,6 +207,19 @@ MODELS = {
     "piece2+1/1000": build_spline({2: Q(1, 1000)}),
     "piece4-1/7": build_spline({4: Q(-1, 7)}),
 }
+
+
+def _pair_check_dtypes(monkeypatch):
+    """The dtype of every array each later lattice check computes in, one per call."""
+    seen, checks = [], spline._sampled_pair_checks
+
+    def spy(X0, X1, f, g0, g1, M, pair_stride):
+        (dtype,) = {v.dtype for v in (X0, X1, f, g0, g1)}
+        seen.append(dtype.type)
+        return checks(X0, X1, f, g0, g1, M, pair_stride)
+
+    monkeypatch.setattr(spline, "_sampled_pair_checks", spy)
+    return seen
 
 
 class TestGridInvariants:
@@ -237,12 +250,21 @@ class TestGridInvariants:
         assert [(c.name, c.passed) for c in report.checks] == expected
         assert not report.passed
 
-    def test_python_integers_agree_with_int64(self, monkeypatch):
-        model = MODELS["piece4-1/7"]
-        fast = spline.verify_grid_properties(spline=model, **COARSE_LATTICE)
+    @pytest.mark.parametrize("lattice", ["coarse", "band", "default"])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_python_integers_agree_with_int64(self, monkeypatch, lattice, model):
+        kw = {"coarse": COARSE_LATTICE, "band": BOUNDARY_BAND, "default": {}}[lattice]
+        dtypes = _pair_check_dtypes(monkeypatch)
+        fast = spline.verify_grid_properties(spline=MODELS[model], **kw)
         monkeypatch.setattr(spline, "_INT64_SAFE", 0)
-        slow = spline.verify_grid_properties(spline=model, **COARSE_LATTICE)
+        slow = spline.verify_grid_properties(spline=MODELS[model], **kw)
+        assert dtypes == [np.int64, np.object_]
         assert fast.to_text() == slow.to_text()
+
+    def test_seam_close_up_runs_in_python_integers(self, monkeypatch):
+        dtypes = _pair_check_dtypes(monkeypatch)
+        spline.verify_grid_properties(**SEAM_CLOSE_UP)
+        assert dtypes == [np.object_]
 
     def test_uncovered_point_raises(self):
         base = build_spline()
