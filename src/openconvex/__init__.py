@@ -9,7 +9,6 @@ solutions as smooth convex interpolants along the segment.
 
 from .bounds import (
     AlphaWeights,
-    ChainConfig,
     Interval,
     PointData,
     alpha_weights,

@@ -45,23 +45,6 @@ class PointData:
 
 
 @dataclass(frozen=True)
-class ChainConfig:
-    x: np.ndarray
-    y: np.ndarray
-    N: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        if self.x.shape != self.y.shape:
-            raise DimensionMismatch("x and y dimensions differ")
-        if np.array_equal(self.x, self.y):
-            raise DegenerateError("chain endpoints coincide")
-        if self.N < 1:
-            raise RangeError("N must be a positive integer")
-
-
-@dataclass(frozen=True)
 class AlphaWeights:
     N: int
     xi: float
@@ -135,9 +118,17 @@ def min_chain_length(x, y, dist_x: float, dist_y: float) -> int:
     return int(np.floor(ratio)) + 1
 
 
-def make_chain(cfg: ChainConfig) -> list[np.ndarray]:
+def make_chain(x, y, N: int) -> list[np.ndarray]:
     """Equally spaced points x_i = x + (i/N)(y - x), i = 0..N."""
-    return [cfg.x + (i / cfg.N) * (cfg.y - cfg.x) for i in range(cfg.N + 1)]
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise DimensionMismatch("x and y dimensions differ")
+    if np.array_equal(x, y):
+        raise DegenerateError("chain endpoints coincide")
+    if N < 1:
+        raise RangeError("N must be a positive integer")
+    return [x + (i / N) * (y - x) for i in range(N + 1)]
 
 
 def alpha_weights(N: int, xi: float) -> AlphaWeights:

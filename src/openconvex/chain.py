@@ -343,18 +343,21 @@ def closed_form_n1(spec: ChainSpec) -> tuple[float, float, bool]:
     """(B1, U1, feasible) for the single-segment program."""
     d = spec.y - spec.x
     dg = spec.g_y - spec.g_x
+    cross = float(dg @ d)
     quad = float(dg @ dg) / (2.0 * spec.L)
     u1 = spec.f_x + float(spec.g_y @ d) - quad
     b1 = spec.f_x + float(spec.g_x @ d) + quad
-    return b1, u1, b1 <= u1 + 1e-15
+    # u1 - b1 = L ||d||^2 (a - a^2 - b^2), so solve's band in spec units is
+    # FEAS_BAND * max(L ||d||^2, |<g_y - g_x, d>|)
+    band = FEAS_BAND * max(spec.L * float(d @ d), abs(cross))
+    return b1, u1, cross - 2.0 * quad >= -band
 
 
 # --- sweeps -------------------------------------------------------------------
 
 
-def normalized_spec(s: float, N: int, direction: str = UPPER,
-                    L: float = 1.0) -> ChainSpec:
-    """Endpoint data with x=0, f_x=0, g_x=0, ||y||=1 and ||g_y||^2 = 1/2.
+def normalized_spec(s: float, N: int, direction: str = UPPER) -> ChainSpec:
+    """Endpoint data with L=1, x=0, f_x=0, g_x=0, ||y||=1 and ||g_y||^2 = 1/2.
 
     s = <g_y, y> parametrizes the family; it must satisfy s^2 <= 1/2.
     """
@@ -362,7 +365,7 @@ def normalized_spec(s: float, N: int, direction: str = UPPER,
         raise RangeError(f"s = {s} incompatible with ||g_y||^2 = 1/2")
     gy1 = math.sqrt(max(0.0, 0.5 - s * s))
     return ChainSpec(
-        L=L,
+        L=1.0,
         x=np.zeros(2),
         y=np.array([1.0, 0.0]),
         f_x=0.0,
@@ -382,7 +385,7 @@ class SweepRow:
     status: str
 
 
-def sweep(s_values, Ns, L: float = 1.0) -> list[SweepRow]:
+def sweep(s_values, Ns) -> list[SweepRow]:
     """One row per (s, N) under the normalization: one upper solve, B = s - U.
 
     The normalized spec has f_x = 0, g_x = 0 and <g_y, y - x> = s, so the
@@ -394,6 +397,6 @@ def sweep(s_values, Ns, L: float = 1.0) -> list[SweepRow]:
             if s * s > 0.5 + 1e-12 or s < 0.0:
                 rows.append(SweepRow(s, N, math.nan, math.nan, INFEASIBLE))
                 continue
-            up = solve_spec(normalized_spec(s, N, UPPER, L))
+            up = solve_spec(normalized_spec(s, N, UPPER))
             rows.append(SweepRow(s, N, s - up.value, up.value, up.status))
     return rows

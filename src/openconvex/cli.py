@@ -182,6 +182,12 @@ def _finite(*values: float | None) -> bool:
 def cmd_verify(args) -> int:
     spacing = _fraction(args.grid_spacing, "--grid-spacing")
     _require(spacing > 0, f"--grid-spacing must be positive, got {args.grid_spacing!r}")
+    # every point of the default lattice ranges lies in the open domain
+    n = math.prod(int((hi - lo) / spacing) + 1
+                  for lo, hi in (spline.DEFAULT_X_RANGE, spline.DEFAULT_Y_RANGE))
+    _require(n * (n - 1) // 2 >= spline.PAIR_STRIDE,
+             f"--grid-spacing {args.grid_spacing} gives a {n}-point lattice, "
+             f"too small for one sampled pair")
     delta = _fraction(args.perturb_delta, "--perturb-delta")
     _require(args.pairs >= 1, f"--pairs must be at least 1, got {args.pairs}")
     _require(args.seed >= 0, f"--seed must be non-negative, got {args.seed}")
@@ -300,9 +306,12 @@ def cmd_sweep(args) -> int:
 
 
 def _numeric(doc: dict, name: str):
-    """doc[name], refused if it is or holds a JSON boolean, which float() reads as 0 or 1."""
+    """doc[name], refused unless it is a JSON number or a list of them.
+
+    float() would read a boolean as 0 or 1 and a string such as "1" as 1.
+    """
     value = doc[name]
-    if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+    if not all(type(v) in (int, float) for v in (value if isinstance(value, list) else [value])):
         raise TypeError(f"{name} must be numeric, got {json.dumps(value)}")
     return value
 
@@ -321,7 +330,7 @@ def _load_spec(path: str) -> chain.ChainSpec:
             N=doc["N"],
             direction=str(doc.get("direction", "upper")).lower(),
         )
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         _bad_input(f"cannot read a chain spec from {path!r}: {exc!r}")
 
 
@@ -371,13 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats, default):
+    def outputs(p, *formats):
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", default=default, choices=formats)
-        p.add_argument("--seed", type=int, default=0)
+        if formats:
+            p.add_argument("--format", default=formats[0], choices=formats)
 
     p = sub.add_parser("verify", help="exact spline verification")
-    common(p, ["text", "json"], "text")
+    outputs(p, "text", "json")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid-spacing", default="1/16", help="rational lattice spacing")
     p.add_argument("--pairs", type=int, default=2000,
                    help="random pairs for the empirical bound checks")
@@ -388,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("contour", help="piece/value grid of the spline")
-    common(p, ["csv", "svg"], "csv")
+    outputs(p, "csv", "svg")
     p.add_argument("--xmin", type=float, default=-1.5)
     p.add_argument("--xmax", type=float, default=2.5)
     p.add_argument("--ymin", type=float, default=None)
@@ -398,12 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_contour)
 
     p = sub.add_parser("region", help="inner/outer admissible-gap intervals")
-    common(p, ["csv", "svg"], "csv")
+    outputs(p, "csv", "svg")
     p.add_argument("--steps", type=int, default=1000)
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("sweep", help="chain bounds over the s grid")
-    common(p, ["csv", "svg"], "csv")
+    outputs(p, "csv", "svg")
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted and not used: the sweep draws no random numbers")
     p.add_argument("--s-min", type=float, default=0.5)
     p.add_argument("--s-max", type=float, default=None)
     p.add_argument("--s-steps", type=int, default=60)
@@ -412,12 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("solve", help="solve one chain program from JSON")
-    common(p, ["json"], "json")
+    outputs(p)
     p.add_argument("--in", required=True, help="chain spec JSON path")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("interpolate", help="sample the segment interpolant")
-    common(p, ["csv"], "csv")
+    outputs(p)
     p.add_argument("--in", required=True, help="chain spec JSON path")
     p.add_argument("--t-steps", type=int, default=100)
     p.set_defaults(func=cmd_interpolate)

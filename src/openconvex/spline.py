@@ -10,8 +10,8 @@ Every verification below is exact, with zero floating-point tolerance: in
 rational arithmetic (fractions.Fraction), or on the lattice in integers after
 scaling by common denominators.  The lattice is built in int64 when an
 a-priori bound on its intermediates is below 2^62, and in Python integers
-otherwise.  The float paths (value_float, eval_float and
-their gradients) serve sampling and plotting only.
+otherwise.  The float paths (eval_float, grad_float and their scalar
+eval_F_float and grad_F_float) serve sampling and plotting only.
 """
 
 from __future__ import annotations
@@ -29,15 +29,6 @@ from .errors import DomainError
 Q = Fraction
 
 
-def _q(v) -> Q:
-    """Coerce ints, strings like '1/12' and Fractions to Fraction."""
-    if isinstance(v, Q):
-        return v
-    if isinstance(v, str):
-        return Q(v)
-    return Q(v)
-
-
 @dataclass(frozen=True)
 class ExactPoint:
     x0: Q
@@ -45,7 +36,7 @@ class ExactPoint:
 
     @staticmethod
     def of(x0, x1) -> "ExactPoint":
-        return ExactPoint(_q(x0), _q(x1))
+        return ExactPoint(Q(x0), Q(x1))
 
 
 @dataclass(frozen=True)
@@ -63,9 +54,6 @@ class HalfPlane:
     def contains(self, p: ExactPoint) -> bool:
         v = self.normal[0] * p.x0 + self.normal[1] * p.x1
         return v < self.offset if self.strict else v <= self.offset
-
-    def on_boundary(self, p: ExactPoint) -> bool:
-        return self.normal[0] * p.x0 + self.normal[1] * p.x1 == self.offset
 
 
 @dataclass(frozen=True)
@@ -149,15 +137,6 @@ class PiecewiseQuadratic:
 
     def gradient(self, p: ExactPoint) -> tuple[Q, Q]:
         return self.pieces[self.classify_region(p) - 1][0].gradient(p)
-
-    def value_float(self, x0: float, x1: float) -> float:
-        """Float value at one point; see eval_float."""
-        v, _ = self.eval_float(np.array([[x0, x1]], dtype=float))
-        return float(v[0])
-
-    def gradient_float(self, x0: float, x1: float) -> tuple[float, float]:
-        g, _ = self.grad_float(np.array([[x0, x1]], dtype=float))
-        return float(g[0, 0]), float(g[0, 1])
 
     def eval_float(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Float values and 1-based piece indices at the rows of X (n x 2).
@@ -253,7 +232,7 @@ def build_spline(piece_offsets: dict[int, Q] | None = None) -> PiecewiseQuadrati
     if piece_offsets:
         fixed = []
         for k, q in enumerate((p1, p2, p3, p4), start=1):
-            d = _q(piece_offsets.get(k, 0))
+            d = Q(piece_offsets.get(k, 0))
             fixed.append(
                 QuadraticPiece(q.a00, q.a01, q.a11, q.b0, q.b1, q.c + d)
             )
@@ -292,20 +271,20 @@ def grad_F(p: ExactPoint) -> tuple[Q, Q]:
     return _SPLINE.gradient(p)
 
 
-def eval_F_float(x0: float, x1: float) -> float:
-    return _SPLINE.value_float(x0, x1)
-
-
-def grad_F_float(x0: float, x1: float) -> tuple[float, float]:
-    return _SPLINE.gradient_float(x0, x1)
-
-
 def eval_float(X) -> tuple[np.ndarray, np.ndarray]:
     return _SPLINE.eval_float(X)
 
 
 def grad_float(X) -> tuple[np.ndarray, np.ndarray]:
     return _SPLINE.grad_float(X)
+
+
+def eval_F_float(x0: float, x1: float) -> float:
+    return float(eval_float([[x0, x1]])[0][0])
+
+
+def grad_F_float(x0: float, x1: float) -> tuple[float, float]:
+    return tuple(grad_float([[x0, x1]])[0][0].tolist())
 
 
 def domain_distance(p: ExactPoint) -> Q:
@@ -452,11 +431,13 @@ DEFAULT_Y_RANGE = (DOMAIN_BOUND + Q(1, 240), Q(2))
 # intermediate is below this, and in Python integers (dtype=object) otherwise.
 _INT64_SAFE = 2 ** 62
 _PAIR_CHUNK = 1 << 16
+# the lattice pair checks sample every PAIR_STRIDE-th pair
+PAIR_STRIDE = 37
 
 
 def _den_lcm(values) -> int:
     """Least common multiple of the denominators of rational values."""
-    return math.lcm(*(_q(v).denominator for v in values))
+    return math.lcm(*(Q(v).denominator for v in values))
 
 
 def _contains_scaled(h: HalfPlane, D: int, X0: np.ndarray, X1: np.ndarray) -> np.ndarray:
@@ -535,7 +516,7 @@ def verify_grid_properties(
     spacing: Q = DEFAULT_GRID_SPACING,
     x_range: tuple[Q, Q] = DEFAULT_X_RANGE,
     y_range: tuple[Q, Q] = DEFAULT_Y_RANGE,
-    pair_stride: int = 37,
+    pair_stride: int = PAIR_STRIDE,
     spline: PiecewiseQuadratic | None = None,
 ) -> VerificationReport:
     """Sampled exact invariants on a rational lattice.

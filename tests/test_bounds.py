@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from openconvex import bounds
-from openconvex.bounds import ChainConfig, PointData
+from openconvex.bounds import PointData
 from openconvex.errors import DegenerateError, DimensionMismatch, RangeError
 
 
@@ -95,19 +95,18 @@ class TestChain:
         assert bounds.min_chain_length([0.0], [1.0], 1.0, 1.0) == 2  # strict
 
     def test_make_chain_spacing(self):
-        cfg = ChainConfig(x=np.zeros(2), y=np.array([2.0, 0.0]), N=4)
-        pts = bounds.make_chain(cfg)
+        pts = bounds.make_chain(np.zeros(2), np.array([2.0, 0.0]), 4)
         assert len(pts) == 5
         for i, p in enumerate(pts):
             assert np.allclose(p, [0.5 * i, 0.0], atol=1e-15)
 
     def test_degenerate_chain(self):
         with pytest.raises(DegenerateError):
-            ChainConfig(x=np.zeros(2), y=np.zeros(2), N=3)
+            bounds.make_chain(np.zeros(2), np.zeros(2), 3)
 
     def test_bad_n(self):
         with pytest.raises(RangeError):
-            ChainConfig(x=np.zeros(2), y=np.ones(2), N=0)
+            bounds.make_chain(np.zeros(2), np.ones(2), 0)
 
 
 class TestAlphaWeights:

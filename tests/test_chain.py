@@ -169,6 +169,18 @@ class TestClosedFormN1:
         assert b1 == pytest.approx(17545.0 / 23040.0, abs=1e-12)
         assert 16991.0 / 23040.0 < b1 - 1e-3
 
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e5])
+    @pytest.mark.parametrize("b, feasible", [(0.5 + 1e-6, False), (0.5, True)],
+                             ids=["margin-1e-6", "boundary"])
+    def test_flag_agrees_with_solve_at_every_scale(self, c, b, feasible):
+        # a - a^2 - b^2 is about -1e-6 or 0 at a = 1/2, in specs whose
+        # L ||y - x||^2 = c^2 spans 1e-12 to 1e10
+        spec = ChainSpec(1.0, np.zeros(2), np.array([c, 0.0]), 0.0, np.zeros(2),
+                         c * np.array([0.5, b]), 1)
+        _, _, feas = closed_form_n1(spec)
+        assert feas is feasible
+        assert (solve_spec(spec).status == OPTIMAL) is feasible
+
 
 class TestSolverN1:
     @pytest.mark.parametrize("s", [0.5, 0.55, 0.6, 0.65, math.sqrt(0.5)])

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and exit codes."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -312,6 +313,29 @@ class TestParserReuse:
         assert csv.read_text().startswith("x0,x1,piece,value\n")
 
 
+class TestOptions:
+    # each subcommand declares only the options its cmd_* reads, except
+    # sweep --seed, which acceptance criterion 12 passes
+    OPTIONS = {
+        "verify": {"--out", "--format", "--seed", "--grid-spacing", "--pairs",
+                   "--perturb-piece", "--perturb-delta"},
+        "contour": {"--out", "--format", "--xmin", "--xmax", "--ymin", "--ymax", "--nx", "--ny"},
+        "region": {"--out", "--format", "--steps"},
+        "sweep": {"--out", "--format", "--seed", "--s-min", "--s-max", "--s-steps",
+                  "--N-list", "--workers"},
+        "solve": {"--out", "--in"},
+        "interpolate": {"--out", "--in", "--t-steps"},
+    }
+
+    def test_each_subcommand_options_pinned(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+                   for name, p in sub.choices.items()}
+        assert options == self.OPTIONS
+        assert sum(map(len, options.values())) == 31
+
+
 class TestBadInput:
     # each is refused before any work, with one line on stderr and exit 4
     # (a traceback exits 1, the code of a failed verification)
@@ -324,6 +348,8 @@ class TestBadInput:
         ["verify", "--perturb-piece", "5"],
         ["verify", "--pairs", "0"],
         ["verify", "--seed", "-1"],
+        ["verify", "--grid-spacing", "2"],
+        ["verify", "--grid-spacing", "10"],
         ["sweep", "--N-list", "0"],
         ["sweep", "--N-list", "x"],
         ["sweep", "--s-min", "nan"],
@@ -356,10 +382,18 @@ class TestBadInput:
         {"x": [[0.0, 0.0]], "y": [[1.0, 0.0]], "g_x": [[0.0, 0.0]], "g_y": [[0.6, 0.3]]},
         {"x": 0.0, "y": 1.0, "g_x": 0.0, "g_y": 0.6},
         {"x": [], "y": [], "g_x": [], "g_y": []},
+        {"L": "1"},
+        {"f_x": "0"},
+        {"y": ["1", 0]},
+        {"L": "1", "x": ["0", "0"], "y": [1, 0], "f_x": "0", "g_x": [0, 0],
+         "g_y": [0.6, 0.3], "N": 2},
+        {"L": 10 ** 400},
     ], ids=["N-fraction", "N-bool", "L-bool", "f_x-bool", "vector-bool",
-            "vectors-2d", "vectors-scalar", "vectors-empty"])
+            "vectors-2d", "vectors-scalar", "vectors-empty", "L-string",
+            "f_x-string", "vector-string", "strings", "L-huge-int"])
     def test_malformed_spec(self, command, change, tmp_path, capsys):
-        # a truncated N, a boolean read as 0 or 1, or a vector of another
-        # shape is refused, not solved
+        # a truncated N, a boolean read as 0 or 1, a string read as a number,
+        # an integer past the float range or a vector of another shape is
+        # refused, not solved
         path = _write_spec(tmp_path, dict(SPEC_06_N1, **change))
         self._refused([command, "--in", path], tmp_path, capsys)
