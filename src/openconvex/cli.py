@@ -14,7 +14,9 @@ thread count.  A CSV table is formatted a block of rows at a
 time, by one ``%`` format over the block's cells (``"%.17g" % v`` is the same
 text as ``format(v, ".17g")``), so no cell is formatted by its own call.
 The argument parser is built once per process and reused by every ``main``
-call.
+call.  Each option's check is its argparse ``type=`` converter, and every
+parse error, a refused value included, is one ``openconvex: error:`` line
+and exit 4.
 """
 
 from __future__ import annotations
@@ -150,55 +152,52 @@ def _bad_input(message: str) -> NoReturn:
     raise SystemExit(EXIT_BAD_INPUT)
 
 
-def _require(ok: bool, message: str) -> None:
-    if not ok:
+class _Parser(argparse.ArgumentParser):
+    """Refuses every parse error through _bad_input; subparsers share the class."""
+
+    def error(self, message: str) -> NoReturn:
         _bad_input(message)
 
 
-def _fraction(text: str, name: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        _bad_input(f"{name} must be a rational number, got {text!r}")
+def _checked(convert, ok, what: str):
+    """An argparse type= converter: convert(text), refused unless ok accepts it."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return parse
 
 
-def _n_list(text: str) -> list[int]:
-    try:
-        ns = [int(v) for v in text.split(",")]
-    except ValueError:
-        ns = []
-    _require(bool(ns) and min(ns) >= 1,
-             f"--N-list must be comma-separated positive integers, got {text!r}")
-    return ns
+def _holds_a_pair(spacing: Fraction) -> bool:
+    """Whether the default lattice, all in the open domain, holds one sampled pair."""
+    n = math.prod(int((hi - lo) / spacing) + 1
+                  for lo, hi in (spline.DEFAULT_X_RANGE, spline.DEFAULT_Y_RANGE))
+    return n * (n - 1) // 2 >= spline.PAIR_STRIDE
 
 
-def _finite(*values: float | None) -> bool:
-    return all(v is None or math.isfinite(v) for v in values)
+_positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+_seed = _checked(int, lambda n: n >= 0, "a non-negative integer")
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_rational = _checked(Fraction, lambda q: True, "a rational number")
+_spacing = _checked(Fraction, lambda q: q > 0 and _holds_a_pair(q),
+                    f"a positive rational whose lattice holds at least {spline.PAIR_STRIDE} pairs")
+_n_list = _checked(lambda text: [int(v) for v in text.split(",")], lambda ns: min(ns) >= 1,
+                   "comma-separated positive integers")
+_out_path = _checked(str, lambda p: p == "-" or os.path.isdir(os.path.dirname(os.path.abspath(p))),
+                     "'-' or a path in an existing directory")
 
 
 # --- subcommands -------------------------------------------------------------
 
 
 def cmd_verify(args) -> int:
-    spacing = _fraction(args.grid_spacing, "--grid-spacing")
-    _require(spacing > 0, f"--grid-spacing must be positive, got {args.grid_spacing!r}")
-    # every point of the default lattice ranges lies in the open domain
-    n = math.prod(int((hi - lo) / spacing) + 1
-                  for lo, hi in (spline.DEFAULT_X_RANGE, spline.DEFAULT_Y_RANGE))
-    _require(n * (n - 1) // 2 >= spline.PAIR_STRIDE,
-             f"--grid-spacing {args.grid_spacing} gives a {n}-point lattice, "
-             f"too small for one sampled pair")
-    delta = _fraction(args.perturb_delta, "--perturb-delta")
-    _require(args.pairs >= 1, f"--pairs must be at least 1, got {args.pairs}")
-    _require(args.seed >= 0, f"--seed must be non-negative, got {args.seed}")
-    offsets = None
-    if args.perturb_piece is not None:
-        offsets = {args.perturb_piece: delta}
-    model = spline.build_spline(offsets)
-    _require(args.perturb_piece is None or 1 <= args.perturb_piece <= len(model.pieces),
-             f"--perturb-piece must be a piece index 1..{len(model.pieces)}, "
-             f"got {args.perturb_piece}")
-    report = spline.verify_all(spacing=spacing, spline=model)
+    offsets = None if args.perturb_piece is None else {args.perturb_piece: args.perturb_delta}
+    report = spline.verify_all(spacing=args.grid_spacing, spline=spline.build_spline(offsets))
 
     excursion = checks.global_bound_max_excursion(args.pairs, seed=args.seed)
     report.add(
@@ -219,10 +218,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_contour(args) -> int:
-    _require(args.nx >= 1 and args.ny >= 1,
-             f"--nx and --ny must be at least 1, got {args.nx} and {args.ny}")
-    _require(_finite(args.xmin, args.xmax, args.ymin, args.ymax),
-             "--xmin, --xmax, --ymin and --ymax must be finite")
     ymin = args.ymin if args.ymin is not None else spline.DOMAIN_BOUND_F + 1e-6
     x = np.linspace(args.xmin, args.xmax, args.nx)
     y = np.linspace(ymin, args.ymax, args.ny)
@@ -246,7 +241,6 @@ def cmd_contour(args) -> int:
 
 
 def cmd_region(args) -> int:
-    _require(args.steps >= 1, f"--steps must be at least 1, got {args.steps}")
     ts = np.linspace(0.0, 1.0, args.steps + 1).tolist()
     edges = [(inner.lo, inner.hi, outer.lo, outer.hi)
              for inner, outer in map(bounds.analytical_region, ts)]
@@ -268,9 +262,6 @@ def _sweep_cell(job) -> chain.SweepRow:
 
 
 def cmd_sweep(args) -> int:
-    _require(_finite(args.s_min, args.s_max), "--s-min and --s-max must be finite")
-    _require(args.s_steps >= 1, f"--s-steps must be at least 1, got {args.s_steps}")
-    ns = _n_list(args.n_list)
     s_max = args.s_max if args.s_max is not None else math.sqrt(0.5)
     s_values = [
         args.s_min + k * (s_max - args.s_min) / (args.s_steps - 1)
@@ -278,16 +269,16 @@ def cmd_sweep(args) -> int:
     ] if args.s_steps > 1 else [args.s_min]
 
     if args.workers > 1:
-        jobs = [(s, n) for s in s_values for n in ns]
+        jobs = [(s, n) for s in s_values for n in args.n_list]
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_cell, jobs))
     else:
-        rows = chain.sweep(s_values, ns)
+        rows = chain.sweep(s_values, args.n_list)
 
     if args.format == "svg":
         series = []
         palette = ["steelblue", "seagreen", "darkorange", "firebrick", "purple"]
-        for k, n in enumerate(ns):
+        for k, n in enumerate(args.n_list):
             color = palette[k % len(palette)]
             sub = [r for r in rows if r.N == n]
             series.append((color, [(r.s, r.B) for r in sub]))
@@ -352,7 +343,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_interpolate(args) -> int:
-    _require(args.t_steps >= 1, f"--t-steps must be at least 1, got {args.t_steps}")
     spec = _load_spec(getattr(args, "in"))
     result = chain.solve_spec(spec)
     if result.status == chain.INFEASIBLE:
@@ -374,53 +364,56 @@ def build_parser() -> argparse.ArgumentParser:
     Parsing keeps no state in the parser: each ``parse_args`` call fills a
     new namespace, so one parser serves every ``main`` call.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="openconvex",
         description="Exact and numerical bounds for smooth convex functions on open sets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def outputs(p, *formats):
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.add_argument("--out", type=_out_path, default=None,
+                       help="output path (default: stdout)")
         if formats:
             p.add_argument("--format", default=formats[0], choices=formats)
 
     p = sub.add_parser("verify", help="exact spline verification")
     outputs(p, "text", "json")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid-spacing", default="1/16", help="rational lattice spacing")
-    p.add_argument("--pairs", type=int, default=2000,
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--grid-spacing", type=_spacing, default="1/16",
+                   help="rational lattice spacing")
+    p.add_argument("--pairs", type=_positive_int, default=2000,
                    help="random pairs for the empirical bound checks")
     p.add_argument("--perturb-piece", type=int, default=None,
+                   choices=range(1, len(spline.build_spline().pieces) + 1),
                    help="test hook: 1-based piece whose constant is perturbed")
-    p.add_argument("--perturb-delta", default="1/1000",
+    p.add_argument("--perturb-delta", type=_rational, default="1/1000",
                    help="test hook: rational perturbation added to the constant")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("contour", help="piece/value grid of the spline")
     outputs(p, "csv", "svg")
-    p.add_argument("--xmin", type=float, default=-1.5)
-    p.add_argument("--xmax", type=float, default=2.5)
-    p.add_argument("--ymin", type=float, default=None)
-    p.add_argument("--ymax", type=float, default=2.0)
-    p.add_argument("--nx", type=int, default=400)
-    p.add_argument("--ny", type=int, default=400)
+    p.add_argument("--xmin", type=_finite_float, default=-1.5)
+    p.add_argument("--xmax", type=_finite_float, default=2.5)
+    p.add_argument("--ymin", type=_finite_float, default=None)
+    p.add_argument("--ymax", type=_finite_float, default=2.0)
+    p.add_argument("--nx", type=_positive_int, default=400)
+    p.add_argument("--ny", type=_positive_int, default=400)
     p.set_defaults(func=cmd_contour)
 
     p = sub.add_parser("region", help="inner/outer admissible-gap intervals")
     outputs(p, "csv", "svg")
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--steps", type=_positive_int, default=1000)
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("sweep", help="chain bounds over the s grid")
     outputs(p, "csv", "svg")
     p.add_argument("--seed", type=int, default=0,
                    help="accepted and not used: the sweep draws no random numbers")
-    p.add_argument("--s-min", type=float, default=0.5)
-    p.add_argument("--s-max", type=float, default=None)
-    p.add_argument("--s-steps", type=int, default=60)
-    p.add_argument("--N-list", dest="n_list", default="1,2,5,50")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--s-min", type=_finite_float, default=0.5)
+    p.add_argument("--s-max", type=_finite_float, default=None)
+    p.add_argument("--s-steps", type=_positive_int, default=60)
+    p.add_argument("--N-list", dest="n_list", type=_n_list, default="1,2,5,50")
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("solve", help="solve one chain program from JSON")
@@ -431,15 +424,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interpolate", help="sample the segment interpolant")
     outputs(p)
     p.add_argument("--in", required=True, help="chain spec JSON path")
-    p.add_argument("--t-steps", type=int, default=100)
+    p.add_argument("--t-steps", type=_positive_int, default=100)
     p.set_defaults(func=cmd_interpolate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

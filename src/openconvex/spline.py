@@ -143,7 +143,7 @@ class PiecewiseQuadratic:
 
         The piece is the first whose region holds the point by float
         comparisons, or the last piece when none does.  Raises DomainError if
-        any point has x1 <= -23/240.
+        any point is not finite or has x1 <= -23/240.
         """
         x0, x1, k = self._float_pieces(X)
         c = self._float_coefficients[k].T
@@ -187,7 +187,7 @@ class PiecewiseQuadratic:
         """Columns x0, x1 of X and the 0-based active piece of each row."""
         X = np.asarray(X, dtype=float)
         x0, x1 = X[:, 0], X[:, 1]
-        outside = x1 <= DOMAIN_BOUND_F
+        outside = ~(np.isfinite(X).all(axis=1) & (x1 > DOMAIN_BOUND_F))
         if outside.any():
             p0, p1 = X[outside][0]
             raise DomainError(f"point ({p0}, {p1}) outside the open domain")
@@ -522,7 +522,8 @@ def verify_grid_properties(
     """Sampled exact invariants on a rational lattice.
 
     Checks region coverage (with seam agreement where regions overlap) at
-    every lattice point, and gradient monotonicity, 1-smoothness and the
+    every lattice point, raising DomainError at a point that no piece
+    claims, and gradient monotonicity, 1-smoothness and the
     two-sided descent inequality on a deterministic subset of point pairs:
     the k-th pair (a < b, counted row by row from k = 1) for every k that
     pair_stride divides.  The pair checks stop after the first row a that
@@ -565,22 +566,19 @@ def verify_grid_properties(
         G0[k] = a00 * X0 + a01 * X1 + b0 * D
         G1[k] = a01 * X0 + a11 * X1 + b1 * D
 
-    # The active piece is the lowest-index claim; the scan stops at the first
-    # point that is unclaimed or where claimed pieces disagree.
+    # A point that no piece claims is an error, not a failed check.  The
+    # active piece is the lowest-index claim.
     covered = claims.any(axis=0)
-    first = claims.argmax(axis=0)
-    cols = np.arange(len(X0))
-    f, g0, g1 = F[first, cols], G0[first, cols], G1[first, cols]
-    mismatch = (claims & ((F != f) | (G0 != g0) | (G1 != g1))).any(axis=0)
-    bad = ~covered | mismatch
-    stop = int(bad.argmax()) if bad.any() else None
-    report.add(f"region coverage on {len(X0)}-point lattice", stop is None or covered[stop])
-    report.add("seam agreement at multiply-claimed lattice points",
-               stop is None or not mismatch[stop])
     if not covered.all():
         i = int(covered.argmin())
         raise DomainError(
             f"point ({Q(int(X0[i]), D)}, {Q(int(X1[i]), D)}) claimed by no region")
+    first = claims.argmax(axis=0)
+    cols = np.arange(len(X0))
+    f, g0, g1 = F[first, cols], G0[first, cols], G1[first, cols]
+    mismatch = (claims & ((F != f) | (G0 != g0) | (G1 != g1))).any(axis=0)
+    report.add(f"region coverage on {len(X0)}-point lattice", True)
+    report.add("seam agreement at multiply-claimed lattice points", not mismatch.any())
 
     npairs, mono_ok, smooth_ok, descent_ok = _sampled_pair_checks(
         X0, X1, f, g0, g1, M, pair_stride)

@@ -358,9 +358,32 @@ class TestBadInput:
         ["contour", "--xmax", "inf"],
         ["region", "--steps", "0"],
         ["interpolate", "--in", "unread.json", "--t-steps", "0"],
-    ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
+        # argparse's own errors take the same path: a value that is not a
+        # number, an unknown option, a missing --in or subcommand
+        ["contour", "--nx", "abc"],
+        ["contour", "--seed", "0"],
+        ["verify", "--pairs", "x"],
+        ["sweep", "--workers", "0"],
+        ["solve"],
+        [],
+    ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv) or "no-command")
     def test_exit_4_with_one_line(self, argv, tmp_path, capsys):
         self._refused(argv, tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["verify", "region"])
+    def test_out_in_missing_directory(self, command, tmp_path, capsys):
+        # a traceback here would exit 1, which verify means as "failed"
+        out = tmp_path / "missing" / "out"
+        assert cli.main([command, "--out", str(out)]) == cli.EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("openconvex: error: argument --out: ")
+        assert not out.parent.exists()
+
+    def test_help_returns_0(self, capsys):
+        assert cli.main(["verify", "--help"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: openconvex verify")
 
     @staticmethod
     def _refused(argv, tmp_path, capsys):

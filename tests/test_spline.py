@@ -1,5 +1,6 @@
 """Exact checks of the piecewise-quadratic spline."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction as Q
 
@@ -338,6 +339,12 @@ class TestFloatEvaluator:
                 spline.eval_float(np.array([[0.0, 0.5], [0.0, x1]]))
             with pytest.raises(DomainError):
                 spline.grad_F_float(0.0, x1)
+        # a non-finite row is outside the open domain too
+        for row in ([math.nan, 0.0], [0.0, math.nan], [math.inf, 0.0], [0.0, math.inf],
+                    [-math.inf, 0.5]):
+            for evaluate in (spline.eval_float, spline.grad_float):
+                with pytest.raises(DomainError):
+                    evaluate(np.array([[0.0, 0.5], row]))
 
     def test_empty_input(self):
         values, pieces = spline.eval_float(np.empty((0, 2)))
