@@ -188,8 +188,9 @@ _spacing = _checked(Fraction, lambda q: q > 0 and _holds_a_pair(q),
                     f"a positive rational whose lattice holds at least {spline.PAIR_STRIDE} pairs")
 _n_list = _checked(lambda text: [int(v) for v in text.split(",")], lambda ns: min(ns) >= 1,
                    "comma-separated positive integers")
-_out_path = _checked(str, lambda p: p == "-" or os.path.isdir(os.path.dirname(os.path.abspath(p))),
-                     "'-' or a path in an existing directory")
+_out_path = _checked(str, lambda p: p == "-" or (os.path.isdir(os.path.dirname(os.path.abspath(p)))
+                                                  and not os.path.isdir(p)),
+                     "'-' or a file path in an existing directory")
 
 
 # --- subcommands -------------------------------------------------------------

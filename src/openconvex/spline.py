@@ -430,7 +430,8 @@ DEFAULT_Y_RANGE = (DOMAIN_BOUND + Q(1, 240), Q(2))
 # The lattice is built and checked in int64 when an a-priori bound on every
 # intermediate is below this, and in Python integers (dtype=object) otherwise.
 _INT64_SAFE = 2 ** 62
-_PAIR_CHUNK = 1 << 16
+# sampled pairs per block of the lattice pair checks (see verify_grid_properties)
+_PAIR_CHUNK = 1 << 13
 # the lattice pair checks sample every PAIR_STRIDE-th pair
 PAIR_STRIDE = 37
 
@@ -478,37 +479,45 @@ def _sampled_pair_checks(X0, X1, f, g0, g1, M: int, pair_stride: int):
     """(pairs checked, monotone, 1-smooth, descent) over the sampled pairs.
 
     Points are X/D with values f/(2*M*D^2) and gradients g/(M*D); each test
-    below is the rational one multiplied through by a positive scale.
+    below is the rational one multiplied through by a positive scale.  Row a
+    holds the pairs k in (before[a], end[a]], with b = a + k - before[a].
     """
-    n = len(X0)
-    row_len = np.arange(n - 1, -1, -1)
-    row_end = np.cumsum(row_len)            # index k of the last pair in each row
-    limit = int(row_end[-1]) if n else 0
+    rows = np.arange(len(X0))
+    row_len = rows[::-1]
+    end = np.cumsum(row_len)
+    before = end - row_len
+    count = end // pair_stride - before // pair_stride
+    start = np.concatenate(([0], np.cumsum(count)))   # sampled pairs above each row
+    offset = rows - before
+    # a block is the rows whose first sampled pair falls in one _PAIR_CHUNK window
+    edges = [0, *(np.flatnonzero(np.diff(start[:-1] // _PAIR_CHUNK)) + 1).tolist(), len(rows)]
     mono_ok = smooth_ok = descent_ok = True
     npairs = 0
-    start = pair_stride
-    while start <= limit:
-        k = np.arange(start, min(limit, start + pair_stride * (_PAIR_CHUNK - 1)) + 1,
-                      pair_stride)
-        start = int(k[-1]) + pair_stride
-        a = np.searchsorted(row_end, k)
-        b = a + k - (row_end[a] - row_len[a])
-        d0, d1 = X0[b] - X0[a], X1[b] - X1[a]
-        e0, e1 = g0[b] - g0[a], g1[b] - g1[a]
+    for r0, r1 in zip(edges, edges[1:]):
+        j0, j1 = int(start[r0]), int(start[r1])
+        # each row's values at a, repeated once per sampled pair of the row
+        xa0, xa1, fa, ga0, ga1, b = (np.repeat(v[r0:r1], count[r0:r1])
+                                     for v in (X0, X1, f, g0, g1, offset))
+        b += np.arange(pair_stride * (j0 + 1), pair_stride * j1 + 1, pair_stride)
+        d0, d1 = X0[b] - xa0, X1[b] - xa1
+        e0, e1 = g0[b] - ga0, g1[b] - ga1
         dd = d0 * d0 + d1 * d1
-        lower = f[b] - f[a] - 2 * (g0[a] * d0 + g1[a] * d1)
+        lower = f[b] - fa - 2 * (ga0 * d0 + ga1 * d1)
         mono = e0 * d0 + e1 * d1 < 0
         smooth = e0 * e0 + e1 * e1 > M * M * dd
         descent = (lower < 0) | (lower > M * dd)
         failed = mono | smooth | descent
-        if failed.any():
-            limit = min(limit, int(row_end[a[failed.argmax()]]))
-            keep = k <= limit
-            mono, smooth, descent, k = mono[keep], smooth[keep], descent[keep], k[keep]
-        npairs += len(k)
+        stop = failed.any()
+        if stop:  # keep the pairs up to the end of the first failing row
+            ends = start[r0 + 1:r1 + 1] - j0
+            last = int(ends[ends > failed.argmax()][0])
+            mono, smooth, descent = mono[:last], smooth[:last], descent[:last]
+        npairs += len(mono)
         mono_ok = mono_ok and not mono.any()
         smooth_ok = smooth_ok and not smooth.any()
         descent_ok = descent_ok and not descent.any()
+        if stop:
+            break
     return npairs, mono_ok, smooth_ok, descent_ok
 
 
@@ -528,6 +537,14 @@ def verify_grid_properties(
     the k-th pair (a < b, counted row by row from k = 1) for every k that
     pair_stride divides.  The pair checks stop after the first row a that
     holds a failing pair.
+
+    The sampled pairs of row a, the pairs (a, b > a), form an arithmetic
+    run in k whose length is a difference of two integer quotients, so the
+    pairs come from np.repeat over the rows, with no per-pair search.  They
+    are checked in blocks of whole rows of about _PAIR_CHUNK = 8,192 pairs:
+    each int64 temporary then takes 64 KB, stays in cache and is reused
+    from block to block, where temporaries above malloc's mmap threshold
+    (128 KB by default) are fresh mappings that fault in new pages.
 
     The lattice points are X/D with D the common denominator of the spacing
     and the range origins, and the piece coefficients are integers over a

@@ -381,6 +381,16 @@ class TestBadInput:
         assert captured.err.startswith("openconvex: error: argument --out: ")
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("command", ["verify", "region"])
+    def test_out_is_existing_directory(self, command, tmp_path, capsys):
+        # os.replace onto a directory raised IsADirectoryError (exit 1)
+        assert cli.main([command, "--out", str(tmp_path)]) == cli.EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("openconvex: error: argument --out: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_help_returns_0(self, capsys):
         assert cli.main(["verify", "--help"]) == cli.EXIT_OK
         assert capsys.readouterr().out.startswith("usage: openconvex verify")

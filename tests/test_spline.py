@@ -1,5 +1,6 @@
 """Exact checks of the piecewise-quadratic spline."""
 
+import functools
 import math
 from dataclasses import replace
 from fractions import Fraction as Q
@@ -208,6 +209,16 @@ MODELS = {
     "piece2+1/1000": build_spline({2: Q(1, 1000)}),
     "piece4-1/7": build_spline({4: Q(-1, 7)}),
 }
+BROKEN_PIECES = {
+    "piece1-stiff": _with_piece(0, a00=Q(2), a11=Q(2)),       # not 1-smooth
+    "piece3-non-convex": _with_piece(2, a00=Q(-1, 3)),        # not convex
+}
+
+
+@functools.cache
+def _cached_reference(model, lattice):
+    kw = {"coarse": COARSE_LATTICE, "band": BOUNDARY_BAND}[lattice]
+    return _reference_grid_report(model={**MODELS, **BROKEN_PIECES}[model], **kw)
 
 
 def _pair_check_dtypes(monkeypatch):
@@ -241,15 +252,26 @@ class TestGridInvariants:
         expected = _reference_grid_report(model=MODELS[model], **kw)
         assert [(c.name, c.passed) for c in report.checks] == expected
 
-    @pytest.mark.parametrize("model", [
-        _with_piece(0, a00=Q(2), a11=Q(2)),      # not 1-smooth
-        _with_piece(2, a00=Q(-1, 3)),            # not convex
-    ])
+    @pytest.mark.parametrize("model", list(BROKEN_PIECES.values()))
     def test_non_convex_or_stiff_piece_matches_reference(self, model):
         report = spline.verify_grid_properties(spline=model, **COARSE_LATTICE)
         expected = _reference_grid_report(model=model, **COARSE_LATTICE)
         assert [(c.name, c.passed) for c in report.checks] == expected
         assert not report.passed
+
+    # Blocks hold whole rows: on the coarse lattice a row has up to 62
+    # sampled pairs, so blocks of 1 and 7 meet rows longer than a block and
+    # every size ends blocks between rows partway through the run of sampled
+    # k.  piece4-1/7 and piece3-non-convex (coarse, every size) and
+    # piece2+1/1000 (band, sizes 1 and 7) fail in a later block than the first.
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("lattice", ["coarse", "band"])
+    @pytest.mark.parametrize("model", [*sorted(MODELS), *BROKEN_PIECES])
+    def test_block_boundaries_match_reference(self, monkeypatch, chunk, lattice, model):
+        monkeypatch.setattr(spline, "_PAIR_CHUNK", chunk)
+        kw = {"coarse": COARSE_LATTICE, "band": BOUNDARY_BAND}[lattice]
+        report = spline.verify_grid_properties(spline={**MODELS, **BROKEN_PIECES}[model], **kw)
+        assert [(c.name, c.passed) for c in report.checks] == _cached_reference(model, lattice)
 
     @pytest.mark.parametrize("lattice", ["coarse", "band", "default"])
     @pytest.mark.parametrize("model", sorted(MODELS))
