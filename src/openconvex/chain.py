@@ -117,10 +117,6 @@ class ChainProblem:
     def N(self) -> int:
         return self.spec.N
 
-    @property
-    def reduced_dim(self) -> int:
-        return self.gN.size
-
 
 @dataclass
 class BoundResult:

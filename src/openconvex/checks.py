@@ -25,9 +25,8 @@ def _sample_points(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _point_data(X: np.ndarray) -> PointData:
-    """The stacked PointData at the rows of X, from one spline evaluation."""
-    f, _ = spline.eval_float(X)
-    g, _ = spline.grad_float(X)
+    """The stacked PointData at the rows of X, from one classification pass."""
+    f, g = spline.float_data(X)
     return PointData(x=X, f=f, g=g)
 
 

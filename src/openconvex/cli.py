@@ -408,8 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="chain bounds over the s grid")
     outputs(p, "csv", "svg")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted and not used: the sweep draws no random numbers")
     p.add_argument("--s-min", type=_finite_float, default=0.5)
     p.add_argument("--s-max", type=_finite_float, default=None)
     p.add_argument("--s-steps", type=_positive_int, default=60)

@@ -20,10 +20,3 @@ class RangeError(ValueError):
 class InfeasibleData(ValueError):
     """Point data violates the two-point interpolation conditions."""
 
-
-class MismatchError(ValueError):
-    """Two interpolants do not share compatible knots."""
-
-
-class NoFeasiblePoint(RuntimeError):
-    """A brute-force search found no feasible candidate."""

@@ -3,10 +3,9 @@
 A feasible pair of (value, gradient) triples can be interpolated by the
 convex envelope of two equal-curvature quadratic surrogates; gluing the
 per-segment envelopes along the chain yields a function that is L-smooth
-and convex on the segment [x, y] and matches every knot's data.  Convex
-combinations of such interpolants are represented as weighted mixtures.
-A chain is one stacked ``PointData`` of N+1 knots, and every function here
-works on whole stacks: no loop over segments, knots or sample points.
+and convex on the segment [x, y] and matches every knot's data.  A chain
+is one stacked ``PointData`` of N+1 knots, and every function here works
+on whole stacks: no loop over segments, knots or sample points.
 """
 
 from __future__ import annotations
@@ -16,23 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import PointData, cocoercivity_gap
-from .errors import InfeasibleData, MismatchError, RangeError
+from .errors import InfeasibleData, RangeError
 
 
 def _pair_gaps(L: float, p0: PointData, p1: PointData) -> float | np.ndarray:
     """The smaller co-coercivity gap of each pair, from p0 to p1 and back."""
     return np.minimum(cocoercivity_gap(L, p0, p1), cocoercivity_gap(L, p1, p0))
-
-
-def two_point_feasible(L: float, p0: PointData, p1: PointData) -> bool:
-    """Co-coercivity from p0 to p1 and from p1 to p0, within 1e-9 L ||p1.x - p0.x||^2.
-
-    The first bounds p1.f from below, the second from above.  The slack is
-    relative to each pair's own L ||p1.x - p0.x||^2, so the verdict does not
-    depend on units.  On stacks it is True iff every pair passes.
-    """
-    dx = p1.x - p0.x
-    return bool(np.all(_pair_gaps(L, p0, p1) >= -1e-9 * L * np.vecdot(dx, dx)))
 
 
 def envelope_eval(L: float, p0: PointData, p1: PointData,
@@ -71,16 +59,9 @@ def envelope_eval(L: float, p0: PointData, p1: PointData,
 
 @dataclass(frozen=True)
 class SegmentInterpolant:
-    """Weighted mixture of envelope chains sharing one knot layout.
-
-    ``knots`` is the mixture's stack of N+1 knots.  Component k has weight
-    ``weights[k]`` and its own knot stack ``components[k]``, so
-    ``components`` has x and g of shape (C, N+1, d) and f of shape (C, N+1).
-    """
+    """The envelope chain through ``knots``, a stack of N+1 knots."""
 
     knots: PointData
-    weights: np.ndarray
-    components: PointData
     L: float
 
     @property
@@ -112,7 +93,7 @@ def build_segment_interpolant(L: float, chain: PointData) -> SegmentInterpolant:
     if failing.size:
         k = int(failing[0])
         raise InfeasibleData(f"pair ({k}, {k + 1}) violates the two-point conditions")
-    return SegmentInterpolant(chain, np.ones(1), chain[None], L)
+    return SegmentInterpolant(chain, L)
 
 
 def eval_interpolant(interp: SegmentInterpolant, t):
@@ -127,46 +108,9 @@ def eval_interpolant(interp: SegmentInterpolant, t):
     direction = interp.y - interp.x
     z = interp.x + t[..., None] * direction
     seg = np.minimum((t * interp.N).astype(int), interp.N - 1)
-    mix = interp.components
-    v, g = envelope_eval(interp.L, mix[:, seg], mix[:, seg + 1], z)
-    value = interp.weights @ v
-    deriv = interp.weights @ np.vecdot(g, direction)
+    value, g = envelope_eval(interp.L, interp.knots[seg], interp.knots[seg + 1], z)
+    deriv = np.vecdot(g, direction)
     if t.ndim == 0:
         return float(value), float(deriv)
     return value, deriv
 
-
-def combine(Fu: SegmentInterpolant, Fb: SegmentInterpolant,
-            lam: float) -> SegmentInterpolant:
-    """Pointwise lam*Fu + (1-lam)*Fb; stays L-smooth and convex.
-
-    The two must share knot locations within 1e-12 rho, end values at x
-    within 1e-9 L rho^2 and end gradients within 1e-9 L rho, with
-    rho = ||y - x||: tolerances relative to the data, so that the verdict
-    does not depend on units.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise RangeError(f"lambda = {lam} outside [0, 1]")
-    ku, kb = Fu.knots, Fb.knots
-    if ku.x.shape != kb.x.shape or abs(Fu.L - Fb.L) > 0.0:
-        raise MismatchError("interpolants differ in knot count or smoothness")
-    rho = float(np.linalg.norm(Fu.y - Fu.x))
-    g_tol = 1e-9 * Fu.L * rho
-
-    def close(a, b, tol) -> bool:
-        return bool(np.all(np.abs(a - b) <= tol))
-
-    if not close(ku.x, kb.x, 1e-12 * rho):
-        raise MismatchError("knot locations differ")
-    if not (close(ku.f[0], kb.f[0], g_tol * rho) and close(ku.g[0], kb.g[0], g_tol)):
-        raise MismatchError("endpoint data at x differs")
-    if not close(ku.g[-1], kb.g[-1], g_tol):
-        raise MismatchError("endpoint gradient at y differs")
-
-    knots = PointData(ku.x, lam * ku.f + (1.0 - lam) * kb.f, lam * ku.g + (1.0 - lam) * kb.g)
-    weights = np.concatenate([lam * Fu.weights, (1.0 - lam) * Fb.weights])
-    mu, mb = Fu.components, Fb.components
-    mix = PointData(np.concatenate([mu.x, mb.x]), np.concatenate([mu.f, mb.f]),
-                    np.concatenate([mu.g, mb.g]))
-    keep = weights > 0.0
-    return SegmentInterpolant(knots, weights[keep], mix[keep], Fu.L)

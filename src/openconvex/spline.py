@@ -10,8 +10,9 @@ Every verification below is exact, with zero floating-point tolerance: in
 rational arithmetic (fractions.Fraction), or on the lattice in integers after
 scaling by common denominators.  The lattice is built in int64 when an
 a-priori bound on its intermediates is below 2^62, and in Python integers
-otherwise.  The float paths (eval_float, grad_float and their scalar
-eval_F_float and grad_F_float) serve sampling and plotting only.
+otherwise.  The float paths (eval_float, grad_float, float_data for both at
+once, and the scalar eval_F_float and grad_F_float) serve sampling and
+plotting only.
 """
 
 from __future__ import annotations
@@ -145,27 +146,21 @@ class PiecewiseQuadratic:
         comparisons, or the last piece when none does.  Raises DomainError if
         any point is not finite or has x1 <= -23/240.
         """
-        x0, x1, k = self._float_pieces(X)
-        c = self._float_coefficients[k].T
-        v = (
-            0.5 * c[0] * x0 * x0
-            + c[1] * x0 * x1
-            + 0.5 * c[2] * x1 * x1
-            + c[3] * x0
-            + c[4] * x1
-            + c[5]
-        )
-        return v, k + 1
+        x0, x1, c, k = self._float_pieces(X)
+        return _float_values(x0, x1, c), k + 1
 
     def grad_float(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Float gradients (n x 2) and 1-based piece indices; see eval_float."""
-        x0, x1, k = self._float_pieces(X)
-        c = self._float_coefficients[k].T
-        g = np.column_stack([
-            c[0] * x0 + c[1] * x1 + c[3],
-            c[1] * x0 + c[2] * x1 + c[4],
-        ])
-        return g, k + 1
+        x0, x1, c, k = self._float_pieces(X)
+        return _float_gradients(x0, x1, c), k + 1
+
+    def float_data(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Float values and gradients (n x 2) from one classification of X.
+
+        They are bit for bit those of eval_float and grad_float.
+        """
+        x0, x1, c, _ = self._float_pieces(X)
+        return _float_values(x0, x1, c), _float_gradients(x0, x1, c)
 
     @cached_property
     def _float_coefficients(self) -> np.ndarray:
@@ -183,8 +178,9 @@ class PiecewiseQuadratic:
             for _, region in self.pieces
         ]
 
-    def _float_pieces(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Columns x0, x1 of X and the 0-based active piece of each row."""
+    def _float_pieces(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Columns x0, x1 of X, the active piece's coefficients (6 x n) and
+        the 0-based active piece of each row."""
         X = np.asarray(X, dtype=float)
         x0, x1 = X[:, 0], X[:, 1]
         outside = ~(np.isfinite(X).all(axis=1) & (x1 > DOMAIN_BOUND_F))
@@ -199,7 +195,27 @@ class PiecewiseQuadratic:
             for n0, n1, offset in regions[piece]:
                 inside &= ~(n0 * x0 + n1 * x1 > offset)
             k[inside] = piece
-        return x0, x1, k
+        return x0, x1, self._float_coefficients[k].T, k
+
+
+def _float_values(x0: np.ndarray, x1: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """1/2 z'Az + b'z + c at the points (x0, x1), with (a00, a01, a11, b0, b1, c) = c."""
+    return (
+        0.5 * c[0] * x0 * x0
+        + c[1] * x0 * x1
+        + 0.5 * c[2] * x1 * x1
+        + c[3] * x0
+        + c[4] * x1
+        + c[5]
+    )
+
+
+def _float_gradients(x0: np.ndarray, x1: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Az + b at the points (x0, x1), one row each; see _float_values."""
+    return np.column_stack([
+        c[0] * x0 + c[1] * x1 + c[3],
+        c[1] * x0 + c[2] * x1 + c[4],
+    ])
 
 
 # --- the concrete counterexample spline -----------------------------------
@@ -259,10 +275,6 @@ def build_spline(piece_offsets: dict[int, Q] | None = None) -> PiecewiseQuadrati
 _SPLINE = build_spline()
 
 
-def classify_region(p: ExactPoint) -> int:
-    return _SPLINE.classify_region(p)
-
-
 def eval_F(p: ExactPoint) -> Q:
     return _SPLINE.value(p)
 
@@ -277,6 +289,10 @@ def eval_float(X) -> tuple[np.ndarray, np.ndarray]:
 
 def grad_float(X) -> tuple[np.ndarray, np.ndarray]:
     return _SPLINE.grad_float(X)
+
+
+def float_data(X) -> tuple[np.ndarray, np.ndarray]:
+    return _SPLINE.float_data(X)
 
 
 def eval_F_float(x0: float, x1: float) -> float:

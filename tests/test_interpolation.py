@@ -5,14 +5,14 @@ import pytest
 
 from openconvex import chain
 from openconvex.bounds import PointData
-from openconvex.errors import InfeasibleData, MismatchError, RangeError
+from openconvex.errors import InfeasibleData, RangeError
 from openconvex.interpolation import (
     build_segment_interpolant,
-    combine,
     envelope_eval,
     eval_interpolant,
-    two_point_feasible,
 )
+
+from interpolation_helpers import MismatchError, combine, eval_mixture, two_point_feasible
 
 
 def _pd(x, f, g):
@@ -194,8 +194,8 @@ class TestCombine:
         for t in np.linspace(0.0, 1.0, 21):
             vu, du = eval_interpolant(Fu, float(t))
             vb, db = eval_interpolant(Fb, float(t))
-            v1, d1 = eval_interpolant(combine(Fu, Fb, 1.0), float(t))
-            v0, d0 = eval_interpolant(combine(Fu, Fb, 0.0), float(t))
+            v1, d1 = eval_mixture(combine(Fu, Fb, 1.0), float(t))
+            v0, d0 = eval_mixture(combine(Fu, Fb, 0.0), float(t))
             assert v1 == pytest.approx(vu, abs=1e-12)
             assert v0 == pytest.approx(vb, abs=1e-12)
             assert d1 == pytest.approx(du, abs=1e-12)
@@ -204,19 +204,19 @@ class TestCombine:
     def test_midpoint_mixture(self):
         Fu, Fb, ru, rb = self._pair()
         Fm = combine(Fu, Fb, 0.5)
-        v_end, _ = eval_interpolant(Fm, 1.0)
+        v_end, _ = eval_mixture(Fm, 1.0)
         assert v_end == pytest.approx(0.5 * (ru.value + rb.value), abs=1e-9)
         for t in np.linspace(0.0, 1.0, 21):
             vu, _ = eval_interpolant(Fu, float(t))
             vb, _ = eval_interpolant(Fb, float(t))
-            vm, _ = eval_interpolant(Fm, float(t))
+            vm, _ = eval_mixture(Fm, float(t))
             assert vm == pytest.approx(0.5 * (vu + vb), abs=1e-12)
 
     def test_mixture_stays_convex_and_smooth(self):
         Fu, Fb, _, _ = self._pair(s=0.65, N=2)
         Fm = combine(Fu, Fb, 0.3)
         ts = np.linspace(0.0, 1.0, 201)
-        ders = [eval_interpolant(Fm, float(t))[1] for t in ts]
+        ders = [eval_mixture(Fm, float(t))[1] for t in ts]
         h = ts[1] - ts[0]
         assert all(d2 >= d1 - 1e-9 for d1, d2 in zip(ders, ders[1:]))
         assert all(abs(d2 - d1) <= h + 1e-9 for d1, d2 in zip(ders, ders[1:]))

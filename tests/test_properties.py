@@ -31,8 +31,9 @@ from openconvex.errors import InfeasibleData  # noqa: E402
 from openconvex.interpolation import (  # noqa: E402
     build_segment_interpolant,
     eval_interpolant,
-    two_point_feasible,
 )
+
+from interpolation_helpers import two_point_feasible  # noqa: E402
 
 
 def _embedded(a, b, N, seed, direction):

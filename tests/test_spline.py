@@ -15,27 +15,27 @@ from openconvex.spline import ExactPoint, build_spline
 
 class TestClassification:
     def test_origin_is_piece_1(self):
-        assert spline.classify_region(ExactPoint.of(0, 0)) == 1
+        assert build_spline().classify_region(ExactPoint.of(0, 0)) == 1
 
     def test_far_point_is_piece_4(self):
-        assert spline.classify_region(ExactPoint.of(2, 0)) == 4
+        assert build_spline().classify_region(ExactPoint.of(2, 0)) == 4
 
     def test_middle_band_is_piece_2(self):
         # 3x0 - x1 = 7/3, inside [1/12, 31/12]
-        assert spline.classify_region(ExactPoint.of(Q(3, 4), Q(-1, 12))) == 2
+        assert build_spline().classify_region(ExactPoint.of(Q(3, 4), Q(-1, 12))) == 2
 
     def test_piece_3_needs_both_inequalities(self):
         # 3x0 - x1 = 11/4 >= 31/12 and x0 - 2x1 = 1/2 <= 49/48
-        assert spline.classify_region(ExactPoint.of(1, Q(1, 4))) == 3
+        assert build_spline().classify_region(ExactPoint.of(1, Q(1, 4))) == 3
 
     def test_seam_point_gets_lowest_index(self):
         # on 3x0 - x1 = 1/12
         p = ExactPoint.of(Q(1, 36), 0)
-        assert spline.classify_region(p) == 1
+        assert build_spline().classify_region(p) == 1
 
     def test_boundary_rejected(self):
         with pytest.raises(DomainError):
-            spline.classify_region(ExactPoint.of(0, Q(-23, 240)))
+            build_spline().classify_region(ExactPoint.of(0, Q(-23, 240)))
 
     def test_below_boundary_rejected(self):
         with pytest.raises(DomainError):
@@ -350,6 +350,10 @@ class TestFloatEvaluator:
         values, pieces = m.eval_float(X)
         grads, gpieces = m.grad_float(X)
         assert np.array_equal(pieces, gpieces)
+        # one classification pass gives the same bits as the two calls
+        both_values, both_grads = m.float_data(X)
+        assert both_values.tobytes() == values.tobytes()
+        assert both_grads.tobytes() == grads.tobytes()
         assert set(pieces.tolist()) == {1, 2, 3, 4}
         for (x0, x1), v, g, k in zip(X.tolist(), values.tolist(), grads.tolist(), pieces.tolist()):
             rv, rg, rk = _reference_float(m, x0, x1)
