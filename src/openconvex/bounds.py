@@ -153,15 +153,18 @@ def sum_identity(N: int, xi: float) -> tuple[float, float]:
     return direct, closed
 
 
-def analytical_region(t: float) -> tuple[Interval, Interval]:
+def analytical_region(t: float | np.ndarray) -> tuple[Interval, Interval]:
     """Admissible f(y)-f(x) region versus the plain descent region.
 
     Normalization: L = 1, zero gradient at x, unit squared distance;
-    t is the directional derivative <f'(y), y-x>.  Returns (inner, outer)
-    with inner a subset of outer for every t in [0, 1].
+    t is the directional derivative <f'(y), y-x>, a float or an array, and
+    (inner, outer), with ends of t's shape, has inner a subset of outer for
+    every t in [0, 1].  RangeError names the first t outside [0, 1].
     """
-    if not 0.0 <= t <= 1.0:
-        raise RangeError(f"t = {t} outside [0, 1]")
+    ts = np.ravel(t)
+    bad = ts[~((0.0 <= ts) & (ts <= 1.0))]
+    if bad.size:
+        raise RangeError(f"t = {bad[0]} outside [0, 1]")
     inner = Interval(0.5 * t * t, t - 0.5 * t * t)
-    outer = Interval(max(0.0, t - 0.5), min(0.5, t))
+    outer = Interval(np.maximum(0.0, t - 0.5), np.minimum(0.5, t))
     return inner, outer

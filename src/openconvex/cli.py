@@ -48,8 +48,17 @@ def _atomic_write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
+    # mkstemp creates the file 0600: give it the mode an existing file has,
+    # or that open() would give a new one under the umask
+    try:
+        mode = os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -242,10 +251,9 @@ def cmd_contour(args) -> int:
 
 
 def cmd_region(args) -> int:
-    ts = np.linspace(0.0, 1.0, args.steps + 1).tolist()
-    edges = [(inner.lo, inner.hi, outer.lo, outer.hi)
-             for inner, outer in map(bounds.analytical_region, ts)]
-    columns = list(zip(*edges))
+    ts = np.linspace(0.0, 1.0, args.steps + 1)
+    inner, outer = bounds.analytical_region(ts)
+    ts, *columns = (v.tolist() for v in (ts, inner.lo, inner.hi, outer.lo, outer.hi))
     if args.format == "svg":
         colors = ["steelblue", "steelblue", "firebrick", "firebrick"]
         _atomic_write(args.out, _svg_lines(

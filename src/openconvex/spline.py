@@ -10,16 +10,16 @@ Every verification below is exact, with zero floating-point tolerance: in
 rational arithmetic (fractions.Fraction), or on the lattice in integers after
 scaling by common denominators.  The lattice is built in int64 when an
 a-priori bound on its intermediates is below 2^62, and in Python integers
-otherwise.  The float paths (eval_float, grad_float, float_data for both at
-once, and the scalar eval_F_float and grad_F_float) serve sampling and
-plotting only.
+otherwise.  The float paths (eval_float, float_data for values and
+gradients at once, and the scalar eval_F_float and grad_F_float) serve
+sampling and plotting only.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -68,21 +68,16 @@ class QuadraticPiece:
     b1: Q
     c: Q
 
+    @property
+    def coefficients(self) -> tuple[Q, Q, Q, Q, Q, Q]:
+        """(a00, a01, a11, b0, b1, c), the order _value and _gradient read."""
+        return (self.a00, self.a01, self.a11, self.b0, self.b1, self.c)
+
     def value(self, p: ExactPoint) -> Q:
-        return (
-            self.a00 * p.x0 * p.x0 / 2
-            + self.a01 * p.x0 * p.x1
-            + self.a11 * p.x1 * p.x1 / 2
-            + self.b0 * p.x0
-            + self.b1 * p.x1
-            + self.c
-        )
+        return _value(self.coefficients, p.x0, p.x1)
 
     def gradient(self, p: ExactPoint) -> tuple[Q, Q]:
-        return (
-            self.a00 * p.x0 + self.a01 * p.x1 + self.b0,
-            self.a01 * p.x0 + self.a11 * p.x1 + self.b1,
-        )
+        return _gradient(self.coefficients, p.x0, p.x1)
 
     def trace(self) -> Q:
         return self.a00 + self.a11
@@ -94,22 +89,31 @@ class QuadraticPiece:
         return self.trace() >= 0 and self.det() >= 0
 
     def eig_at_most_one(self) -> bool:
-        # both eigenvalues <= 1 iff A - I is negative semidefinite
-        t = self.trace() - 2
-        d = (self.a00 - 1) * (self.a11 - 1) - self.a01 * self.a01
-        return t <= 0 and d >= 0
+        # both eigenvalues <= 1 iff I - A is positive semidefinite
+        return QuadraticPiece(1 - self.a00, -self.a01, 1 - self.a11, Q(0), Q(0), Q(0)).is_psd()
+
+
+def _value(c, x0, x1):
+    """1/2 z'Az + b'z + c at z = (x0, x1), with c = (a00, a01, a11, b0, b1, c).
+
+    One expression for Fractions and float arrays: a00*x0*x0/2 has the bits
+    of 0.5*a00*x0*x0, since halving is exact short of underflow.
+    """
+    a00, a01, a11, b0, b1, c0 = c
+    return a00 * x0 * x0 / 2 + a01 * x0 * x1 + a11 * x1 * x1 / 2 + b0 * x0 + b1 * x1 + c0
+
+
+def _gradient(c, x0, x1):
+    """Az + b at z = (x0, x1) as (d/dx0, d/dx1); see _value."""
+    a00, a01, a11, b0, b1, _ = c
+    return a00 * x0 + a01 * x1 + b0, a01 * x0 + a11 * x1 + b1
 
 
 def _square_expansion(base: QuadraticPiece, coef: Q, a: tuple[Q, Q], beta: Q) -> QuadraticPiece:
     """Return base + coef * (<a, z> - beta)^2 expanded to A/b/c form."""
-    return QuadraticPiece(
-        a00=base.a00 + 2 * coef * a[0] * a[0],
-        a01=base.a01 + 2 * coef * a[0] * a[1],
-        a11=base.a11 + 2 * coef * a[1] * a[1],
-        b0=base.b0 - 2 * coef * beta * a[0],
-        b1=base.b1 - 2 * coef * beta * a[1],
-        c=base.c + coef * beta * beta,
-    )
+    square = (2 * a[0] * a[0], 2 * a[0] * a[1], 2 * a[1] * a[1],
+              -2 * beta * a[0], -2 * beta * a[1], beta * beta)
+    return QuadraticPiece(*(u + coef * v for u, v in zip(base.coefficients, square)))
 
 
 @dataclass(frozen=True)
@@ -147,28 +151,20 @@ class PiecewiseQuadratic:
         any point is not finite or has x1 <= -23/240.
         """
         x0, x1, c, k = self._float_pieces(X)
-        return _float_values(x0, x1, c), k + 1
-
-    def grad_float(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Float gradients (n x 2) and 1-based piece indices; see eval_float."""
-        x0, x1, c, k = self._float_pieces(X)
-        return _float_gradients(x0, x1, c), k + 1
+        return _value(c, x0, x1), k + 1
 
     def float_data(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Float values and gradients (n x 2) from one classification of X.
 
-        They are bit for bit those of eval_float and grad_float.
+        The values are bit for bit those of eval_float.
         """
         x0, x1, c, _ = self._float_pieces(X)
-        return _float_values(x0, x1, c), _float_gradients(x0, x1, c)
+        return _value(c, x0, x1), np.column_stack(_gradient(c, x0, x1))
 
     @cached_property
     def _float_coefficients(self) -> np.ndarray:
-        """(a00, a01, a11, b0, b1, c) per piece as floats, one row each."""
-        return np.array([
-            [float(q.a00), float(q.a01), float(q.a11), float(q.b0), float(q.b1), float(q.c)]
-            for q, _ in self.pieces
-        ])
+        """Each piece's coefficients as floats, one row each."""
+        return np.array([q.coefficients for q, _ in self.pieces], dtype=float)
 
     @cached_property
     def _float_regions(self) -> list[list[tuple[float, float, float]]]:
@@ -187,35 +183,12 @@ class PiecewiseQuadratic:
         if outside.any():
             p0, p1 = X[outside][0]
             raise DomainError(f"point ({p0}, {p1}) outside the open domain")
-        regions = self._float_regions
-        k = np.full(len(X), len(regions) - 1)
-        # Lower pieces are written last so that the first match wins.
-        for piece in range(len(regions) - 2, -1, -1):
-            inside = np.ones(len(X), dtype=bool)
-            for n0, n1, offset in regions[piece]:
-                inside &= ~(n0 * x0 + n1 * x1 > offset)
-            k[inside] = piece
+        # the first region that holds a row wins, else the last piece
+        *regions, _ = self._float_regions
+        inside = [np.logical_and.reduce([n0 * x0 + n1 * x1 <= offset for n0, n1, offset in r])
+                  for r in regions]
+        k = np.select(inside, range(len(regions)), len(regions))
         return x0, x1, self._float_coefficients[k].T, k
-
-
-def _float_values(x0: np.ndarray, x1: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """1/2 z'Az + b'z + c at the points (x0, x1), with (a00, a01, a11, b0, b1, c) = c."""
-    return (
-        0.5 * c[0] * x0 * x0
-        + c[1] * x0 * x1
-        + 0.5 * c[2] * x1 * x1
-        + c[3] * x0
-        + c[4] * x1
-        + c[5]
-    )
-
-
-def _float_gradients(x0: np.ndarray, x1: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Az + b at the points (x0, x1), one row each; see _float_values."""
-    return np.column_stack([
-        c[0] * x0 + c[1] * x1 + c[3],
-        c[1] * x0 + c[2] * x1 + c[4],
-    ])
 
 
 # --- the concrete counterexample spline -----------------------------------
@@ -238,21 +211,14 @@ def build_spline(piece_offsets: dict[int, Q] | None = None) -> PiecewiseQuadrati
     added to the piece's constant term, used to exercise failure paths of
     the seam verification.
     """
-    one = QuadraticPiece(Q(1), Q(0), Q(1), Q(0), Q(0), Q(0))
-    p1 = one
-    p2 = _square_expansion(one, Q(-1, 20), _SEAM_12[0], _SEAM_12[1])
-    p3_base = QuadraticPiece(Q(1), Q(0), Q(1), Q(-3, 4), Q(1, 4), Q(1, 3))
-    p3 = p3_base
-    p4 = _square_expansion(p3_base, Q(-1, 10), _SEAM_34[0], _SEAM_34[1])
+    p1 = QuadraticPiece(Q(1), Q(0), Q(1), Q(0), Q(0), Q(0))
+    p2 = _square_expansion(p1, Q(-1, 20), *_SEAM_12)
+    p3 = QuadraticPiece(Q(1), Q(0), Q(1), Q(-3, 4), Q(1, 4), Q(1, 3))
+    p4 = _square_expansion(p3, Q(-1, 10), *_SEAM_34)
 
-    if piece_offsets:
-        fixed = []
-        for k, q in enumerate((p1, p2, p3, p4), start=1):
-            d = Q(piece_offsets.get(k, 0))
-            fixed.append(
-                QuadraticPiece(q.a00, q.a01, q.a11, q.b0, q.b1, q.c + d)
-            )
-        p1, p2, p3, p4 = fixed
+    offsets = piece_offsets or {}
+    p1, p2, p3, p4 = (replace(q, c=q.c + Q(offsets.get(k, 0)))
+                      for k, q in enumerate((p1, p2, p3, p4), start=1))
 
     le = lambda n, off: HalfPlane(n, off)               # <n,z> <= off
     ge = lambda n, off: HalfPlane((-n[0], -n[1]), -off)  # <n,z> >= off
@@ -287,10 +253,6 @@ def eval_float(X) -> tuple[np.ndarray, np.ndarray]:
     return _SPLINE.eval_float(X)
 
 
-def grad_float(X) -> tuple[np.ndarray, np.ndarray]:
-    return _SPLINE.grad_float(X)
-
-
 def float_data(X) -> tuple[np.ndarray, np.ndarray]:
     return _SPLINE.float_data(X)
 
@@ -300,7 +262,7 @@ def eval_F_float(x0: float, x1: float) -> float:
 
 
 def grad_F_float(x0: float, x1: float) -> tuple[float, float]:
-    return tuple(grad_float([[x0, x1]])[0][0].tolist())
+    return tuple(float_data([[x0, x1]])[1][0].tolist())
 
 
 def domain_distance(p: ExactPoint) -> Q:
@@ -366,31 +328,19 @@ def verify_c1_seams(spline: PiecewiseQuadratic | None = None) -> VerificationRep
     spline = spline or _SPLINE
     report = VerificationReport()
     for i, j, line in spline.seams:
-        qi = spline.pieces[i][0]
-        qj = spline.pieces[j][0]
-        da00, da01, da11 = qj.a00 - qi.a00, qj.a01 - qi.a01, qj.a11 - qi.a11
-        db0, db1 = qj.b0 - qi.b0, qj.b1 - qi.b1
+        dq = QuadraticPiece(*(v - u for u, v in zip(spline.pieces[i][0].coefficients,
+                                                   spline.pieces[j][0].coefficients)))
         n0, n1 = line.normal
         # a point on the line and a direction along it
         if n0 != 0:
             z0 = ExactPoint(line.offset / n0, Q(0))
         else:
             z0 = ExactPoint(Q(0), line.offset / n1)
-        d0, d1 = -n1, n0
-        grad_dir0 = da00 * d0 + da01 * d1
-        grad_dir1 = da01 * d0 + da11 * d1
-        grad_z0 = (
-            da00 * z0.x0 + da01 * z0.x1 + db0,
-            da01 * z0.x0 + da11 * z0.x1 + db1,
-        )
-        dq_z0 = qj.value(z0) - qi.value(z0)
-        ok = (
-            grad_dir0 == 0
-            and grad_dir1 == 0
-            and grad_z0[0] == 0
-            and grad_z0[1] == 0
-            and dq_z0 == 0
-        )
+        # dA d, the Hessian of dq along the line: the gradient of dq without its b
+        grad_dir0, grad_dir1 = _gradient((dq.a00, dq.a01, dq.a11, 0, 0, 0), -n1, n0)
+        grad_z0 = dq.gradient(z0)
+        dq_z0 = dq.value(z0)
+        ok = all(r == 0 for r in (grad_dir0, grad_dir1, *grad_z0, dq_z0))
         report.add(
             f"seam {i + 1}|{j + 1} on <({n0},{n1}),z> = {line.offset}",
             ok,
@@ -577,7 +527,7 @@ def verify_grid_properties(
     nx = int((x_range[1] - x_range[0]) / spacing)
     ny = int((y_range[1] - y_range[0]) / spacing)
     step, x_org, y_org = int(spacing * D), int(x_range[0] * D), int(y_range[0] * D)
-    coefs = [(q.a00, q.a01, q.a11, q.b0, q.b1, q.c) for q, _ in spline.pieces]
+    coefs = [q.coefficients for q, _ in spline.pieces]
     M = _den_lcm(v for c in coefs for v in c)
     ints = [tuple(int(v * M) for v in c) for c in coefs]
     dtype = _lattice_dtype(spline, D, M, ints, step,
@@ -596,8 +546,7 @@ def verify_grid_properties(
             claims[k] &= _contains_scaled(h, D, X0, X1)
         F[k] = (a00 * X0 * X0 + 2 * a01 * X0 * X1 + a11 * X1 * X1
                 + 2 * D * (b0 * X0 + b1 * X1) + 2 * c0 * D * D)
-        G0[k] = a00 * X0 + a01 * X1 + b0 * D
-        G1[k] = a01 * X0 + a11 * X1 + b1 * D
+        G0[k], G1[k] = _gradient((a00, a01, a11, b0 * D, b1 * D, c0), X0, X1)
 
     # A point that no piece claims is an error, not a failed check.  The
     # active piece is the lowest-index claim.

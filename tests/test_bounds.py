@@ -180,6 +180,15 @@ class TestAnalyticalRegion:
     def test_out_of_range(self):
         with pytest.raises(RangeError):
             bounds.analytical_region(1.0 + 1e-9)
+        with pytest.raises(RangeError, match=r"t = 2\.0 outside"):
+            bounds.analytical_region(np.array([0.5, 2.0, -1.0]))
+
+    def test_array_matches_scalar_formulas(self):
+        ts = np.linspace(0.0, 1.0, 101)
+        inner, outer = bounds.analytical_region(ts)
+        for k, t in enumerate(ts.tolist()):
+            assert (inner.lo[k], inner.hi[k], outer.lo[k], outer.hi[k]) == (
+                0.5 * t * t, t - 0.5 * t * t, max(0.0, t - 0.5), min(0.5, t))
 
 
 class TestPointData:

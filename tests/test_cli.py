@@ -4,6 +4,8 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import stat
 
 import pytest
 
@@ -137,6 +139,22 @@ class TestRegion:
                          "--out", str(out)])
         assert code == cli.EXIT_OK
         assert "<polyline" in out.read_text()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_out_file_mode(self, tmp_path, umask):
+        # a new file gets 0666 under the umask; an existing file keeps its mode
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("")
+        old.chmod(0o604)
+        saved = os.umask(umask)
+        try:
+            for out in (new, old):
+                assert cli.main(["region", "--steps", "3", "--out", str(out)]) == 0
+        finally:
+            os.umask(saved)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(old.stat().st_mode) == 0o604
+        assert old.read_text() == new.read_text()
 
 
 class TestSweep:

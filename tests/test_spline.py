@@ -2,7 +2,7 @@
 
 import functools
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction as Q
 
 import numpy as np
@@ -90,10 +90,69 @@ class TestSeams:
         failing = [c for c in report.checks if not c.passed]
         assert failing and all("seam" in c.name for c in failing)
 
+    # Each perturbation of a piece next to seam 1|2 (through z0 = (1/36, 0),
+    # along d = (1, 3)) leaves some of its five residuals nonzero.
+    @pytest.mark.parametrize("piece, deltas, residuals", [
+        (1, {"c": Q(1, 1000)}, "grad_dir=(0,0) grad=(Fraction(0, 1), Fraction(0, 1)) value=1/1000"),
+        (1, {"b0": Q(1, 1000)},
+         "grad_dir=(0,0) grad=(Fraction(1, 1000), Fraction(0, 1)) value=1/36000"),
+        (1, {"b0": Q(1, 1000), "c": Q(-1, 36000)},
+         "grad_dir=(0,0) grad=(Fraction(1, 1000), Fraction(0, 1)) value=0"),
+        (1, {"b1": Q(1, 1000)}, "grad_dir=(0,0) grad=(Fraction(0, 1), Fraction(1, 1000)) value=0"),
+        (1, {"a11": Q(1, 1000)}, "grad_dir=(0,3/1000) grad=(Fraction(0, 1), Fraction(0, 1)) value=0"),
+        # 1/2000 (x0 - 1/36)^2: zero with its gradient at z0, curved along d
+        (0, {"a00": Q(1, 1000), "b0": Q(-1, 36000), "c": Q(1, 2592000)},
+         "grad_dir=(-1/1000,0) grad=(Fraction(0, 1), Fraction(0, 1)) value=0"),
+    ])
+    def test_each_residual_is_reported(self, piece, deltas, residuals):
+        first = spline.verify_c1_seams(_shifted(piece, **deltas)).checks[0]
+        assert first.name == "seam 1|2 on <(3,-1),z> = 1/12"
+        assert not first.passed
+        assert first.detail == f"residuals {residuals}"
+
+    @pytest.mark.parametrize("seam", [0, 1, 2])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_square_of_own_line_keeps_the_seam(self, seam, side):
+        # how pieces 2 and 4 are built: coef * (<n, z> - beta)^2 vanishes on
+        # the line with its gradient, so only the piece's other seam breaks
+        base = build_spline()
+        piece = base.seams[seam][side]
+        line = base.seams[seam][2]
+        q = spline._square_expansion(base.pieces[piece][0], Q(1, 7), line.normal, line.offset)
+        model = _with_piece(piece, **asdict(q))
+        passed = [c.passed for c in spline.verify_c1_seams(model).checks]
+        assert passed == [k == seam or piece not in base.seams[k][:2] for k in range(3)]
+
+
+def _with_eigenvalues(lam, mu):
+    """The spline with piece 1's Hessian eigenvalues lam along (3, 4)/5 and mu along (-4, 3)/5."""
+    return _with_piece(0, a00=(9 * lam + 16 * mu) / 25, a01=(12 * lam - 12 * mu) / 25,
+                       a11=(16 * lam + 9 * mu) / 25)
+
 
 class TestPieceSpectra:
     def test_all_pieces_pass(self):
         assert spline.verify_smooth_convex_pieces().passed
+
+    @pytest.mark.parametrize("model, failing", [
+        ("piece1-stiff", ["piece 1 1-smooth (eigenvalues within [0,1])"]),
+        ("piece3-non-convex", ["piece 3 convex (trace=2/3, det=-1/3)"]),
+    ])
+    def test_broken_piece_fails_its_line(self, model, failing):
+        report = spline.verify_smooth_convex_pieces(BROKEN_PIECES[model])
+        assert [c.name for c in report.checks if not c.passed] == failing
+
+    @pytest.mark.parametrize("lam, mu, convex, smooth", [
+        (Q(0), Q(1), True, True),
+        (Q(1), Q(0), True, True),
+        (Q(-1, 1000), Q(1), False, True),
+        (Q(0), Q(1001, 1000), True, False),
+        (Q(1001, 1000), Q(-1, 1000), False, False),
+    ])
+    def test_eigenvalue_edges(self, lam, mu, convex, smooth):
+        report = spline.verify_smooth_convex_pieces(_with_eigenvalues(lam, mu))
+        assert [c.passed for c in report.checks[:2]] == [convex, smooth]
+        assert all(c.passed for c in report.checks[2:])
 
     def test_exact_trace_det(self):
         pieces = [p for p, _ in build_spline().pieces]
@@ -180,6 +239,12 @@ def _with_piece(k, **coefficients):
     q, region = pieces[k]
     pieces[k] = (replace(q, **coefficients), region)
     return replace(base, pieces=tuple(pieces))
+
+
+def _shifted(k, **deltas):
+    """The spline with deltas added to some coefficients of its 0-based piece k."""
+    q = build_spline().pieces[k][0]
+    return _with_piece(k, **{name: getattr(q, name) + d for name, d in deltas.items()})
 
 
 COARSE_LATTICE = dict(
@@ -348,12 +413,9 @@ class TestFloatEvaluator:
         assert len(seams) >= 9
         X = np.array(grid + seams)
         values, pieces = m.eval_float(X)
-        grads, gpieces = m.grad_float(X)
-        assert np.array_equal(pieces, gpieces)
-        # one classification pass gives the same bits as the two calls
-        both_values, both_grads = m.float_data(X)
+        # one classification pass gives the values' bits and the gradients
+        both_values, grads = m.float_data(X)
         assert both_values.tobytes() == values.tobytes()
-        assert both_grads.tobytes() == grads.tobytes()
         assert set(pieces.tolist()) == {1, 2, 3, 4}
         for (x0, x1), v, g, k in zip(X.tolist(), values.tolist(), grads.tolist(), pieces.tolist()):
             rv, rg, rk = _reference_float(m, x0, x1)
@@ -368,7 +430,7 @@ class TestFloatEvaluator:
         # a non-finite row is outside the open domain too
         for row in ([math.nan, 0.0], [0.0, math.nan], [math.inf, 0.0], [0.0, math.inf],
                     [-math.inf, 0.5]):
-            for evaluate in (spline.eval_float, spline.grad_float):
+            for evaluate in (spline.eval_float, spline.float_data):
                 with pytest.raises(DomainError):
                     evaluate(np.array([[0.0, 0.5], row]))
 
