@@ -15,6 +15,6 @@ module (``openconvex.bounds``, ``chain``, ``interpolation``, ``spline``,
 from .bounds import PointData
 from .chain import BoundResult, ChainSpec, normalized_spec, solve_spec
 from .interpolation import SegmentInterpolant, build_segment_interpolant, eval_interpolant
-from .spline import ExactPoint, VerificationReport, cocoercivity_sides, eval_F, verify_all
+from .spline import SPLINE, ExactPoint, VerificationReport, cocoercivity_sides, verify_all
 
 __version__ = "0.1.0"

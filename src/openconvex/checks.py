@@ -1,8 +1,8 @@
 """Seeded empirical checks of the two-point bounds on the spline.
 
 These sample random point pairs in the spline's open half-plane domain and
-measure how well the analytical inequalities hold on its float-converted
-values and gradients.
+measure how well the analytical inequalities hold on the float values and
+gradients of the spline they are given (spline.SPLINE by default).
 """
 
 from __future__ import annotations
@@ -24,13 +24,14 @@ def _sample_points(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.column_stack([x0, x1])
 
 
-def _point_data(X: np.ndarray) -> PointData:
-    """The stacked PointData at the rows of X, from one classification pass."""
-    f, g = spline.float_data(X)
+def _point_data(model: spline.PiecewiseQuadratic, X: np.ndarray) -> PointData:
+    """The stacked PointData of model at the rows of X, from one classification pass."""
+    f, g = model.float_data(X)
     return PointData(x=X, f=f, g=g)
 
 
-def global_bound_max_excursion(n_pairs: int, seed: int = 0) -> float:
+def global_bound_max_excursion(n_pairs: int, seed: int = 0,
+                               model: spline.PiecewiseQuadratic = spline.SPLINE) -> float:
     """Worst distance of f(y) from its admissible interval over n random pairs.
 
     Nonpositive (up to float noise) iff the strengthened two-sided bound
@@ -40,13 +41,14 @@ def global_bound_max_excursion(n_pairs: int, seed: int = 0) -> float:
     X = _sample_points(rng, n_pairs)
     Y = _sample_points(rng, n_pairs)
     distinct = np.any(X != Y, axis=1)
-    py = _point_data(Y[distinct])
-    iv = global_bound_interval(1.0, _point_data(X[distinct]), py)
+    py = _point_data(model, Y[distinct])
+    iv = global_bound_interval(1.0, _point_data(model, X[distinct]), py)
     excursion = np.maximum(iv.lo - py.f, py.f - iv.hi)
     return float(np.max(excursion, initial=-math.inf))
 
 
-def local_cocoercivity_min_gap(n_pairs: int, seed: int = 0) -> float:
+def local_cocoercivity_min_gap(n_pairs: int, seed: int = 0,
+                               model: spline.PiecewiseQuadratic = spline.SPLINE) -> float:
     """Smallest co-coercivity gap over pairs satisfying the locality condition.
 
     y is sampled in the domain, x uniformly in the open ball around y of
@@ -62,5 +64,5 @@ def local_cocoercivity_min_gap(n_pairs: int, seed: int = 0) -> float:
     radius = dist_y * np.sqrt(draws[:, 1]) * (1.0 - 1e-6)
     X = np.column_stack([Y[:, 0] + radius * np.cos(theta),
                          Y[:, 1] + radius * np.sin(theta)])
-    gap = cocoercivity_gap(1.0, _point_data(X), _point_data(Y))
+    gap = cocoercivity_gap(1.0, _point_data(model, X), _point_data(model, Y))
     return float(np.min(gap, initial=math.inf))

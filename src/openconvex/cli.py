@@ -42,6 +42,9 @@ EXIT_ALL_INFEASIBLE = 2
 EXIT_SOLVER_FAILURE = 3
 EXIT_BAD_INPUT = 4
 
+# what verify --perturb-piece adds to the piece's constant term
+PERTURB_DELTA = Fraction(1, 1000)
+
 
 def _atomic_write(path: str | None, text: str) -> None:
     if path is None or path == "-":
@@ -192,7 +195,6 @@ def _holds_a_pair(spacing: Fraction) -> bool:
 _positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
 _seed = _checked(int, lambda n: n >= 0, "a non-negative integer")
 _finite_float = _checked(float, math.isfinite, "a finite number")
-_rational = _checked(Fraction, lambda q: True, "a rational number")
 _spacing = _checked(Fraction, lambda q: q > 0 and _holds_a_pair(q),
                     f"a positive rational whose lattice holds at least {spline.PAIR_STRIDE} pairs")
 _n_list = _checked(lambda text: [int(v) for v in text.split(",")], lambda ns: min(ns) >= 1,
@@ -206,16 +208,17 @@ _out_path = _checked(str, lambda p: p == "-" or (os.path.isdir(os.path.dirname(o
 
 
 def cmd_verify(args) -> int:
-    offsets = None if args.perturb_piece is None else {args.perturb_piece: args.perturb_delta}
-    report = spline.verify_all(spacing=args.grid_spacing, spline=spline.build_spline(offsets))
+    offsets = None if args.perturb_piece is None else {args.perturb_piece: PERTURB_DELTA}
+    model = spline.build_spline(offsets)
+    report = spline.verify_all(spacing=args.grid_spacing, spline=model)
 
-    excursion = checks.global_bound_max_excursion(args.pairs, seed=args.seed)
+    excursion = checks.global_bound_max_excursion(args.pairs, seed=args.seed, model=model)
     report.add(
         f"two-sided global bound on {args.pairs} random pairs",
         excursion <= 1e-12,
         f"max excursion {excursion:.3e}",
     )
-    gap = checks.local_cocoercivity_min_gap(args.pairs, seed=args.seed)
+    gap = checks.local_cocoercivity_min_gap(args.pairs, seed=args.seed, model=model)
     report.add(
         f"local co-coercivity on {args.pairs} random pairs",
         gap >= -1e-12,
@@ -233,7 +236,7 @@ def cmd_contour(args) -> int:
     y = np.linspace(ymin, args.ymax, args.ny)
     rows = y > spline.DOMAIN_BOUND_F
     X = np.column_stack([np.tile(x, rows.sum()), np.repeat(y[rows], args.nx)])
-    v, piece = spline.eval_float(X)
+    v, piece = spline.SPLINE.eval_float(X)
     values = np.full((args.ny, args.nx), math.nan)
     values[rows] = v.reshape(-1, args.nx)
     if args.format == "svg":
@@ -393,10 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=_positive_int, default=2000,
                    help="random pairs for the empirical bound checks")
     p.add_argument("--perturb-piece", type=int, default=None,
-                   choices=range(1, len(spline.build_spline().pieces) + 1),
-                   help="test hook: 1-based piece whose constant is perturbed")
-    p.add_argument("--perturb-delta", type=_rational, default="1/1000",
-                   help="test hook: rational perturbation added to the constant")
+                   choices=range(1, len(spline.SPLINE.pieces) + 1),
+                   help="test hook: 1-based piece whose constant is raised by 1/1000")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("contour", help="piece/value grid of the spline")

@@ -4,15 +4,17 @@ The function is assembled from four quadratic pieces glued C^1 along
 straight seams, defined on the open half-plane x1 > -23/240.  It is convex
 and 1-smooth on its domain, yet the pair x=(0,0), y=(2,0) violates the
 co-coercivity inequality, so no 1-smooth convex function on the whole plane
-matches its values and gradients at those two points.
+matches its values and gradients at those two points.  SPLINE is that
+function, and build_spline makes it or a copy with perturbed constants.
 
-Every verification below is exact, with zero floating-point tolerance: in
-rational arithmetic (fractions.Fraction), or on the lattice in integers after
-scaling by common denominators.  The lattice is built in int64 when an
-a-priori bound on its intermediates is below 2^62, and in Python integers
-otherwise.  The float paths (eval_float, float_data for values and
-gradients at once, and the scalar eval_F_float and grad_F_float) serve
-sampling and plotting only.
+Every verification below takes the spline it checks (SPLINE by default) and
+is exact, with zero floating-point tolerance: in rational arithmetic
+(fractions.Fraction), or on the lattice in integers after scaling by common
+denominators.  The lattice is built in int64 when an a-priori bound on its
+intermediates is below 2^62, and in Python integers otherwise.  The float
+paths serve sampling and plotting only: the methods eval_float and
+float_data (values and gradients from one classification of the points),
+and the one-point eval_F_float and grad_F_float on SPLINE.
 """
 
 from __future__ import annotations
@@ -238,31 +240,15 @@ def build_spline(piece_offsets: dict[int, Q] | None = None) -> PiecewiseQuadrati
     return PiecewiseQuadratic(pieces, domain, seams)
 
 
-_SPLINE = build_spline()
-
-
-def eval_F(p: ExactPoint) -> Q:
-    return _SPLINE.value(p)
-
-
-def grad_F(p: ExactPoint) -> tuple[Q, Q]:
-    return _SPLINE.gradient(p)
-
-
-def eval_float(X) -> tuple[np.ndarray, np.ndarray]:
-    return _SPLINE.eval_float(X)
-
-
-def float_data(X) -> tuple[np.ndarray, np.ndarray]:
-    return _SPLINE.float_data(X)
+SPLINE = build_spline()
 
 
 def eval_F_float(x0: float, x1: float) -> float:
-    return float(eval_float([[x0, x1]])[0][0])
+    return float(SPLINE.eval_float([[x0, x1]])[0][0])
 
 
 def grad_F_float(x0: float, x1: float) -> tuple[float, float]:
-    return tuple(float_data([[x0, x1]])[1][0].tolist())
+    return tuple(SPLINE.float_data([[x0, x1]])[1][0].tolist())
 
 
 def domain_distance(p: ExactPoint) -> Q:
@@ -317,7 +303,7 @@ class VerificationReport:
         )
 
 
-def verify_c1_seams(spline: PiecewiseQuadratic | None = None) -> VerificationReport:
+def verify_c1_seams(spline: PiecewiseQuadratic = SPLINE) -> VerificationReport:
     """Check value and gradient agreement of adjacent pieces on each seam.
 
     The difference polynomial restricted to the seam line must vanish
@@ -325,7 +311,6 @@ def verify_c1_seams(spline: PiecewiseQuadratic | None = None) -> VerificationRep
     line and z0 a point on it, this reduces to dA*d = 0, dA*z0 + db = 0 and
     dq(z0) = 0, all checked exactly.
     """
-    spline = spline or _SPLINE
     report = VerificationReport()
     for i, j, line in spline.seams:
         dq = QuadraticPiece(*(v - u for u, v in zip(spline.pieces[i][0].coefficients,
@@ -338,21 +323,20 @@ def verify_c1_seams(spline: PiecewiseQuadratic | None = None) -> VerificationRep
             z0 = ExactPoint(Q(0), line.offset / n1)
         # dA d, the Hessian of dq along the line: the gradient of dq without its b
         grad_dir0, grad_dir1 = _gradient((dq.a00, dq.a01, dq.a11, 0, 0, 0), -n1, n0)
-        grad_z0 = dq.gradient(z0)
+        grad0, grad1 = dq.gradient(z0)
         dq_z0 = dq.value(z0)
-        ok = all(r == 0 for r in (grad_dir0, grad_dir1, *grad_z0, dq_z0))
+        ok = all(r == 0 for r in (grad_dir0, grad_dir1, grad0, grad1, dq_z0))
         report.add(
             f"seam {i + 1}|{j + 1} on <({n0},{n1}),z> = {line.offset}",
             ok,
             "value and gradient agree identically" if ok else
-            f"residuals grad_dir=({grad_dir0},{grad_dir1}) grad={grad_z0} value={dq_z0}",
+            f"residuals grad_dir=({grad_dir0},{grad_dir1}) grad=({grad0},{grad1}) value={dq_z0}",
         )
     return report
 
 
-def verify_smooth_convex_pieces(spline: PiecewiseQuadratic | None = None) -> VerificationReport:
+def verify_smooth_convex_pieces(spline: PiecewiseQuadratic = SPLINE) -> VerificationReport:
     """Exact convexity (A PSD) and 1-smoothness (eigenvalues <= 1) per piece."""
-    spline = spline or _SPLINE
     report = VerificationReport()
     for k, (q, _) in enumerate(spline.pieces, start=1):
         report.add(
@@ -366,21 +350,21 @@ def verify_smooth_convex_pieces(spline: PiecewiseQuadratic | None = None) -> Ver
     return report
 
 
-def cocoercivity_sides() -> tuple[Q, Q]:
+def cocoercivity_sides(spline: PiecewiseQuadratic = SPLINE) -> tuple[Q, Q]:
     """Exact (LHS, RHS) of the co-coercivity inequality at the violating pair."""
-    gx = grad_F(VIOLATION_X)
-    gy = grad_F(VIOLATION_Y)
+    gx = spline.gradient(VIOLATION_X)
+    gy = spline.gradient(VIOLATION_Y)
     dx0 = VIOLATION_Y.x0 - VIOLATION_X.x0
     dx1 = VIOLATION_Y.x1 - VIOLATION_X.x1
     lhs = ((gy[0] - gx[0]) ** 2 + (gy[1] - gx[1]) ** 2) / 2
-    rhs = eval_F(VIOLATION_Y) - eval_F(VIOLATION_X) - (gx[0] * dx0 + gx[1] * dx1)
+    rhs = spline.value(VIOLATION_Y) - spline.value(VIOLATION_X) - (gx[0] * dx0 + gx[1] * dx1)
     return lhs, rhs
 
 
-def verify_violation() -> VerificationReport:
+def verify_violation(spline: PiecewiseQuadratic = SPLINE) -> VerificationReport:
     """Assert the strict co-coercivity violation at x=(0,0), y=(2,0)."""
     report = VerificationReport()
-    lhs, rhs = cocoercivity_sides()
+    lhs, rhs = cocoercivity_sides(spline)
     report.add(
         "co-coercivity violated at (0,0),(2,0)",
         lhs > rhs,
@@ -492,7 +476,7 @@ def verify_grid_properties(
     x_range: tuple[Q, Q] = DEFAULT_X_RANGE,
     y_range: tuple[Q, Q] = DEFAULT_Y_RANGE,
     pair_stride: int = PAIR_STRIDE,
-    spline: PiecewiseQuadratic | None = None,
+    spline: PiecewiseQuadratic = SPLINE,
 ) -> VerificationReport:
     """Sampled exact invariants on a rational lattice.
 
@@ -520,7 +504,6 @@ def verify_grid_properties(
     a-priori bound of _lattice_dtype, from the lattice corners and the
     coefficients, is below 2^62, and Python integers otherwise.
     """
-    spline = spline or _SPLINE
     report = VerificationReport()
 
     D = _den_lcm((spacing, x_range[0], y_range[0]))
@@ -560,7 +543,8 @@ def verify_grid_properties(
     f, g0, g1 = F[first, cols], G0[first, cols], G1[first, cols]
     mismatch = (claims & ((F != f) | (G0 != g0) | (G1 != g1))).any(axis=0)
     report.add(f"region coverage on {len(X0)}-point lattice", True)
-    report.add("seam agreement at multiply-claimed lattice points", not mismatch.any())
+    shared = int((claims.sum(axis=0) > 1).sum())
+    report.add(f"seam agreement at {shared} multiply-claimed lattice points", not mismatch.any())
 
     npairs, mono_ok, smooth_ok, descent_ok = _sampled_pair_checks(
         X0, X1, f, g0, g1, M, pair_stride)
@@ -572,12 +556,12 @@ def verify_grid_properties(
 
 def verify_all(
     spacing: Q = DEFAULT_GRID_SPACING,
-    spline: PiecewiseQuadratic | None = None,
+    spline: PiecewiseQuadratic = SPLINE,
 ) -> VerificationReport:
     """Full exact verification: seams, piece spectra, violation, lattice."""
     report = VerificationReport()
     report.merge(verify_c1_seams(spline))
     report.merge(verify_smooth_convex_pieces(spline))
-    report.merge(verify_violation())
+    report.merge(verify_violation(spline))
     report.merge(verify_grid_properties(spacing=spacing, spline=spline))
     return report

@@ -36,8 +36,8 @@ def default_sweep():
 
 def test_criterion_01_exact_counterexample():
     start = time.perf_counter()
-    value = spline.eval_F(ExactPoint.of(2, 0))
-    grad = spline.grad_F(ExactPoint.of(2, 0))
+    value = spline.SPLINE.value(ExactPoint.of(2, 0))
+    grad = spline.SPLINE.gradient(ExactPoint.of(2, 0))
     lhs, rhs = spline.cocoercivity_sides()
     elapsed = time.perf_counter() - start
     ok = (

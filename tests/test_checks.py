@@ -6,6 +6,7 @@ the stacked `bounds` functions behind the checks.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ import pytest
 from openconvex import checks, spline
 
 
-def _point(x0, x1):
-    return spline.eval_F_float(x0, x1), np.array(spline.grad_F_float(x0, x1))
+def _point(model, x0, x1):
+    f, g = model.float_data([[x0, x1]])
+    return float(f[0]), g[0]
 
 
-def _reference_excursion(n_pairs, seed):
+def _reference_excursion(n_pairs, seed, model=spline.SPLINE):
     rng = np.random.default_rng(seed)
     xs = checks._sample_points(rng, n_pairs)
     ys = checks._sample_points(rng, n_pairs)
@@ -25,7 +27,7 @@ def _reference_excursion(n_pairs, seed):
     for x, y in zip(xs, ys):
         if np.array_equal(x, y):
             continue
-        (fx, gx), (fy, gy) = _point(*x), _point(*y)
+        (fx, gx), (fy, gy) = _point(model, *x), _point(model, *y)
         d = y - x
         cross = float((gy - gx) @ d)
         quad = cross * cross / (2.0 * float(d @ d))
@@ -35,7 +37,7 @@ def _reference_excursion(n_pairs, seed):
     return worst
 
 
-def _reference_gap(n_pairs, seed):
+def _reference_gap(n_pairs, seed, model=spline.SPLINE):
     rng = np.random.default_rng(seed)
     ys = checks._sample_points(rng, n_pairs)
     worst = math.inf
@@ -44,7 +46,7 @@ def _reference_gap(n_pairs, seed):
         theta = rng.uniform(0.0, 2.0 * math.pi)
         radius = dist_y * math.sqrt(rng.uniform(0.0, 1.0)) * (1.0 - 1e-6)
         x = np.array([y[0] + radius * math.cos(theta), y[1] + radius * math.sin(theta)])
-        (fx, gx), (fy, gy) = _point(*x), _point(*y)
+        (fx, gx), (fy, gy) = _point(model, *x), _point(model, *y)
         d = y - x
         dg = gx - gy
         worst = min(worst, fy - fx - float(gx @ d) - float(dg @ dg) / 2.0)
@@ -66,3 +68,14 @@ def test_excursion_matches_reference(n_pairs, seed):
 @SAMPLES
 def test_gap_matches_reference(n_pairs, seed):
     assert checks.local_cocoercivity_min_gap(n_pairs, seed=seed) == _reference_gap(n_pairs, seed)
+
+
+# the spline with the constant of piece k raised by 1/1000, whose jumps at the
+# seams move both figures for k = 2 and 4
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_checks_sample_the_given_spline(k):
+    model = spline.build_spline({k: Fraction(1, 1000)})
+    excursion = checks.global_bound_max_excursion(300, seed=0, model=model)
+    gap = checks.local_cocoercivity_min_gap(300, seed=0, model=model)
+    assert excursion == _reference_excursion(300, 0, model)
+    assert gap == _reference_gap(300, 0, model)

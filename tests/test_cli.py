@@ -6,10 +6,11 @@ import json
 import math
 import os
 import stat
+from fractions import Fraction
 
 import pytest
 
-from openconvex import cli
+from openconvex import checks, cli, spline
 
 SPEC_06_N1 = {
     "L": 1.0,
@@ -54,26 +55,51 @@ class TestVerify:
         out = tmp_path / "report.txt"
         code = cli.main([
             "verify", "--grid-spacing", "1/4", "--pairs", "10",
-            "--perturb-piece", "2", "--perturb-delta", "1/1000",
+            "--perturb-piece", "2",
             "--out", str(out),
         ])
         assert code == cli.EXIT_VERIFY_FAILED
         assert "FAIL" in out.read_text()
 
-    # sha256 of the reports of the Python-integer lattice these replaced;
-    # the default text is the one the benchmark checks
+    # sha256 of each report; the default text is the one the benchmark checks
     @pytest.mark.parametrize("args, code, digest", [
         ([], cli.EXIT_OK,
-         "837a4246b60cba86df164fd471d79975253d67d62009e31e114c52ffb6f9a611"),
+         "8c429fae7fd592ab548216d2af49b026c146d53a23897bccf2c7ab59af5d8259"),
         (["--format", "json"], cli.EXIT_OK,
-         "f4885e84419db11a70be10d0a022890342ae05bbc34b0b878b436e943887cfa0"),
+         "ebe7158fa14ea6355ed19eaa1087d05f18c18544f2cf246ac43570fc845764c0"),
         (["--perturb-piece", "2"], cli.EXIT_VERIFY_FAILED,
-         "9150a33b04e283ba3027ce7551e72de567f518d3b05aebcbfa660e777e621830"),
+         "4ef536d565aae0daf8564b094ed7cc720394b426cb547a190f961763a2c4e395"),
     ], ids=["text", "json", "perturb-piece-2"])
     def test_output_bytes_pinned(self, tmp_path, args, code, digest):
         out = tmp_path / "report.out"
         assert cli.main(["verify", *args, "--out", str(out)]) == code
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # the exact rhs of the violation line moves when the perturbed piece
+    # holds (0,0) (piece 1) or (2,0) (piece 4)
+    @pytest.mark.parametrize("k, rhs", [(1, "424199/576000"), (2, "16991/23040"),
+                                        (3, "16991/23040"), (4, "425351/576000")])
+    def test_perturbed_report_describes_one_function(self, tmp_path, k, rhs):
+        # every line is the check run directly on the perturbed spline
+        out = tmp_path / "report.txt"
+        assert cli.main(["verify", "--perturb-piece", str(k), "--out", str(out)]) \
+            == cli.EXIT_VERIFY_FAILED
+        *lines, summary = out.read_text().splitlines()
+        model = spline.build_spline({k: Fraction(1, 1000)})
+        *exact, _ = spline.verify_all(spline=model).to_text().splitlines()
+        excursion = checks.global_bound_max_excursion(2000, model=model)
+        gap = checks.local_cocoercivity_min_gap(2000, model=model)
+        assert lines == [
+            *exact,
+            f"{'PASS' if excursion <= 1e-12 else 'FAIL'}  two-sided global bound on 2000 "
+            f"random pairs  [max excursion {excursion:.3e}]",
+            f"{'PASS' if gap >= -1e-12 else 'FAIL'}  local co-coercivity on 2000 "
+            f"random pairs  [min gap {gap:.3e}]",
+        ]
+        assert f"rhs = {rhs}," in lines[11]
+        assert summary == f"FAILED: {sum(s.startswith('PASS') for s in lines)}/19 checks passed"
+        if k == 2:
+            assert lines[-2].startswith("FAIL") and lines[-1].startswith("FAIL")
 
 
 class TestContour:
@@ -335,7 +361,7 @@ class TestOptions:
     # each subcommand declares only the options its cmd_* reads
     OPTIONS = {
         "verify": {"--out", "--format", "--seed", "--grid-spacing", "--pairs",
-                   "--perturb-piece", "--perturb-delta"},
+                   "--perturb-piece"},
         "contour": {"--out", "--format", "--xmin", "--xmax", "--ymin", "--ymax", "--nx", "--ny"},
         "region": {"--out", "--format", "--steps"},
         "sweep": {"--out", "--format", "--s-min", "--s-max", "--s-steps", "--N-list",
@@ -350,7 +376,7 @@ class TestOptions:
         options = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
                    for name, p in sub.choices.items()}
         assert options == self.OPTIONS
-        assert sum(map(len, options.values())) == 30
+        assert sum(map(len, options.values())) == 29
 
 
 class TestBadInput:
@@ -361,7 +387,6 @@ class TestBadInput:
         ["verify", "--grid-spacing", "abc"],
         ["verify", "--grid-spacing=-1/4"],
         ["verify", "--grid-spacing", "1/0"],
-        ["verify", "--perturb-delta", "abc"],
         ["verify", "--perturb-piece", "5"],
         ["verify", "--pairs", "0"],
         ["verify", "--seed", "-1"],
@@ -379,6 +404,7 @@ class TestBadInput:
         # number, an unknown option, a missing --in or subcommand
         ["contour", "--nx", "abc"],
         ["contour", "--seed", "0"],
+        ["verify", "--perturb-delta", "abc"],
         ["verify", "--pairs", "x"],
         ["sweep", "--workers", "0"],
         ["solve"],

@@ -39,21 +39,21 @@ class TestClassification:
 
     def test_below_boundary_rejected(self):
         with pytest.raises(DomainError):
-            spline.eval_F(ExactPoint.of(0, -1))
+            spline.SPLINE.value(ExactPoint.of(0, -1))
 
 
 class TestExactValues:
     def test_value_at_origin(self):
-        assert spline.eval_F(ExactPoint.of(0, 0)) == 0
+        assert spline.SPLINE.value(ExactPoint.of(0, 0)) == 0
 
     def test_value_at_violation_point(self):
-        assert spline.eval_F(ExactPoint.of(2, 0)) == Q(16991, 23040)
+        assert spline.SPLINE.value(ExactPoint.of(2, 0)) == Q(16991, 23040)
 
     def test_gradient_at_origin(self):
-        assert spline.grad_F(ExactPoint.of(0, 0)) == (0, 0)
+        assert spline.SPLINE.gradient(ExactPoint.of(0, 0)) == (0, 0)
 
     def test_gradient_at_violation_point(self):
-        assert spline.grad_F(ExactPoint.of(2, 0)) == (Q(253, 240), Q(77, 120))
+        assert spline.SPLINE.gradient(ExactPoint.of(2, 0)) == (Q(253, 240), Q(77, 120))
 
     def test_piece_2_off_domain_algebra(self):
         # the raw quadratic evaluates everywhere even where the assembled
@@ -65,13 +65,13 @@ class TestExactValues:
 
     def test_in_domain_piece_2_value_and_gradient(self):
         pt = ExactPoint.of(Q(3, 4), Q(-1, 12))
-        assert spline.eval_F(pt) == spline.build_spline().pieces[1][0].value(pt)
+        assert spline.SPLINE.value(pt) == spline.build_spline().pieces[1][0].value(pt)
 
     def test_float_path_matches_exact(self):
         for x0, x1 in [(0.5, 0.25), (2.0, 0.0), (-1.0, 1.0), (1.5, -0.05)]:
-            exact = float(spline.eval_F(ExactPoint.of(Q(x0), Q(x1))))
+            exact = float(spline.SPLINE.value(ExactPoint.of(Q(x0), Q(x1))))
             assert spline.eval_F_float(x0, x1) == pytest.approx(exact, abs=1e-15)
-            ge = spline.grad_F(ExactPoint.of(Q(x0), Q(x1)))
+            ge = spline.SPLINE.gradient(ExactPoint.of(Q(x0), Q(x1)))
             gf = spline.grad_F_float(x0, x1)
             assert gf[0] == pytest.approx(float(ge[0]), abs=1e-15)
             assert gf[1] == pytest.approx(float(ge[1]), abs=1e-15)
@@ -93,16 +93,14 @@ class TestSeams:
     # Each perturbation of a piece next to seam 1|2 (through z0 = (1/36, 0),
     # along d = (1, 3)) leaves some of its five residuals nonzero.
     @pytest.mark.parametrize("piece, deltas, residuals", [
-        (1, {"c": Q(1, 1000)}, "grad_dir=(0,0) grad=(Fraction(0, 1), Fraction(0, 1)) value=1/1000"),
-        (1, {"b0": Q(1, 1000)},
-         "grad_dir=(0,0) grad=(Fraction(1, 1000), Fraction(0, 1)) value=1/36000"),
-        (1, {"b0": Q(1, 1000), "c": Q(-1, 36000)},
-         "grad_dir=(0,0) grad=(Fraction(1, 1000), Fraction(0, 1)) value=0"),
-        (1, {"b1": Q(1, 1000)}, "grad_dir=(0,0) grad=(Fraction(0, 1), Fraction(1, 1000)) value=0"),
-        (1, {"a11": Q(1, 1000)}, "grad_dir=(0,3/1000) grad=(Fraction(0, 1), Fraction(0, 1)) value=0"),
+        (1, {"c": Q(1, 1000)}, "grad_dir=(0,0) grad=(0,0) value=1/1000"),
+        (1, {"b0": Q(1, 1000)}, "grad_dir=(0,0) grad=(1/1000,0) value=1/36000"),
+        (1, {"b0": Q(1, 1000), "c": Q(-1, 36000)}, "grad_dir=(0,0) grad=(1/1000,0) value=0"),
+        (1, {"b1": Q(1, 1000)}, "grad_dir=(0,0) grad=(0,1/1000) value=0"),
+        (1, {"a11": Q(1, 1000)}, "grad_dir=(0,3/1000) grad=(0,0) value=0"),
         # 1/2000 (x0 - 1/36)^2: zero with its gradient at z0, curved along d
         (0, {"a00": Q(1, 1000), "b0": Q(-1, 36000), "c": Q(1, 2592000)},
-         "grad_dir=(-1/1000,0) grad=(Fraction(0, 1), Fraction(0, 1)) value=0"),
+         "grad_dir=(-1/1000,0) grad=(0,0) value=0"),
     ])
     def test_each_residual_is_reported(self, piece, deltas, residuals):
         first = spline.verify_c1_seams(_shifted(piece, **deltas)).checks[0]
@@ -184,6 +182,33 @@ class TestViolation:
         assert report.passed
         assert "violation" in report.checks[0].detail
 
+    # b0 + 1/1000 on piece 1 moves the gradient at (0,0) by (1/1000, 0) and
+    # lowers the rhs by 2/1000; on piece 4 it moves the gradient at (2,0) and
+    # f(2,0) by 2/1000, raising the rhs by as much.  The violation holds.
+    @pytest.mark.parametrize("piece, lhs, rhs", [
+        (0, Q(54752261, 72000000), Q(423623, 576000)),
+        (3, Q(54904061, 72000000), Q(425927, 576000)),
+    ])
+    def test_sides_of_the_given_spline(self, piece, lhs, rhs):
+        model = _shifted(piece, b0=Q(1, 1000))
+        assert spline.cocoercivity_sides(model) == (lhs, rhs)
+        (check,) = spline.verify_violation(model).checks
+        assert check.passed
+        assert check.detail == f"lhs = {lhs}, rhs = {rhs}, violation = {lhs - rhs}"
+
+
+class TestVerifyAll:
+    def test_every_part_checks_the_given_spline(self):
+        # piece 1 stiffened to A = 2I breaks its seam, its spectrum and the
+        # lattice pairs; (0,0) keeps its value and gradient
+        report = spline.verify_all(spacing=Q(1, 4), spline=BROKEN_PIECES["piece1-stiff"])
+        assert [c.name for c in report.checks if not c.passed] == [
+            "seam 1|2 on <(3,-1),z> = 1/12",
+            "piece 1 1-smooth (eigenvalues within [0,1])",
+            "1-smoothness (squared norms) on lattice pairs",
+            "two-sided descent inequality on lattice pairs",
+        ]
+
 
 def _reference_grid_report(spacing, x_range, y_range, pair_stride, model):
     """The lattice checks as a per-pair Fraction loop: (name, passed) per line."""
@@ -196,16 +221,16 @@ def _reference_grid_report(spacing, x_range, y_range, pair_stride, model):
     ]
     pts = [p for p in pts if model.in_domain(p)]
     coverage_ok = overlap_ok = True
+    shared = 0
     for p in pts:
         claims = [k for k, (_, region) in enumerate(model.pieces)
                   if all(h.contains(p) for h in region)]
         if not claims:
             coverage_ok = False
             break
-        if len({model.pieces[k][0].value(p) for k in claims}) != 1 or \
-                len({model.pieces[k][0].gradient(p) for k in claims}) != 1:
-            overlap_ok = False
-            break
+        shared += len(claims) > 1
+        overlap_ok &= (len({model.pieces[k][0].value(p) for k in claims}) == 1
+                       and len({model.pieces[k][0].gradient(p) for k in claims}) == 1)
     data = [(p, model.value(p), model.gradient(p)) for p in pts]
     mono_ok = smooth_ok = descent_ok = True
     npairs = idx = 0
@@ -225,7 +250,7 @@ def _reference_grid_report(spacing, x_range, y_range, pair_stride, model):
             break
     return [
         (f"region coverage on {len(pts)}-point lattice", coverage_ok),
-        ("seam agreement at multiply-claimed lattice points", overlap_ok),
+        (f"seam agreement at {shared} multiply-claimed lattice points", overlap_ok),
         (f"gradient monotonicity on {npairs} lattice pairs", mono_ok),
         ("1-smoothness (squared norms) on lattice pairs", smooth_ok),
         ("two-sided descent inequality on lattice pairs", descent_ok),
@@ -269,6 +294,14 @@ SEAM_CLOSE_UP = dict(
     y_range=(-2 * _H, 2 * _H),
     pair_stride=2,
 )
+# Crosses all three seams near x1 = 0 on points (i, j)/48: 3 lattice points
+# on seam 1|2, 3 on seam 2|3 and 9 on seam 3|4, each claimed by two pieces.
+SEAM_CROSSING = dict(
+    spacing=Q(1, 48),
+    x_range=(Q(0), Q(5, 4)),
+    y_range=(Q(-4, 48), Q(4, 48)),
+    pair_stride=37,
+)
 MODELS = {
     "plain": build_spline(),
     "piece2+1/1000": build_spline({2: Q(1, 1000)}),
@@ -308,11 +341,11 @@ class TestGridInvariants:
         report = spline.verify_grid_properties(**BOUNDARY_BAND)
         assert report.passed, report.to_text()
 
-    @pytest.mark.parametrize("lattice", ["coarse", "band", "close-up"])
+    @pytest.mark.parametrize("lattice", ["coarse", "band", "close-up", "seam-crossing"])
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_matches_fraction_reference(self, lattice, model):
         kw = {"coarse": COARSE_LATTICE, "band": BOUNDARY_BAND,
-              "close-up": SEAM_CLOSE_UP}[lattice]
+              "close-up": SEAM_CLOSE_UP, "seam-crossing": SEAM_CROSSING}[lattice]
         report = spline.verify_grid_properties(spline=MODELS[model], **kw)
         expected = _reference_grid_report(model=MODELS[model], **kw)
         assert [(c.name, c.passed) for c in report.checks] == expected
@@ -359,6 +392,13 @@ class TestGridInvariants:
         gap = replace(base, pieces=base.pieces[:3])
         with pytest.raises(DomainError, match="claimed by no region"):
             spline.verify_grid_properties(spline=gap, **COARSE_LATTICE)
+
+    @pytest.mark.parametrize("model, passed", [("plain", True), ("piece2+1/1000", False)])
+    def test_seam_agreement_counts_shared_points(self, model, passed):
+        report = spline.verify_grid_properties(spline=MODELS[model], **SEAM_CROSSING)
+        (seam,) = [c for c in report.checks if c.name.startswith("seam agreement")]
+        assert seam.name == "seam agreement at 15 multiply-claimed lattice points"
+        assert seam.passed is passed
 
     def test_default_lattice_counts(self):
         names = [c.name for c in spline.verify_grid_properties().checks]
@@ -424,18 +464,18 @@ class TestFloatEvaluator:
     def test_outside_domain_rejected(self):
         for x1 in (spline.DOMAIN_BOUND_F, -1.0):
             with pytest.raises(DomainError):
-                spline.eval_float(np.array([[0.0, 0.5], [0.0, x1]]))
+                spline.SPLINE.eval_float(np.array([[0.0, 0.5], [0.0, x1]]))
             with pytest.raises(DomainError):
                 spline.grad_F_float(0.0, x1)
         # a non-finite row is outside the open domain too
         for row in ([math.nan, 0.0], [0.0, math.nan], [math.inf, 0.0], [0.0, math.inf],
                     [-math.inf, 0.5]):
-            for evaluate in (spline.eval_float, spline.float_data):
+            for evaluate in (spline.SPLINE.eval_float, spline.SPLINE.float_data):
                 with pytest.raises(DomainError):
                     evaluate(np.array([[0.0, 0.5], row]))
 
     def test_empty_input(self):
-        values, pieces = spline.eval_float(np.empty((0, 2)))
+        values, pieces = spline.SPLINE.eval_float(np.empty((0, 2)))
         assert values.shape == pieces.shape == (0,)
 
 
