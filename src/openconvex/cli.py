@@ -187,8 +187,7 @@ def _checked(convert, ok, what: str):
 
 def _holds_a_pair(spacing: Fraction) -> bool:
     """Whether the default lattice, all in the open domain, holds one sampled pair."""
-    n = math.prod(int((hi - lo) / spacing) + 1
-                  for lo, hi in (spline.DEFAULT_X_RANGE, spline.DEFAULT_Y_RANGE))
+    n = math.prod(steps + 1 for steps in spline.lattice_shape(spacing))
     return n * (n - 1) // 2 >= spline.PAIR_STRIDE
 
 

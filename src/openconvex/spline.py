@@ -1,11 +1,15 @@
 """Exact piecewise-quadratic convex spline on an open half-plane.
 
-The function is assembled from four quadratic pieces glued C^1 along
-straight seams, defined on the open half-plane x1 > -23/240.  It is convex
-and 1-smooth on its domain, yet the pair x=(0,0), y=(2,0) violates the
-co-coercivity inequality, so no 1-smooth convex function on the whole plane
-matches its values and gradients at those two points.  SPLINE is that
-function, and build_spline makes it or a copy with perturbed constants.
+The function is assembled from four quadratic pieces glued C^1 along three
+straight seams on the open half-plane x1 > -23/240.  Seam k separates
+pieces k and k+1, and a point belongs to the first piece whose seam it is
+not above, or to the last piece; no two seams cross inside the domain
+(seams 2|3 and 3|4 meet on its boundary, at (199/240, -23/240)).  It is
+convex and 1-smooth on its domain, yet the pair x=(0,0), y=(2,0) violates
+the co-coercivity inequality, so no 1-smooth convex function on the whole
+plane matches its values and gradients at those two points.  SPLINE is
+that function, and build_spline makes it or a copy with perturbed
+constants.
 
 Every verification below takes the spline it checks (SPLINE by default) and
 is exact, with zero floating-point tolerance: in rational arithmetic
@@ -44,19 +48,17 @@ class ExactPoint:
 
 @dataclass(frozen=True)
 class HalfPlane:
-    """The set {z : <normal, z> <= offset} (or < offset when strict)."""
+    """The set {z : <normal, z> <= offset}."""
 
     normal: tuple[Q, Q]
     offset: Q
-    strict: bool = False
 
     def __post_init__(self):
         if self.normal[0] == 0 and self.normal[1] == 0:
             raise ValueError("half-plane normal must be nonzero")
 
     def contains(self, p: ExactPoint) -> bool:
-        v = self.normal[0] * p.x0 + self.normal[1] * p.x1
-        return v < self.offset if self.strict else v <= self.offset
+        return self.normal[0] * p.x0 + self.normal[1] * p.x1 <= self.offset
 
 
 @dataclass(frozen=True)
@@ -111,8 +113,9 @@ def _gradient(c, x0, x1):
     return a00 * x0 + a01 * x1 + b0, a01 * x0 + a11 * x1 + b1
 
 
-def _square_expansion(base: QuadraticPiece, coef: Q, a: tuple[Q, Q], beta: Q) -> QuadraticPiece:
-    """Return base + coef * (<a, z> - beta)^2 expanded to A/b/c form."""
+def _square_expansion(base: QuadraticPiece, coef: Q, line: HalfPlane) -> QuadraticPiece:
+    """base + coef * (<a, z> - beta)^2 in A/b/c form, for line <a, z> = beta."""
+    a, beta = line.normal, line.offset
     square = (2 * a[0] * a[0], 2 * a[0] * a[1], 2 * a[1] * a[1],
               -2 * beta * a[0], -2 * beta * a[1], beta * beta)
     return QuadraticPiece(*(u + coef * v for u, v in zip(base.coefficients, square)))
@@ -120,35 +123,34 @@ def _square_expansion(base: QuadraticPiece, coef: Q, a: tuple[Q, Q], beta: Q) ->
 
 @dataclass(frozen=True)
 class PiecewiseQuadratic:
-    """Quadratic pieces with half-plane regions over an open domain."""
+    """Quadratic pieces in order on x1 > DOMAIN_BOUND, with seams[k] the line
+    between pieces k and k+1: piece k lies on the <= side of seams[k] and the
+    >= side of seams[k-1], so a point belongs to the first piece whose seam
+    holds it, or to the last piece."""
 
-    pieces: tuple[tuple[QuadraticPiece, tuple[HalfPlane, ...]], ...]
-    domain: HalfPlane
-    # seams: (lower piece index, higher piece index, boundary line as HalfPlane)
-    seams: tuple[tuple[int, int, HalfPlane], ...]
+    pieces: tuple[QuadraticPiece, ...]
+    seams: tuple[HalfPlane, ...]
 
     def in_domain(self, p: ExactPoint) -> bool:
-        return self.domain.contains(p)
+        return p.x1 > DOMAIN_BOUND
 
     def classify_region(self, p: ExactPoint) -> int:
         """1-based index of the active piece; lowest index on seams."""
         if not self.in_domain(p):
             raise DomainError(f"point ({p.x0}, {p.x1}) outside the open domain")
-        for k, (_, region) in enumerate(self.pieces):
-            if all(h.contains(p) for h in region):
-                return k + 1
-        raise DomainError(f"point ({p.x0}, {p.x1}) claimed by no region")
+        return next((k for k, h in enumerate(self.seams, start=1) if h.contains(p)),
+                    len(self.pieces))
 
     def value(self, p: ExactPoint) -> Q:
-        return self.pieces[self.classify_region(p) - 1][0].value(p)
+        return self.pieces[self.classify_region(p) - 1].value(p)
 
     def gradient(self, p: ExactPoint) -> tuple[Q, Q]:
-        return self.pieces[self.classify_region(p) - 1][0].gradient(p)
+        return self.pieces[self.classify_region(p) - 1].gradient(p)
 
     def eval_float(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Float values and 1-based piece indices at the rows of X (n x 2).
 
-        The piece is the first whose region holds the point by float
+        The piece is the first whose seam holds the point by float
         comparisons, or the last piece when none does.  Raises DomainError if
         any point is not finite or has x1 <= -23/240.
         """
@@ -166,15 +168,7 @@ class PiecewiseQuadratic:
     @cached_property
     def _float_coefficients(self) -> np.ndarray:
         """Each piece's coefficients as floats, one row each."""
-        return np.array([q.coefficients for q, _ in self.pieces], dtype=float)
-
-    @cached_property
-    def _float_regions(self) -> list[list[tuple[float, float, float]]]:
-        """Each piece's half-planes as float (normal0, normal1, offset)."""
-        return [
-            [(float(h.normal[0]), float(h.normal[1]), float(h.offset)) for h in region]
-            for _, region in self.pieces
-        ]
+        return np.array([q.coefficients for q in self.pieces], dtype=float)
 
     def _float_pieces(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Columns x0, x1 of X, the active piece's coefficients (6 x n) and
@@ -185,19 +179,14 @@ class PiecewiseQuadratic:
         if outside.any():
             p0, p1 = X[outside][0]
             raise DomainError(f"point ({p0}, {p1}) outside the open domain")
-        # the first region that holds a row wins, else the last piece
-        *regions, _ = self._float_regions
-        inside = [np.logical_and.reduce([n0 * x0 + n1 * x1 <= offset for n0, n1, offset in r])
-                  for r in regions]
-        k = np.select(inside, range(len(regions)), len(regions))
+        # the first seam that holds a row picks its piece, else the last piece
+        below = [float(h.normal[0]) * x0 + float(h.normal[1]) * x1 <= float(h.offset)
+                 for h in self.seams]
+        k = np.select(below, range(len(below)), len(below))
         return x0, x1, self._float_coefficients[k].T, k
 
 
 # --- the concrete counterexample spline -----------------------------------
-
-_SEAM_12 = ((Q(3), Q(-1)), Q(1, 12))     # 3 x0 - x1 = 1/12
-_SEAM_23 = ((Q(3), Q(-1)), Q(31, 12))    # 3 x0 - x1 = 31/12
-_SEAM_34 = ((Q(1), Q(-2)), Q(49, 48))    # x0 - 2 x1 = 49/48
 
 DOMAIN_BOUND = Q(-23, 240)
 DOMAIN_BOUND_F = float(DOMAIN_BOUND)
@@ -213,31 +202,18 @@ def build_spline(piece_offsets: dict[int, Q] | None = None) -> PiecewiseQuadrati
     added to the piece's constant term, used to exercise failure paths of
     the seam verification.
     """
+    seams = (HalfPlane((Q(3), Q(-1)), Q(1, 12)),     # 3 x0 - x1 = 1/12
+             HalfPlane((Q(3), Q(-1)), Q(31, 12)),    # 3 x0 - x1 = 31/12
+             HalfPlane((Q(1), Q(-2)), Q(49, 48)))    # x0 - 2 x1 = 49/48
     p1 = QuadraticPiece(Q(1), Q(0), Q(1), Q(0), Q(0), Q(0))
-    p2 = _square_expansion(p1, Q(-1, 20), *_SEAM_12)
+    p2 = _square_expansion(p1, Q(-1, 20), seams[0])
     p3 = QuadraticPiece(Q(1), Q(0), Q(1), Q(-3, 4), Q(1, 4), Q(1, 3))
-    p4 = _square_expansion(p3, Q(-1, 10), *_SEAM_34)
+    p4 = _square_expansion(p3, Q(-1, 10), seams[2])
 
     offsets = piece_offsets or {}
-    p1, p2, p3, p4 = (replace(q, c=q.c + Q(offsets.get(k, 0)))
-                      for k, q in enumerate((p1, p2, p3, p4), start=1))
-
-    le = lambda n, off: HalfPlane(n, off)               # <n,z> <= off
-    ge = lambda n, off: HalfPlane((-n[0], -n[1]), -off)  # <n,z> >= off
-
-    pieces = (
-        (p1, (le(*_SEAM_12),)),
-        (p2, (ge(*_SEAM_12), le(*_SEAM_23))),
-        (p3, (ge(*_SEAM_23), le(*_SEAM_34))),
-        (p4, (ge(*_SEAM_34),)),
-    )
-    domain = HalfPlane((Q(0), Q(-1)), -DOMAIN_BOUND, strict=True)  # x1 > -23/240
-    seams = (
-        (0, 1, HalfPlane(*_SEAM_12)),
-        (1, 2, HalfPlane(*_SEAM_23)),
-        (2, 3, HalfPlane(*_SEAM_34)),
-    )
-    return PiecewiseQuadratic(pieces, domain, seams)
+    pieces = tuple(replace(q, c=q.c + Q(offsets.get(k, 0)))
+                   for k, q in enumerate((p1, p2, p3, p4), start=1))
+    return PiecewiseQuadratic(pieces, seams)
 
 
 SPLINE = build_spline()
@@ -312,9 +288,9 @@ def verify_c1_seams(spline: PiecewiseQuadratic = SPLINE) -> VerificationReport:
     dq(z0) = 0, all checked exactly.
     """
     report = VerificationReport()
-    for i, j, line in spline.seams:
-        dq = QuadraticPiece(*(v - u for u, v in zip(spline.pieces[i][0].coefficients,
-                                                   spline.pieces[j][0].coefficients)))
+    for k, line in enumerate(spline.seams):
+        dq = QuadraticPiece(*(v - u for u, v in zip(spline.pieces[k].coefficients,
+                                                   spline.pieces[k + 1].coefficients)))
         n0, n1 = line.normal
         # a point on the line and a direction along it
         if n0 != 0:
@@ -327,7 +303,7 @@ def verify_c1_seams(spline: PiecewiseQuadratic = SPLINE) -> VerificationReport:
         dq_z0 = dq.value(z0)
         ok = all(r == 0 for r in (grad_dir0, grad_dir1, grad0, grad1, dq_z0))
         report.add(
-            f"seam {i + 1}|{j + 1} on <({n0},{n1}),z> = {line.offset}",
+            f"seam {k + 1}|{k + 2} on <({n0},{n1}),z> = {line.offset}",
             ok,
             "value and gradient agree identically" if ok else
             f"residuals grad_dir=({grad_dir0},{grad_dir1}) grad=({grad0},{grad1}) value={dq_z0}",
@@ -338,7 +314,7 @@ def verify_c1_seams(spline: PiecewiseQuadratic = SPLINE) -> VerificationReport:
 def verify_smooth_convex_pieces(spline: PiecewiseQuadratic = SPLINE) -> VerificationReport:
     """Exact convexity (A PSD) and 1-smoothness (eigenvalues <= 1) per piece."""
     report = VerificationReport()
-    for k, (q, _) in enumerate(spline.pieces, start=1):
+    for k, q in enumerate(spline.pieces, start=1):
         report.add(
             f"piece {k} convex (trace={q.trace()}, det={q.det()})",
             q.is_psd(),
@@ -391,12 +367,16 @@ def _den_lcm(values) -> int:
     return math.lcm(*(Q(v).denominator for v in values))
 
 
-def _contains_scaled(h: HalfPlane, D: int, X0: np.ndarray, X1: np.ndarray) -> np.ndarray:
-    """h.contains at the points X/D, in integers."""
+def lattice_shape(spacing: Q, x_range: tuple[Q, Q] = DEFAULT_X_RANGE,
+                  y_range: tuple[Q, Q] = DEFAULT_Y_RANGE) -> tuple[int, int]:
+    """Lattice steps (nx, ny) along x0 and x1: nx + 1 by ny + 1 points."""
+    return tuple(int((hi - lo) / spacing) for lo, hi in (x_range, y_range))
+
+
+def _integer_line(h: HalfPlane) -> tuple[int, int, int]:
+    """h's (normal0, normal1, offset) times their common denominator."""
     H = _den_lcm((*h.normal, h.offset))
-    v = int(h.normal[0] * H) * X0 + int(h.normal[1] * H) * X1
-    o = int(h.offset * H * D)
-    return v < o if h.strict else v <= o
+    return tuple(int(v * H) for v in (*h.normal, h.offset))
 
 
 def _lattice_dtype(spline: PiecewiseQuadratic, D: int, M: int, ints, step: int,
@@ -408,8 +388,9 @@ def _lattice_dtype(spline: PiecewiseQuadratic, D: int, M: int, ints, step: int,
     absolute terms g = (|a00| + |a01| + |b0|) x (or its x1 twin) and
     fv = (|a00| + 2|a01| + |a11| + 2|b0| + 2|b1| + 2|c0|) x^2 bound every
     partial sum and product of M*D*grad f and 2*M*D^2*f, as
-    (|n0| + |n1| + |offset|) x does for a half-plane test over its common
-    denominator.  With |d| <= 2x and |e| <= 2g, the pair checks stay below
+    (|n0| + |n1| + |offset|) x does for a seam test over its common
+    denominator and (|numerator| + denominator) x for the domain test.
+    With |d| <= 2x and |e| <= 2g, the pair checks stay below
     max(8 g^2, 8 M^2 x^2, 2 fv + 8 g x).
     """
     x = max(D, step, *map(abs, corners))
@@ -417,10 +398,8 @@ def _lattice_dtype(spline: PiecewiseQuadratic, D: int, M: int, ints, step: int,
                 for a00, a01, a11, b0, b1, _ in ints)
     fv = x * x * max(abs(a00) + 2 * abs(a01) + abs(a11) + 2 * (abs(b0) + abs(b1) + abs(c0))
                      for a00, a01, a11, b0, b1, c0 in ints)
-    half = 0
-    for h in (spline.domain, *(h for _, region in spline.pieces for h in region)):
-        H = _den_lcm((*h.normal, h.offset))
-        half = max(half, x * sum(abs(int(v * H)) for v in (*h.normal, h.offset)))
+    half = x * max(abs(DOMAIN_BOUND.numerator) + DOMAIN_BOUND.denominator,
+                   *(sum(map(abs, _integer_line(h))) for h in spline.seams))
     bound = max(8 * g * g, 8 * M * M * x * x, 2 * fv + 8 * g * x, half)
     return np.int64 if bound < _INT64_SAFE else object
 
@@ -480,9 +459,9 @@ def verify_grid_properties(
 ) -> VerificationReport:
     """Sampled exact invariants on a rational lattice.
 
-    Checks region coverage (with seam agreement where regions overlap) at
-    every lattice point, raising DomainError at a point that no piece
-    claims, and gradient monotonicity, 1-smoothness and the
+    Counts the lattice points in the open domain, each of which the seam
+    order assigns to a piece, checks that both pieces agree at each point
+    on a seam, and checks gradient monotonicity, 1-smoothness and the
     two-sided descent inequality on a deterministic subset of point pairs:
     the k-th pair (a < b, counted row by row from k = 1) for every k that
     pair_stride divides.  The pair checks stop after the first row a that
@@ -507,10 +486,9 @@ def verify_grid_properties(
     report = VerificationReport()
 
     D = _den_lcm((spacing, x_range[0], y_range[0]))
-    nx = int((x_range[1] - x_range[0]) / spacing)
-    ny = int((y_range[1] - y_range[0]) / spacing)
+    nx, ny = lattice_shape(spacing, x_range, y_range)
     step, x_org, y_org = int(spacing * D), int(x_range[0] * D), int(y_range[0] * D)
-    coefs = [q.coefficients for q, _ in spline.pieces]
+    coefs = [q.coefficients for q in spline.pieces]
     M = _den_lcm(v for c in coefs for v in c)
     ints = [tuple(int(v * M) for v in c) for c in coefs]
     dtype = _lattice_dtype(spline, D, M, ints, step,
@@ -519,25 +497,23 @@ def verify_grid_properties(
     # Lattice points in row-major (x0, then x1) order, open domain only.
     X0 = np.repeat(x_org + step * np.arange(nx + 1, dtype=dtype), ny + 1)
     X1 = np.tile(y_org + step * np.arange(ny + 1, dtype=dtype), nx + 1)
-    inside = _contains_scaled(spline.domain, D, X0, X1)
+    inside = X1 * DOMAIN_BOUND.denominator > DOMAIN_BOUND.numerator * D
     X0, X1 = X0[inside], X1[inside]
 
+    # Piece k claims the points on its sides of seams k-1 and k; the active
+    # piece is the lowest-index claim.
     claims = np.ones((len(ints), len(X0)), dtype=bool)
+    for k, h in enumerate(spline.seams):
+        n0, n1, o = _integer_line(h)
+        v, o = n0 * X0 + n1 * X1, o * D
+        claims[k] &= v <= o
+        claims[k + 1] &= v >= o
     F, G0, G1 = (np.empty(claims.shape, dtype=dtype) for _ in range(3))
-    for k, ((a00, a01, a11, b0, b1, c0), (_, region)) in enumerate(zip(ints, spline.pieces)):
-        for h in region:
-            claims[k] &= _contains_scaled(h, D, X0, X1)
+    for k, (a00, a01, a11, b0, b1, c0) in enumerate(ints):
         F[k] = (a00 * X0 * X0 + 2 * a01 * X0 * X1 + a11 * X1 * X1
                 + 2 * D * (b0 * X0 + b1 * X1) + 2 * c0 * D * D)
         G0[k], G1[k] = _gradient((a00, a01, a11, b0 * D, b1 * D, c0), X0, X1)
 
-    # A point that no piece claims is an error, not a failed check.  The
-    # active piece is the lowest-index claim.
-    covered = claims.any(axis=0)
-    if not covered.all():
-        i = int(covered.argmin())
-        raise DomainError(
-            f"point ({Q(int(X0[i]), D)}, {Q(int(X1[i]), D)}) claimed by no region")
     first = claims.argmax(axis=0)
     cols = np.arange(len(X0))
     f, g0, g1 = F[first, cols], G0[first, cols], G1[first, cols]

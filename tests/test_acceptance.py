@@ -59,7 +59,7 @@ def test_criterion_02_seams_and_spectra():
     seams = spline.verify_c1_seams()
     pieces_report = spline.verify_smooth_convex_pieces()
     model = spline.build_spline()
-    spectra = [(p.trace(), p.det()) for p, _ in model.pieces]
+    spectra = [(p.trace(), p.det()) for p in model.pieces]
     expected = [(2, 1), (1, 0), (2, 1), (1, 0)]
     ok = seams.passed and pieces_report.passed and spectra == expected
     _report(2, ok, "C1 seams and exact piece spectra")

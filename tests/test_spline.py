@@ -1,7 +1,9 @@
 """Exact checks of the piecewise-quadratic spline."""
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import asdict, replace
 from fractions import Fraction as Q
 
@@ -42,6 +44,40 @@ class TestClassification:
             spline.SPLINE.value(ExactPoint.of(0, -1))
 
 
+def _crossing(h, m):
+    """The exact point where lines h and m cross, or None if they are parallel."""
+    (n0, n1), (m0, m1) = h.normal, m.normal
+    det = n0 * m1 - n1 * m0
+    if det == 0:
+        return None
+    return ((h.offset * m1 - n1 * m.offset) / det, (n0 * m.offset - m0 * h.offset) / det)
+
+
+class TestSeamOrder:
+    def test_seams_cross_only_outside_the_domain(self):
+        # so inside the domain the seams are ordered strips and the seam
+        # order gives each piece its region in REGIONS
+        seams = build_spline().seams
+        for h, m in itertools.combinations(seams, 2):
+            crossing = _crossing(h, m)
+            assert crossing is None or crossing[1] <= spline.DOMAIN_BOUND
+        assert _crossing(seams[0], seams[1]) is None
+        assert _crossing(seams[1], seams[2]) == (Q(199, 240), Q(-23, 240))
+
+    def test_seam_order_gives_the_regions(self):
+        # points (i, j)/48 in [-1, 2] x [-1/12, 1] cross all three seams, 64
+        # of them on a seam
+        model = build_spline()
+        on_seam = 0
+        for i, j in itertools.product(range(-48, 97), range(-4, 49)):
+            p = ExactPoint.of(Q(i, 48), Q(j, 48))
+            claims = _regions_holding(p.x0, p.x1)
+            assert claims and claims in ([claims[0]], [claims[0], claims[0] + 1]), (p, claims)
+            on_seam += len(claims) == 2
+            assert model.classify_region(p) == claims[0] + 1, p
+        assert on_seam == 64
+
+
 class TestExactValues:
     def test_value_at_origin(self):
         assert spline.SPLINE.value(ExactPoint.of(0, 0)) == 0
@@ -58,14 +94,14 @@ class TestExactValues:
     def test_piece_2_off_domain_algebra(self):
         # the raw quadratic evaluates everywhere even where the assembled
         # function's domain gate rejects the point
-        p2 = build_spline().pieces[1][0]
+        p2 = build_spline().pieces[1]
         pt = ExactPoint.of(Q(3, 4), Q(-1, 4))
         assert p2.value(pt) == Q(59, 2880)
         assert p2.gradient(pt) == (Q(1, 40), Q(-1, 120))
 
     def test_in_domain_piece_2_value_and_gradient(self):
         pt = ExactPoint.of(Q(3, 4), Q(-1, 12))
-        assert spline.SPLINE.value(pt) == spline.build_spline().pieces[1][0].value(pt)
+        assert spline.SPLINE.value(pt) == spline.build_spline().pieces[1].value(pt)
 
     def test_float_path_matches_exact(self):
         for x0, x1 in [(0.5, 0.25), (2.0, 0.0), (-1.0, 1.0), (1.5, -0.05)]:
@@ -114,12 +150,11 @@ class TestSeams:
         # how pieces 2 and 4 are built: coef * (<n, z> - beta)^2 vanishes on
         # the line with its gradient, so only the piece's other seam breaks
         base = build_spline()
-        piece = base.seams[seam][side]
-        line = base.seams[seam][2]
-        q = spline._square_expansion(base.pieces[piece][0], Q(1, 7), line.normal, line.offset)
+        piece = seam + side
+        q = spline._square_expansion(base.pieces[piece], Q(1, 7), base.seams[seam])
         model = _with_piece(piece, **asdict(q))
         passed = [c.passed for c in spline.verify_c1_seams(model).checks]
-        assert passed == [k == seam or piece not in base.seams[k][:2] for k in range(3)]
+        assert passed == [k == seam or piece not in (k, k + 1) for k in range(3)]
 
 
 def _with_eigenvalues(lam, mu):
@@ -153,7 +188,7 @@ class TestPieceSpectra:
         assert all(c.passed for c in report.checks[2:])
 
     def test_exact_trace_det(self):
-        pieces = [p for p, _ in build_spline().pieces]
+        pieces = build_spline().pieces
         # identity Hessians: eigenvalues {1, 1}
         assert (pieces[0].trace(), pieces[0].det()) == (2, 1)
         assert (pieces[2].trace(), pieces[2].det()) == (2, 1)
@@ -162,11 +197,11 @@ class TestPieceSpectra:
         assert (pieces[3].trace(), pieces[3].det()) == (1, 0)
 
     def test_piece_2_hessian_entries(self):
-        p2 = build_spline().pieces[1][0]
+        p2 = build_spline().pieces[1]
         assert (p2.a00, p2.a01, p2.a11) == (Q(1, 10), Q(3, 10), Q(9, 10))
 
     def test_piece_4_hessian_entries(self):
-        p4 = build_spline().pieces[3][0]
+        p4 = build_spline().pieces[3]
         assert (p4.a00, p4.a01, p4.a11) == (Q(4, 5), Q(2, 5), Q(1, 5))
 
 
@@ -210,6 +245,26 @@ class TestVerifyAll:
         ]
 
 
+# The paper's regions, written out apart from the spline's seam order: piece
+# k + 1 is the set where every (normal, offset, side) of REGIONS[k] holds
+# <normal, z> side offset, on the open domain x1 > -23/240.
+REGIONS = (
+    (((3, -1), Q(1, 12), "<="),),
+    (((3, -1), Q(1, 12), ">="), ((3, -1), Q(31, 12), "<=")),
+    (((3, -1), Q(31, 12), ">="), ((1, -2), Q(49, 48), "<=")),
+    (((1, -2), Q(49, 48), ">="),),
+)
+REGION_DOMAIN_BOUND = Q(-23, 240)
+_SIDES = {"<=": operator.le, ">=": operator.ge}
+
+
+def _regions_holding(x0, x1, num=Q):
+    """0-based pieces whose region in REGIONS holds (x0, x1), tested in num."""
+    return [k for k, region in enumerate(REGIONS)
+            if all(_SIDES[side](num(n0) * x0 + num(n1) * x1, num(offset))
+                   for (n0, n1), offset, side in region)]
+
+
 def _reference_grid_report(spacing, x_range, y_range, pair_stride, model):
     """The lattice checks as a per-pair Fraction loop: (name, passed) per line."""
     nx = int((x_range[1] - x_range[0]) / spacing)
@@ -219,19 +274,20 @@ def _reference_grid_report(spacing, x_range, y_range, pair_stride, model):
         for i in range(nx + 1)
         for j in range(ny + 1)
     ]
-    pts = [p for p in pts if model.in_domain(p)]
+    pts = [p for p in pts if p.x1 > REGION_DOMAIN_BOUND]
     coverage_ok = overlap_ok = True
     shared = 0
+    data = []
     for p in pts:
-        claims = [k for k, (_, region) in enumerate(model.pieces)
-                  if all(h.contains(p) for h in region)]
+        claims = _regions_holding(p.x0, p.x1)
         if not claims:
             coverage_ok = False
             break
         shared += len(claims) > 1
-        overlap_ok &= (len({model.pieces[k][0].value(p) for k in claims}) == 1
-                       and len({model.pieces[k][0].gradient(p) for k in claims}) == 1)
-    data = [(p, model.value(p), model.gradient(p)) for p in pts]
+        overlap_ok &= (len({model.pieces[k].value(p) for k in claims}) == 1
+                       and len({model.pieces[k].gradient(p) for k in claims}) == 1)
+        q = model.pieces[claims[0]]
+        data.append((p, q.value(p), q.gradient(p)))
     mono_ok = smooth_ok = descent_ok = True
     npairs = idx = 0
     for a, (pa, fa, ga) in enumerate(data):
@@ -261,14 +317,13 @@ def _with_piece(k, **coefficients):
     """The spline with some coefficients of its 0-based piece k replaced."""
     base = build_spline()
     pieces = list(base.pieces)
-    q, region = pieces[k]
-    pieces[k] = (replace(q, **coefficients), region)
+    pieces[k] = replace(pieces[k], **coefficients)
     return replace(base, pieces=tuple(pieces))
 
 
 def _shifted(k, **deltas):
     """The spline with deltas added to some coefficients of its 0-based piece k."""
-    q = build_spline().pieces[k][0]
+    q = build_spline().pieces[k]
     return _with_piece(k, **{name: getattr(q, name) + d for name, d in deltas.items()})
 
 
@@ -387,12 +442,6 @@ class TestGridInvariants:
         spline.verify_grid_properties(**SEAM_CLOSE_UP)
         assert dtypes == [np.object_]
 
-    def test_uncovered_point_raises(self):
-        base = build_spline()
-        gap = replace(base, pieces=base.pieces[:3])
-        with pytest.raises(DomainError, match="claimed by no region"):
-            spline.verify_grid_properties(spline=gap, **COARSE_LATTICE)
-
     @pytest.mark.parametrize("model, passed", [("plain", True), ("piece2+1/1000", False)])
     def test_seam_agreement_counts_shared_points(self, model, passed):
         report = spline.verify_grid_properties(spline=MODELS[model], **SEAM_CROSSING)
@@ -416,14 +465,13 @@ class TestGridInvariants:
 
 
 def _reference_float(model, x0, x1):
-    """Per-point float value, gradient and 1-based piece, as scalar code."""
-    k = len(model.pieces) - 1
-    for j, (_, region) in enumerate(model.pieces):
-        if all(float(h.normal[0]) * x0 + float(h.normal[1]) * x1 <= float(h.offset)
-               for h in region):
-            k = j
-            break
-    q = model.pieces[k][0]
+    """Per-point float value, gradient and 1-based piece, as scalar code.
+
+    The piece is the first whose region in REGIONS holds the point by float
+    comparisons, or the last piece when none does.
+    """
+    k = (_regions_holding(x0, x1, num=float) or [len(REGIONS) - 1])[0]
+    q = model.pieces[k]
     value = (0.5 * float(q.a00) * x0 * x0 + float(q.a01) * x0 * x1
              + 0.5 * float(q.a11) * x1 * x1 + float(q.b0) * x0 + float(q.b1) * x1
              + float(q.c))
