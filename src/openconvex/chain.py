@@ -34,12 +34,19 @@ With m = a - a^2 - b^2 this is feasible iff m >= 0, so no phase I is
 needed.  On the boundary m = 0, and for N = 1, the increments are pinned to
 (a, b)/N, and that gives U_N directly.  Inside, log-barrier path-following
 with damped Newton steps starts from D_j = (a, b)/N, where every disk slack
-s_j = 1/(4N^2) - ||D_j - e_1/(2N)||^2 is m/N^2.  Each Newton step inverts
-the r x r blocks H_j = (t + 2/s_j) I + (4/s_j^2) u_j u_j', u_j = D_j -
-e_1/(2N), in closed form and solves one r x r system for the multiplier of
-sum_j D_j = (a, b).  Along a Newton direction each slack and the objective
-are exact quadratics in the step: the line search backtracks on those and
-takes the barrier change in closed form.
+s_j = 1/(4N^2) - ||D_j - e_1/(2N)||^2 is m/N^2.  Each Newton step is block
+elimination of the KKT system (Boyd & Vandenberghe, Convex Optimization,
+10.4) in one pass over the rows: the blocks H_j = (t + 2/s_j) I + (4/s_j^2)
+u_j u_j', u_j = D_j - e_1/(2N), are inverted by Sherman-Morrison and applied
+to the gradient once, and the r x r system (r <= 2) for the multiplier of
+sum_j D_j = (a, b) is solved by its closed-form inverse, with no linalg or
+matmul call.  Along a Newton direction each slack and the objective are
+exact quadratics in the step: the line search backtracks on those, takes the
+barrier change in closed form and checks the slacks of the carried offsets
+u + step dD.  A centering ends centred on a decrement below 2e-11 or not
+positive, or on one within the rounding floor that stops falling or passes
+no line search; a path whose last centering ends otherwise, after
+MAX_NEWTON steps say, is not reported Optimal.
 """
 
 from __future__ import annotations
@@ -153,10 +160,10 @@ def _offsets(D: np.ndarray) -> np.ndarray:
     return u
 
 
-def _disk_slacks(D: np.ndarray) -> np.ndarray:
-    """s_j = 1/(4N^2) - ||u_j||^2: positive iff increment j is inside D_N."""
-    u = _offsets(D)
-    return 0.25 / D.shape[0] ** 2 - np.vecdot(u, u)
+def _disk_slacks(u: np.ndarray) -> np.ndarray:
+    """s_j = 1/(4N^2) - ||u_j||^2 of the offsets u: positive iff increment j
+    is inside D_N."""
+    return 0.25 / u.shape[0] ** 2 - np.vecdot(u, u)
 
 
 def _newton_step(w: np.ndarray, D: np.ndarray, s: np.ndarray,
@@ -166,21 +173,31 @@ def _newton_step(w: np.ndarray, D: np.ndarray, s: np.ndarray,
     The step solves H_j dD_j + g_j + nu = 0 for every j with sum_j dD_j = 0.
     H_j = c_j I + (4/s_j^2) u_j u_j' with c_j = t + 2/s_j has the inverse
     (I - beta_j u_j u_j') / c_j, beta_j = 1/(||u_j||^2 + s_j/2 + t s_j^2/4)
-    (Sherman-Morrison), so dD_j = -H_j^-1 (g_j + nu) and nu solves the r x r
-    system (sum_j H_j^-1) nu = -sum_j H_j^-1 g_j.
+    (Sherman-Morrison), so dD_j = -H_j^-1 g_j - H_j^-1 nu and nu solves the
+    r x r system (sum_j H_j^-1) nu = -sum_j H_j^-1 g_j.  H_j^-1 is applied
+    to g once; H_j^-1 nu = nu/c_j - (beta_j/c_j)(u_j . nu) u_j is taken from
+    nu, and the r x r system (r <= 2) by its closed-form inverse.  With
+    D_j = u_j + e_1/(2N), g_j = c_j u_j - t (w_j - 1/(2N)) e_1, and with
+    ||u_j||^2 = 1/(4N^2) - s_j, beta_j needs no pass over u.
     """
     u = _offsets(D)
-    g = t * D + (2.0 / s)[:, None] * u
-    g[:, 0] -= t * w
     c = t + 2.0 / s
-    beta = 1.0 / (np.vecdot(u, u) + 0.5 * s + 0.25 * t * s * s)
-
-    def inverse(v):
-        return (v - (beta * np.vecdot(u, v))[:, None] * u) / c[:, None]
-
-    S = np.eye(D.shape[1]) * (1.0 / c).sum() - np.einsum("j,jk,jl->kl", beta / c, u, u)
-    nu = np.linalg.solve(S, -inverse(g).sum(axis=0))
-    return g, -inverse(g + nu), nu
+    ic = 1.0 / c
+    g = c[:, None] * u
+    g[:, 0] -= t * (w - 0.5 / D.shape[0])
+    bu = (ic / (0.25 / D.shape[0] ** 2 + s * (0.25 * t * s - 0.5)))[:, None] * u
+    hg = ic[:, None] * g - np.vecdot(u, g)[:, None] * bu
+    rhs = -hg.sum(axis=0)
+    # sum_j H_j^-1 = (sum_j 1/c_j) I - sum_j (beta_j/c_j) u_j u_j'
+    diag = ic.sum() - np.vecdot(bu.T, u.T)
+    if diag.size == 1:
+        nu = rhs / diag
+    else:
+        (d0, d1), (r0, r1) = diag.tolist(), rhs.tolist()
+        off = -float(np.vecdot(bu[:, 0], u[:, 1]))
+        det = d0 * d1 - off * off
+        nu = np.array([(d1 * r0 - off * r1) / det, (d0 * r1 - off * r0) / det])
+    return g, np.vecdot(u, nu)[:, None] * bu - ic[:, None] * nu - hg, nu
 
 
 def _step_change(step: float, lin: float, quad: float, a: np.ndarray, b: np.ndarray,
@@ -197,59 +214,70 @@ def _step_change(step: float, lin: float, quad: float, a: np.ndarray, b: np.ndar
     return step * (lin + 0.5 * step * quad) - float(np.log1p(-drop / s).sum())
 
 
-def _newton_center(w: np.ndarray, D: np.ndarray, s: np.ndarray,
-                   t: float) -> tuple[np.ndarray, np.ndarray]:
+def _newton_center(w: np.ndarray, D: np.ndarray, u: np.ndarray, s: np.ndarray,
+                   t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Minimize t sum_j [1/2 ||D_j||^2 - w_j D_j,1] - sum_j log s_j over
-    sum_j D_j fixed, by damped Newton from interior D with slacks s.
+    sum_j D_j fixed, by damped Newton from interior D with offsets u and slacks s.
 
-    Returns the new increments and their slacks.  Stops once the Newton
-    decrement no longer falls: at large t it levels off at the rounding
-    floor, above the 1e-11 stop.
+    Returns the new increments, offsets and slacks, and whether the centering
+    ended centred.  At large t the Newton decrement levels off at a rounding
+    floor above the 1e-11 stop, where it stops falling or no step passes the
+    line search; either ends a centering centred only within that floor.  A
+    decrement that rises above it comes from a step that has not reached the
+    quadratic region yet, so the centering goes on.  MAX_NEWTON steps end it
+    uncentred.
     """
     previous = math.inf
     for _ in range(MAX_NEWTON):
         g, dD, _ = _newton_step(w, D, s, t)
-        decrement = -float((g * dD).sum())
-        if decrement <= 0 or decrement >= previous:
-            break
+        decrement = -float(np.vecdot(g.ravel(), dD.ravel()))
+        # the floor is under 1e-5 up to t = 1e10, and far below the
+        # decrements of a centering still on its way
+        floor = decrement <= 1e-3
+        if decrement <= 0 or (floor and decrement >= previous):
+            return D, u, s, True
         previous = decrement
         # backtracking on the exact quadratic slacks: stay strictly feasible,
         # then Armijo on the barrier change taken without cancellation
-        a = 2.0 * np.vecdot(_offsets(D), dD)
+        a = 2.0 * np.vecdot(u, dD)
         b = 2.0 * np.vecdot(dD, dD)
-        lin = t * float((D * dD).sum() - w @ dD[:, 0])
+        # sum_j dD_j = 0, so sum_j D_j . dD_j = sum_j u_j . dD_j
+        lin = t * (0.5 * float(a.sum()) - float(np.vecdot(w, dD[:, 0])))
         quad = 0.5 * t * float(b.sum())
         step = 1.0
         for _ in range(60):
             if _step_change(step, lin, quad, a, b, s) <= -0.25 * step * decrement:
                 # the direct evaluation guards against rounding in (a, b)
-                Dn = D + step * dD
-                sn = _disk_slacks(Dn)
+                move = step * dD
+                un = u + move
+                sn = _disk_slacks(un)
                 if (sn > 0.0).all():
                     break
             step *= 0.5
         else:
-            break
-        D, s = Dn, sn
+            return D, u, s, floor
+        D, u, s = D + move, un, sn
         if 0.5 * decrement <= 1e-11:
-            break
-    return D, s
+            return D, u, s, True
+    return D, u, s, False
 
 
 def _barrier_path(problem: ChainProblem) -> tuple[np.ndarray, float, bool]:
     """Increments D (N x r) maximizing U_N by path-following from D_j = (a, b)/N.
 
-    Returns (D, gap, converged); with N disk constraints the gap is N/t.
+    Returns (D, gap, converged); with N disk constraints the gap is N/t.  The
+    path converges when the last centering, at N/t <= NEWTON_TOL, ends centred.
     """
     N = problem.N
     w = (N - np.arange(N)) / N
     D = np.tile(problem.gN / N, (N, 1))
-    s = _disk_slacks(D)
+    u = _offsets(D)
+    s = _disk_slacks(u)
     t = 1.0 / BARRIER_MU0
     for _ in range(MAX_OUTER):
-        D, s = _newton_center(w, D, s, t)
+        D, u, s, centred = _newton_center(w, D, u, s, t)
         if N / t <= NEWTON_TOL:
-            return D, N / t, True
+            return D, N / t, centred
         t /= MU_SHRINK
     return D, N / t, False
 

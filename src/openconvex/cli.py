@@ -12,7 +12,8 @@ All files are written atomically (temp file + rename); floats are printed
 with 17 significant digits so CSV output is byte-reproducible, at any BLAS
 thread count.  A CSV table is formatted a block of rows at a
 time, by one ``%`` format over the block's cells (``"%.17g" % v`` is the same
-text as ``format(v, ".17g")``), so no cell is formatted by its own call.
+text as ``format(v, ".17g")``), so no cell is formatted by its own call, and
+each block is written as it is formatted, so no table is held whole.
 The argument parser is built once per process and reused by every ``main``
 call.  Each option's check is its argparse ``type=`` converter, and every
 parse error, a refused value included, is one ``openconvex: error:`` line
@@ -30,7 +31,7 @@ import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from typing import Iterable, NoReturn
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -46,9 +47,11 @@ EXIT_BAD_INPUT = 4
 PERTURB_DELTA = Fraction(1, 1000)
 
 
-def _atomic_write(path: str | None, text: str) -> None:
+def _atomic_write(path: str | None, text: str | Iterable[str]) -> None:
+    """Write text, or an iterable of text chunks, to path or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(path))
     # mkstemp creates the file 0600: give it the mode an existing file has,
@@ -63,7 +66,7 @@ def _atomic_write(path: str | None, text: str) -> None:
     try:
         os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -79,13 +82,16 @@ def _cells(*columns: list) -> list:
     return cells
 
 
-def _csv(header: str, block: str, blocks: Iterable[list]) -> str:
+def _csv(header: str, block: str, blocks: Iterable[list]) -> Iterator[str]:
     """The header line, then ``block % tuple(cells)`` for each block's cells.
 
     ``block`` holds one %-conversion per cell of a block of rows, so each
-    block is formatted by one % operation.
+    block is formatted by one % operation.  The text is yielded a block at a
+    time, so a table is never held whole.
     """
-    return "".join([header, "\n", *(block % tuple(cells) for cells in blocks)])
+    yield header + "\n"
+    for cells in blocks:
+        yield block % tuple(cells)
 
 
 # --- minimal SVG rendering ---------------------------------------------------
@@ -244,9 +250,9 @@ def cmd_contour(args) -> int:
         # one block per row of the grid, its x labels formatted once
         block = ("%.17g,%%s,%%d,%%.17g\n" * args.nx) % tuple(x.tolist())
         blocks = (
-            _cells(["%.17g" % y1] * args.nx, k, f)
-            for y1, k, f in zip(y[rows].tolist(), piece.reshape(-1, args.nx).tolist(),
-                                v.reshape(-1, args.nx).tolist())
+            _cells(["%.17g" % y1] * args.nx, k.tolist(), f.tolist())
+            for y1, k, f in zip(y[rows].tolist(), piece.reshape(-1, args.nx),
+                                v.reshape(-1, args.nx))
         )
         _atomic_write(args.out, _csv("x0,x1,piece,value", block, blocks))
     return EXIT_OK

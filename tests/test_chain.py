@@ -369,32 +369,40 @@ class TestSweep:
         assert [r.status for r in rows] == [INFEASIBLE] * 2 + [OPTIMAL] * 4
 
 
+def _slacks(D):
+    return chain._disk_slacks(chain._offsets(D))
+
+
 class TestLineSearch:
     """The Newton step and the closed-form slacks and barrier change behind its line search."""
 
     T = 1.0  # nothing cancels at t = 1, so direct differences are accurate
 
-    @pytest.fixture
-    def interior(self):
+    @staticmethod
+    def _interior(s):
         # the start D_j = (a, b)/N, where every disk slack is width = m/N^2,
         # moved by a small seeded perturbation; the direction dD is scaled to
         # the same width and sums to 0, as a Newton step does
         N = 5
-        problem = build_problem(_spec(0.7, N))
-        a, b = problem.gN
-        width = (a - a * a - b * b) / N ** 2
+        problem = build_problem(_spec(s, N))
+        shape = (N, problem.gN.size)
+        width = (problem.gN[0] - float(problem.gN @ problem.gN)) / N ** 2
         rng = np.random.default_rng(7)
-        D = problem.gN / N + 0.05 * width * rng.normal(size=(N, 2))
-        assert np.all(chain._disk_slacks(D) > 0.5 * width)
-        dD = width * rng.normal(size=(N, 2))
+        D = problem.gN / N + 0.05 * width * rng.normal(size=shape)
+        assert np.all(_slacks(D) > 0.5 * width)
+        dD = width * rng.normal(size=shape)
         w = (N - np.arange(N)) / N
         return w, D, dD - dD.mean(axis=0), width
+
+    @pytest.fixture
+    def interior(self):
+        return self._interior(0.7)
 
     @classmethod
     def _value(cls, w, D):
         # the centering objective t sum_j [1/2 |D_j|^2 - w_j D_j,1] - sum_j log s_j
         return (cls.T * float(0.5 * np.sum(D * D) - w @ D[:, 0])
-                - float(np.sum(np.log(chain._disk_slacks(D)))))
+                - float(np.sum(np.log(_slacks(D)))))
 
     @staticmethod
     def _rates(D, dD):
@@ -404,29 +412,29 @@ class TestLineSearch:
     @classmethod
     def _blocks(cls, D):
         # H_j = (t + 2/s_j) I + (4/s_j^2) u_j u_j', one r x r block per increment
-        s, u = chain._disk_slacks(D), chain._offsets(D)
+        s, u = _slacks(D), chain._offsets(D)
         eye = np.eye(D.shape[1])
         return ((cls.T + 2.0 / s)[:, None, None] * eye
                 + (4.0 / s ** 2)[:, None, None] * u[:, :, None] * u[:, None, :])
 
     def test_predicted_slacks_match_direct_evaluation(self, interior):
         _, D, dD, _ = interior
-        s = chain._disk_slacks(D)
+        s = _slacks(D)
         a, b = self._rates(D, dD)
         for alpha in (0.0, 0.1, 0.5, 1.0, 2.0):
             predicted = s - alpha * a - 0.5 * alpha ** 2 * b
-            direct = chain._disk_slacks(D + alpha * dD)
+            direct = _slacks(D + alpha * dD)
             assert np.max(np.abs(predicted - direct) / np.abs(direct)) <= 1e-12
 
     def test_exact_change_matches_barrier_difference(self, interior):
         w, D, dD, _ = interior
-        s = chain._disk_slacks(D)
+        s = _slacks(D)
         a, b = self._rates(D, dD)
         lin = self.T * float(np.sum(D * dD) - w @ dD[:, 0])
         quad = self.T * float(np.sum(dD * dD))
         checked = 0
         for alpha in (1e-3, 0.01, 0.1, 0.25):
-            if np.any(chain._disk_slacks(D + alpha * dD) <= 0.0):
+            if np.any(_slacks(D + alpha * dD) <= 0.0):
                 continue
             exact = chain._step_change(alpha, lin, quad, a, b, s)
             direct = self._value(w, D + alpha * dD) - self._value(w, D)
@@ -438,7 +446,7 @@ class TestLineSearch:
         _, D, dD, _ = interior
         a, b = self._rates(D, dD)
         # far enough along dD every increment leaves its disk
-        assert chain._step_change(1e6, 0.0, 0.0, a, b, chain._disk_slacks(D)) == math.inf
+        assert chain._step_change(1e6, 0.0, 0.0, a, b, _slacks(D)) == math.inf
 
     def test_gradient_and_hessian_match_differences(self, interior):
         # the per-block gradient against central differences of the centering
@@ -446,7 +454,7 @@ class TestLineSearch:
         w, D, _, width = interior
 
         def grad(DD):
-            return chain._newton_step(w, DD, chain._disk_slacks(DD), self.T)[0]
+            return chain._newton_step(w, DD, _slacks(DD), self.T)[0]
 
         g, H = grad(D), self._blocks(D)
         h = 1e-4 * width
@@ -460,14 +468,20 @@ class TestLineSearch:
             # the Hessian is block diagonal: no other increment moves
             assert np.delete(column, j, axis=0) == pytest.approx(0.0, abs=1e-6)
 
-    @pytest.mark.parametrize("t", [1.0, 1e6])
-    def test_step_solves_full_kkt_system(self, interior, t):
+    # r = 2 at s = 0.7; r = 1 at s = sqrt(1/2), where b = 0 and m > 0; the
+    # closed-form r x r solve is worst conditioned at t = 1e10
+    @pytest.mark.parametrize("r, t", [(2, 1.0), (2, 1e6), (2, 1e10),
+                                      (1, 1.0), (1, 1e6), (1, 1e10)],
+                             ids=["1.0", "1000000.0", "10000000000.0",
+                                  "b0-1.0", "b0-1000000.0", "b0-10000000000.0"])
+    def test_step_solves_full_kkt_system(self, r, t):
         # the block-eliminated step against the dense KKT system
         #   [blockdiag(H_j)  A'] [dD]   [-g]
         #   [A               0 ] [nu] = [ 0],   A = [I I ... I]
-        w, D, _, _ = interior
-        N, r = D.shape
-        g, dD, nu = chain._newton_step(w, D, chain._disk_slacks(D), t)
+        w, D, _, _ = self._interior(0.7 if r == 2 else math.sqrt(0.5))
+        N = D.shape[0]
+        assert D.shape[1] == r
+        g, dD, nu = chain._newton_step(w, D, _slacks(D), t)
         blocks = self._blocks(D) + (t - self.T) * np.eye(r)
         kkt = np.zeros((N * r + r, N * r + r))
         for j in range(N):
@@ -488,6 +502,56 @@ class TestReversalPrecision:
         up = solve_spec(_spec(s, 50, UPPER))
         assert lo.status == up.status == OPTIMAL
         assert abs(lo.value + up.value - s) <= 1e-11
+
+
+class TestRecordedValues:
+    """U_N of the normalized family, held to values recorded to 17 digits.
+
+    The barrier stops at the gap N/t <= 1e-8, so any solver of the same
+    program, or another rounding of this one, must agree within 1e-8.
+    """
+
+    RECORDED = {
+        0.55: (0.33055121101222301, 0.33674365800305167, 0.33787062354425995),
+        0.6: (0.37637625748660053, 0.38398009576710501, 0.38539496243679411),
+        0.65: (0.41427669324863686, 0.42196415128671672, 0.42354495573119655),
+        0.7: (0.45177669324863695, 0.45292084612670813, 0.45374594332363977),
+    }
+
+    @pytest.mark.parametrize("s", sorted(RECORDED))
+    def test_recorded_upper_bounds(self, s):
+        for N, recorded in zip((2, 5, 50), self.RECORDED[s]):
+            res = solve_spec(_spec(s, N))
+            assert res.status == OPTIMAL
+            assert abs(res.value - recorded) <= 1e-8
+
+
+class TestCenteringStop:
+    """A path reports Optimal only if its last centering ends centred."""
+
+    S_K33 = 0.615839386087391  # k = 33 of the default 60-step grid
+
+    def test_faster_growth_still_centres(self, monkeypatch):
+        # at 1/MU_SHRINK = 20 some centerings meet decrements of 1.6-2.9 that
+        # rise from one step to the next; stopping there left U off by 1.3e-4
+        expected = solve_spec(_spec(self.S_K33, 2))
+        monkeypatch.setattr(chain, "MU_SHRINK", 0.05)
+        res = solve_spec(_spec(self.S_K33, 2))
+        assert res.status == expected.status == OPTIMAL
+        assert abs(res.value - expected.value) <= 1e-8
+
+    def test_default_grid_column_is_optimal(self):
+        # at t ~ 1e10 some last centerings end at the rounding floor, where no
+        # step passes the line search; that is centred, not an iteration limit
+        s_values = [0.5 + k * (math.sqrt(0.5) - 0.5) / 59 for k in range(60)]
+        assert {row.status for row in sweep(s_values, [50])} == {OPTIMAL}
+
+    def test_step_limit_is_an_iteration_limit(self, monkeypatch):
+        monkeypatch.setattr(chain, "MAX_NEWTON", 1)
+        assert solve_spec(_spec(0.6, 5)).status == chain.ITERATION_LIMIT
+        # N = 1 and the boundary s = 1/2 take no Newton step
+        assert solve_spec(_spec(0.6, 1)).status == OPTIMAL
+        assert solve_spec(_spec(0.5, 5)).status == OPTIMAL
 
 
 def _quadratic_spec(direction=UPPER, moved=False):

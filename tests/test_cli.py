@@ -147,6 +147,14 @@ class TestContour:
         assert cli.main(["contour", *args, "--out", str(out)]) == cli.EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_stdout_matches_file(self, tmp_path, capsys):
+        # the table is streamed a grid row at a time to either
+        out = tmp_path / "contour.csv"
+        small = ["contour", "--nx", "20", "--ny", "20"]
+        assert cli.main([*small, "--out", str(out)]) == cli.EXIT_OK
+        assert cli.main(small) == cli.EXIT_OK
+        assert capsys.readouterr().out == out.read_text()
+
 
 class TestRegion:
     def test_inclusion_on_grid(self, tmp_path):
@@ -181,6 +189,20 @@ class TestRegion:
         assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
         assert stat.S_IMODE(old.stat().st_mode) == 0o604
         assert old.read_text() == new.read_text()
+
+    def test_failed_stream_keeps_the_file(self, tmp_path):
+        # a table that fails part way through replaces nothing and leaves no temp file
+        out = tmp_path / "kept.csv"
+        out.write_text("kept\n")
+
+        def chunks():
+            yield "t,value\n"
+            raise ValueError("no more rows")
+
+        with pytest.raises(ValueError):
+            cli._atomic_write(str(out), chunks())
+        assert out.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
 
 
 class TestSweep:
@@ -319,9 +341,9 @@ class TestTableBytes:
         (["interpolate"], SPEC_06_N1,
          "b6fee1a9524eb2d4ff319c76ab80a0e838554f54983721a1dcaaa8f8f9cc3123"),
         (["interpolate"], dict(SPEC_06_N1, N=5),
-         "efba8ce58423cb7af68c13ba96d0008aec08a97155f26d36f255ecabf6a19fbb"),
+         "c257fb81385b76dedd4f1e9d5e85abd101e377eaf1d3ba2314bc23273a1ac456"),
         (["sweep", "--s-steps", "3", "--N-list", "1,2"], None,
-         "87ae704c1ec8e4905e47d635992a545f8aa66a4449884d79085e4f669451c8f3"),
+         "7a9a8c089ae0b6eec9324c28e02c8310bb0f0bf3b8d9c7589444427828286b46"),
         (["region", "--steps", "10"], None,
          "1ff596aee5dc5538573631136233ca0b1863155b604836abc2a1f442a1ad9f1b"),
     ], ids=["interpolate-N1", "interpolate-N5", "sweep", "region"])
