@@ -29,7 +29,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Iterable, Iterator, NoReturn
 
@@ -273,24 +272,13 @@ def cmd_region(args) -> int:
     return EXIT_OK
 
 
-def _sweep_cell(job) -> chain.SweepRow:
-    s, n = job
-    return chain.sweep([s], [n])[0]
-
-
 def cmd_sweep(args) -> int:
     s_max = args.s_max if args.s_max is not None else math.sqrt(0.5)
     s_values = [
         args.s_min + k * (s_max - args.s_min) / (args.s_steps - 1)
         for k in range(args.s_steps)
     ] if args.s_steps > 1 else [args.s_min]
-
-    if args.workers > 1:
-        jobs = [(s, n) for s in s_values for n in args.n_list]
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_sweep_cell, jobs))
-    else:
-        rows = chain.sweep(s_values, args.n_list)
+    rows = chain.sweep(s_values, args.n_list)
 
     if args.format == "svg":
         series = []
@@ -426,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=_finite_float, default=None)
     p.add_argument("--s-steps", type=_positive_int, default=60)
     p.add_argument("--N-list", dest="n_list", type=_n_list, default="1,2,5,50")
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("solve", help="solve one chain program from JSON")

@@ -350,8 +350,13 @@ def verify_violation(spline: PiecewiseQuadratic = SPLINE) -> VerificationReport:
 
 
 DEFAULT_GRID_SPACING = Q(1, 16)
-DEFAULT_X_RANGE = (Q(-2), Q(3))
-DEFAULT_Y_RANGE = (DOMAIN_BOUND + Q(1, 240), Q(2))
+# A lattice of spacing 1/16 from origin (ox, oy) has points on seams 1|2 and
+# 2|3 (3 x0 - x1 = 1/12 and 31/12) iff oy = 3 ox - 1/12 (mod 1/16), and then
+# on seam 3|4 (x0 - 2 x1 = 49/48) iff ox = -41/240 (mod 1/80).  The default
+# origin is the first such point with ox >= -2 and oy inside the domain, so
+# the seam agreement check of the default lattice has points to check.
+DEFAULT_X_RANGE = (Q(-479, 240), Q(721, 240))
+DEFAULT_Y_RANGE = (Q(-17, 240), Q(478, 240))
 
 # The lattice is built and checked in int64 when an a-priori bound on every
 # intermediate is below this, and in Python integers (dtype=object) otherwise.

@@ -27,13 +27,6 @@ def _report(num: int, ok: bool, detail: str) -> None:
     print(f"\nCRITERION {num:2d}: {'PASS' if ok else 'FAIL'} — {detail}")
 
 
-@pytest.fixture(scope="session")
-def default_sweep():
-    """The default band-sweep grid: 60 s-values, N in {1, 2, 5, 50}."""
-    s_values = [0.5 + k * (S_MAX - 0.5) / 59.0 for k in range(60)]
-    return chain.sweep(s_values, [1, 2, 5, 50])
-
-
 def test_criterion_01_exact_counterexample():
     start = time.perf_counter()
     value = spline.SPLINE.value(ExactPoint.of(2, 0))

@@ -181,6 +181,58 @@ class TestClosedFormN1:
         assert (solve_spec(spec).status == OPTIMAL) is feasible
 
 
+def u2_closed_form(a: float, b: float) -> float:
+    """U_2(a, b) as the projection of a point onto a lens.
+
+    With G_1 = x and g = (a, b), the objective is
+    -||x - p||^2 + ||p||^2 + a/2 - ||g||^2/2 with p = g/2 + e_1/4, over the
+    lens D n (g - D), D the disk with centre e_1/4 and radius 1/4.  The
+    projection of p onto either disk is its projection onto the lens if it
+    lies in the other disk; otherwise the lens corner nearer p is.  Points
+    of the plane are complex numbers here.
+    """
+    g, r = complex(a, b), 0.25
+    p = g / 2 + r
+    centres = (r, g - r)
+
+    def project(c):
+        return p if abs(p - c) <= r else c + r * (p - c) / abs(p - c)
+
+    x = [project(c) for c, other in (centres, centres[::-1])
+         if abs(project(c) - other) <= r * (1 + 1e-12)]
+    if not x:
+        d = g - 2 * r
+        h = math.sqrt(max(0.0, r * r - abs(d) ** 2 / 4))
+        x = [g / 2 + sign * h * 1j * d / abs(d) for sign in (1, -1)]
+    x = min(x, key=lambda z: abs(z - p))
+    return -abs(x - p) ** 2 + abs(p) ** 2 + a / 2 - abs(g) ** 2 / 2
+
+
+class TestClosedFormN2:
+    def test_default_sweep_cells(self, default_sweep):
+        # the normalized spec has (a, b) = (s, sqrt(1/2 - s^2)) in canonical units
+        rows = [r for r in default_sweep if r.N == 2]
+        assert len(rows) == 60
+        for r in rows:
+            u2 = u2_closed_form(r.s, math.sqrt(max(0.0, 0.5 - r.s * r.s)))
+            assert r.status == OPTIMAL
+            assert r.U == pytest.approx(u2, abs=1e-8)
+            if r.s == 0.5:  # the lens is the one point g/2
+                assert u2 == pytest.approx(0.25, abs=1e-15)
+
+    def test_seeded_interior_points(self):
+        # (a, b) uniform in the open half-disk (a - 1/2)^2 + b^2 < 1/4, b > 0
+        rng = np.random.default_rng(2)
+        radius = 0.5 * np.sqrt(rng.uniform(1e-6, 1 - 1e-6, 100))
+        angle = rng.uniform(1e-6, math.pi - 1e-6, 100)
+        for a, b in zip(0.5 + radius * np.cos(angle), radius * np.sin(angle)):
+            spec = ChainSpec(1.0, np.zeros(2), np.array([1.0, 0.0]), 0.0, np.zeros(2),
+                             np.array([a, b]), 2)
+            res = solve_spec(spec)
+            assert res.status == OPTIMAL
+            assert res.value == pytest.approx(u2_closed_form(a, b), abs=1e-8)
+
+
 class TestSolverN1:
     @pytest.mark.parametrize("s", [0.5, 0.55, 0.6, 0.65, math.sqrt(0.5)])
     def test_matches_closed_form(self, s):

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -64,11 +66,11 @@ class TestVerify:
     # sha256 of each report; the default text is the one the benchmark checks
     @pytest.mark.parametrize("args, code, digest", [
         ([], cli.EXIT_OK,
-         "8c429fae7fd592ab548216d2af49b026c146d53a23897bccf2c7ab59af5d8259"),
+         "bd55945206d80609027f557dc6e47559618f57b4e2b7b9a6cfa4c7b0bcee00ad"),
         (["--format", "json"], cli.EXIT_OK,
-         "ebe7158fa14ea6355ed19eaa1087d05f18c18544f2cf246ac43570fc845764c0"),
+         "7c8cba623f73c223da6ca4411c916acd60e0be28322ad9b8cf699c6579a10993"),
         (["--perturb-piece", "2"], cli.EXIT_VERIFY_FAILED,
-         "4ef536d565aae0daf8564b094ed7cc720394b426cb547a190f961763a2c4e395"),
+         "0e007b54425ce8a5acc6b88124ab186bb0ae39e0fde0d554328c290b676f1606"),
     ], ids=["text", "json", "perturb-piece-2"])
     def test_output_bytes_pinned(self, tmp_path, args, code, digest):
         out = tmp_path / "report.out"
@@ -243,14 +245,6 @@ class TestSweep:
         assert cli.main(args + ["--out", str(out2)]) == cli.EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_workers_match_serial(self, tmp_path):
-        args = ["sweep", "--s-min", "0.55", "--s-max", "0.65", "--s-steps", "2",
-                "--N-list", "1,2"]
-        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        assert cli.main(args + ["--out", str(serial)]) == cli.EXIT_OK
-        assert cli.main(args + ["--workers", "2", "--out", str(parallel)]) == cli.EXIT_OK
-        assert serial.read_bytes() == parallel.read_bytes()
-
 
 class TestSolve:
     def test_n1_closed_form(self, tmp_path):
@@ -386,8 +380,7 @@ class TestOptions:
                    "--perturb-piece"},
         "contour": {"--out", "--format", "--xmin", "--xmax", "--ymin", "--ymax", "--nx", "--ny"},
         "region": {"--out", "--format", "--steps"},
-        "sweep": {"--out", "--format", "--s-min", "--s-max", "--s-steps", "--N-list",
-                  "--workers"},
+        "sweep": {"--out", "--format", "--s-min", "--s-max", "--s-steps", "--N-list"},
         "solve": {"--out", "--in"},
         "interpolate": {"--out", "--in", "--t-steps"},
     }
@@ -398,7 +391,19 @@ class TestOptions:
         options = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
                    for name, p in sub.choices.items()}
         assert options == self.OPTIONS
-        assert sum(map(len, options.values())) == 29
+        assert sum(map(len, options.values())) == 28
+
+
+def test_import_loads_no_process_pool():
+    # the sweep is serial, so starting the CLI pays for no pool machinery
+    code = ("import sys, openconvex.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 class TestBadInput:
@@ -428,7 +433,7 @@ class TestBadInput:
         ["contour", "--seed", "0"],
         ["verify", "--perturb-delta", "abc"],
         ["verify", "--pairs", "x"],
-        ["sweep", "--workers", "0"],
+        ["sweep", "--workers", "2"],
         ["solve"],
         [],
     ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv) or "no-command")

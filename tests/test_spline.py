@@ -234,12 +234,14 @@ class TestViolation:
 
 class TestVerifyAll:
     def test_every_part_checks_the_given_spline(self):
-        # piece 1 stiffened to A = 2I breaks its seam, its spectrum and the
-        # lattice pairs; (0,0) keeps its value and gradient
+        # piece 1 stiffened to A = 2I breaks its seam, which the lattice
+        # points on seam 1|2 see too, its spectrum and the lattice pairs;
+        # (0,0) keeps its value and gradient
         report = spline.verify_all(spacing=Q(1, 4), spline=BROKEN_PIECES["piece1-stiff"])
         assert [c.name for c in report.checks if not c.passed] == [
             "seam 1|2 on <(3,-1),z> = 1/12",
             "piece 1 1-smooth (eigenvalues within [0,1])",
+            "seam agreement at 6 multiply-claimed lattice points",
             "1-smoothness (squared norms) on lattice pairs",
             "two-sided descent inequality on lattice pairs",
         ]
@@ -453,6 +455,18 @@ class TestGridInvariants:
         names = [c.name for c in spline.verify_grid_properties().checks]
         assert "region coverage on 2754-point lattice" in names
         assert "gradient monotonicity on 102456 lattice pairs" in names
+
+    def test_default_lattice_lands_on_every_seam(self):
+        # so the default seam agreement line checks points on each seam
+        step = spline.DEFAULT_GRID_SPACING
+        (x0, _), (y0, _) = spline.DEFAULT_X_RANGE, spline.DEFAULT_Y_RANGE
+        nx, ny = spline.lattice_shape(step)
+        points = [(x0 + i * step, y0 + j * step) for i in range(nx + 1) for j in range(ny + 1)]
+        on_seam = [sum(h.normal[0] * p0 + h.normal[1] * p1 == h.offset for p0, p1 in points)
+                   for h in spline.SPLINE.seams]
+        assert on_seam == [12, 11, 18]
+        names = [c.name for c in spline.verify_grid_properties().checks]
+        assert f"seam agreement at {sum(on_seam)} multiply-claimed lattice points" in names
 
     def test_perturbed_lattice_stops_after_failing_row(self):
         report = spline.verify_grid_properties(spline=MODELS["piece2+1/1000"])
