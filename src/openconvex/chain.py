@@ -109,6 +109,15 @@ class ChainSpec:
             raise RangeError(f"N must be a positive integer, got {self.N!r}")
         if self.direction not in (UPPER, LOWER):
             raise RangeError(f"direction must be '{UPPER}' or '{LOWER}'")
+        # build_problem's rho, g_hat and scale, with overflow read as inf and
+        # underflow as 0
+        with np.errstate(all="ignore"):
+            rho = float(np.linalg.norm(self.y - self.x))
+            g_hat = (self.g_y - self.g_x) / (self.L * rho)
+            g_sq = float(g_hat @ g_hat)
+        if not (0 < self.L * rho * rho < math.inf and math.isfinite(g_sq)):
+            raise RangeError("L ||y - x||^2 or (g_y - g_x) / (L ||y - x||) "
+                             "leaves the float64 range")
 
 
 @dataclass

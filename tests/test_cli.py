@@ -70,7 +70,7 @@ class TestVerify:
         (["--format", "json"], cli.EXIT_OK,
          "7c8cba623f73c223da6ca4411c916acd60e0be28322ad9b8cf699c6579a10993"),
         (["--perturb-piece", "2"], cli.EXIT_VERIFY_FAILED,
-         "0e007b54425ce8a5acc6b88124ab186bb0ae39e0fde0d554328c290b676f1606"),
+         "3a56de217d77c71d12e24b09517e85744fd071f241cf8d899d0a5ffff994eb6a"),
     ], ids=["text", "json", "perturb-piece-2"])
     def test_output_bytes_pinned(self, tmp_path, args, code, digest):
         out = tmp_path / "report.out"
@@ -491,12 +491,19 @@ class TestBadInput:
         {"L": "1", "x": ["0", "0"], "y": [1, 0], "f_x": "0", "g_x": [0, 0],
          "g_y": [0.6, 0.3], "N": 2},
         {"L": 10 ** 400},
+        {"L": 1e200, "y": [1e200, 0], "g_y": [1e300, 5e299]},
+        {"y": [1e-170, 0], "g_y": [5e-171, 5e-171]},
+        {"L": 1e-300, "g_y": [1e10, 0]},
+        {"g_y": [1e200, 1e200]},
     ], ids=["N-fraction", "N-bool", "L-bool", "f_x-bool", "vector-bool",
             "vectors-2d", "vectors-scalar", "vectors-empty", "L-string",
-            "f_x-string", "vector-string", "strings", "L-huge-int"])
+            "f_x-string", "vector-string", "strings", "L-huge-int",
+            "scale-overflow", "distance-underflow", "g-hat-overflow",
+            "g-hat-norm-overflow"])
     def test_malformed_spec(self, command, change, tmp_path, capsys):
         # a truncated N, a boolean read as 0 or 1, a string read as a number,
-        # an integer past the float range or a vector of another shape is
-        # refused, not solved
+        # an integer past the float range, a vector of another shape or a
+        # spec whose canonical form leaves the float range is refused, not
+        # solved
         path = _write_spec(tmp_path, dict(SPEC_06_N1, **change))
         self._refused([command, "--in", path], tmp_path, capsys)

@@ -242,6 +242,7 @@ class TestVerifyAll:
             "seam 1|2 on <(3,-1),z> = 1/12",
             "piece 1 1-smooth (eigenvalues within [0,1])",
             "seam agreement at 6 multiply-claimed lattice points",
+            "gradient monotonicity on 480 lattice pairs",
             "1-smoothness (squared norms) on lattice pairs",
             "two-sided descent inequality on lattice pairs",
         ]
@@ -304,8 +305,6 @@ def _reference_grid_report(spacing, x_range, y_range, pair_stride, model):
             smooth_ok &= g0 * g0 + g1 * g1 <= d0 * d0 + d1 * d1
             lower = fb - fa - (ga[0] * d0 + ga[1] * d1)
             descent_ok &= 0 <= lower <= (d0 * d0 + d1 * d1) / 2
-        if not (mono_ok and smooth_ok and descent_ok):
-            break
     return [
         (f"region coverage on {len(pts)}-point lattice", coverage_ok),
         (f"seam agreement at {shared} multiply-claimed lattice points", overlap_ok),
@@ -417,8 +416,8 @@ class TestGridInvariants:
     # Blocks hold whole rows: on the coarse lattice a row has up to 62
     # sampled pairs, so blocks of 1 and 7 meet rows longer than a block and
     # every size ends blocks between rows partway through the run of sampled
-    # k.  piece4-1/7 and piece3-non-convex (coarse, every size) and
-    # piece2+1/1000 (band, sizes 1 and 7) fail in a later block than the first.
+    # k.  Every block is checked, so each line's verdict and the pair count
+    # must not depend on the block size.
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     @pytest.mark.parametrize("lattice", ["coarse", "band"])
     @pytest.mark.parametrize("model", [*sorted(MODELS), *BROKEN_PIECES])
@@ -468,11 +467,21 @@ class TestGridInvariants:
         names = [c.name for c in spline.verify_grid_properties().checks]
         assert f"seam agreement at {sum(on_seam)} multiply-claimed lattice points" in names
 
-    def test_perturbed_lattice_stops_after_failing_row(self):
-        report = spline.verify_grid_properties(spline=MODELS["piece2+1/1000"])
-        verdicts = {c.name: c.passed for c in report.checks}
-        assert verdicts["gradient monotonicity on 446 lattice pairs"]
-        assert not verdicts["two-sided descent inequality on lattice pairs"]
+    @pytest.mark.parametrize("model", [*sorted(MODELS), *BROKEN_PIECES])
+    def test_default_lattice_checks_every_sampled_pair(self, model):
+        # a failing pair does not cut the sample short
+        report = spline.verify_grid_properties(spline={**MODELS, **BROKEN_PIECES}[model])
+        names = [c.name for c in report.checks]
+        assert "gradient monotonicity on 102456 lattice pairs" in names
+
+    @pytest.mark.parametrize("model", list(BROKEN_PIECES))
+    def test_broken_piece_fails_every_pair_line(self, model):
+        report = spline.verify_grid_properties(spline=BROKEN_PIECES[model])
+        assert [(c.name, c.passed) for c in report.checks[2:]] == [
+            ("gradient monotonicity on 102456 lattice pairs", False),
+            ("1-smoothness (squared norms) on lattice pairs", False),
+            ("two-sided descent inequality on lattice pairs", False),
+        ]
 
     def test_domain_distance(self):
         assert spline.domain_distance(ExactPoint.of(0, 0)) == Q(23, 240)
