@@ -44,6 +44,8 @@ EXIT_BAD_INPUT = 4
 
 # what verify --perturb-piece adds to the piece's constant term
 PERTURB_DELTA = Fraction(1, 1000)
+# random pairs of each of verify's two float bound checks
+VERIFY_PAIRS = 2000
 
 
 def _atomic_write(path: str | None, text: str | Iterable[str]) -> None:
@@ -181,7 +183,7 @@ def _checked(convert, ok, what: str):
     def parse(text: str):
         try:
             value = convert(text)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             pass
         else:
             if ok(value):
@@ -190,17 +192,9 @@ def _checked(convert, ok, what: str):
     return parse
 
 
-def _holds_a_pair(spacing: Fraction) -> bool:
-    """Whether the default lattice, all in the open domain, holds one sampled pair."""
-    n = math.prod(steps + 1 for steps in spline.lattice_shape(spacing))
-    return n * (n - 1) // 2 >= spline.PAIR_STRIDE
-
-
 _positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
 _seed = _checked(int, lambda n: n >= 0, "a non-negative integer")
 _finite_float = _checked(float, math.isfinite, "a finite number")
-_spacing = _checked(Fraction, lambda q: q > 0 and _holds_a_pair(q),
-                    f"a positive rational whose lattice holds at least {spline.PAIR_STRIDE} pairs")
 _n_list = _checked(lambda text: [int(v) for v in text.split(",")], lambda ns: min(ns) >= 1,
                    "comma-separated positive integers")
 _out_path = _checked(str, lambda p: p == "-" or (os.path.isdir(os.path.dirname(os.path.abspath(p)))
@@ -214,17 +208,17 @@ _out_path = _checked(str, lambda p: p == "-" or (os.path.isdir(os.path.dirname(o
 def cmd_verify(args) -> int:
     offsets = None if args.perturb_piece is None else {args.perturb_piece: PERTURB_DELTA}
     model = spline.build_spline(offsets)
-    report = spline.verify_all(spacing=args.grid_spacing, spline=model)
+    report = spline.verify_all(spline=model)
 
-    excursion = checks.global_bound_max_excursion(args.pairs, seed=args.seed, model=model)
+    excursion = checks.global_bound_max_excursion(VERIFY_PAIRS, seed=args.seed, model=model)
     report.add(
-        f"two-sided global bound on {args.pairs} random pairs",
+        f"two-sided global bound on {VERIFY_PAIRS} random pairs",
         excursion <= 1e-12,
         f"max excursion {excursion:.3e}",
     )
-    gap = checks.local_cocoercivity_min_gap(args.pairs, seed=args.seed, model=model)
+    gap = checks.local_cocoercivity_min_gap(VERIFY_PAIRS, seed=args.seed, model=model)
     report.add(
-        f"local co-coercivity on {args.pairs} random pairs",
+        f"local co-coercivity on {VERIFY_PAIRS} random pairs",
         gap >= -1e-12,
         f"min gap {gap:.3e}",
     )
@@ -384,10 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exact spline verification")
     outputs(p, "text", "json")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--grid-spacing", type=_spacing, default="1/16",
-                   help="rational lattice spacing")
-    p.add_argument("--pairs", type=_positive_int, default=2000,
-                   help="random pairs for the empirical bound checks")
     p.add_argument("--perturb-piece", type=int, default=None,
                    choices=range(1, len(spline.SPLINE.pieces) + 1),
                    help="test hook: 1-based piece whose constant is raised by 1/1000")

@@ -522,14 +522,11 @@ def verify_grid_properties(
     return report
 
 
-def verify_all(
-    spacing: Q = DEFAULT_GRID_SPACING,
-    spline: PiecewiseQuadratic = SPLINE,
-) -> VerificationReport:
-    """Full exact verification: seams, piece spectra, violation, lattice."""
+def verify_all(spline: PiecewiseQuadratic = SPLINE) -> VerificationReport:
+    """Full exact verification: seams, piece spectra, violation, default lattice."""
     report = VerificationReport()
     report.merge(verify_c1_seams(spline))
     report.merge(verify_smooth_convex_pieces(spline))
     report.merge(verify_violation(spline))
-    report.merge(verify_grid_properties(spacing=spacing, spline=spline))
+    report.merge(verify_grid_properties(spline=spline))
     return report

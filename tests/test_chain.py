@@ -415,10 +415,11 @@ class TestSweep:
         real = chain.solve_spec
         monkeypatch.setattr(chain, "solve_spec",
                             lambda spec: calls.append(spec) or real(spec))
-        rows = sweep([0.4, 0.55, 0.65], [1, 3])
-        assert len(calls) == len(rows) == 6
+        # s < 1/2 with s^2 <= 1/2 solves to Infeasible like any other s < 1/2
+        rows = sweep([-0.3, 0.4, 0.55, 0.65], [1, 3])
+        assert len(calls) == len(rows) == 8
         assert all(spec.direction == UPPER for spec in calls)
-        assert [r.status for r in rows] == [INFEASIBLE] * 2 + [OPTIMAL] * 4
+        assert [r.status for r in rows] == [INFEASIBLE] * 4 + [OPTIMAL] * 4
 
 
 def _slacks(D):

@@ -33,33 +33,23 @@ def _write_spec(tmp_path, doc, name="spec.json"):
 
 
 class TestVerify:
-    def test_passes_with_coarse_grid(self, tmp_path, capsys):
+    def test_passes_on_default_lattice(self, tmp_path, capsys):
         out = tmp_path / "report.txt"
-        code = cli.main([
-            "verify", "--grid-spacing", "1/4", "--pairs", "50",
-            "--out", str(out),
-        ])
+        code = cli.main(["verify", "--out", str(out)])
         assert code == cli.EXIT_OK
         text = out.read_text()
         assert "violation" in text and "OK" in text
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "report.json"
-        code = cli.main([
-            "verify", "--grid-spacing", "1/4", "--pairs", "50",
-            "--format", "json", "--out", str(out),
-        ])
+        code = cli.main(["verify", "--format", "json", "--out", str(out)])
         assert code == cli.EXIT_OK
         doc = json.loads(out.read_text())
         assert doc["passed"] is True
 
     def test_perturbation_fails(self, tmp_path):
         out = tmp_path / "report.txt"
-        code = cli.main([
-            "verify", "--grid-spacing", "1/4", "--pairs", "10",
-            "--perturb-piece", "2",
-            "--out", str(out),
-        ])
+        code = cli.main(["verify", "--perturb-piece", "2", "--out", str(out)])
         assert code == cli.EXIT_VERIFY_FAILED
         assert "FAIL" in out.read_text()
 
@@ -360,11 +350,9 @@ class TestParserReuse:
 
     def test_no_state_between_calls(self, tmp_path):
         # an option given to one call is back at its default in the next
-        quick = ["--grid-spacing", "1/4", "--pairs", "10"]
-        assert cli.main(["verify", *quick, "--perturb-piece", "2",
+        assert cli.main(["verify", "--perturb-piece", "2",
                          "--out", str(tmp_path / "bad.txt")]) == cli.EXIT_VERIFY_FAILED
-        assert cli.main(["verify", *quick, "--out", str(tmp_path / "good.txt")]) \
-            == cli.EXIT_OK
+        assert cli.main(["verify", "--out", str(tmp_path / "good.txt")]) == cli.EXIT_OK
         small = ["--nx", "3", "--ny", "2"]
         svg, csv = tmp_path / "c.svg", tmp_path / "c.csv"
         assert cli.main(["contour", *small, "--format", "svg", "--out", str(svg)]) == 0
@@ -376,8 +364,7 @@ class TestParserReuse:
 class TestOptions:
     # each subcommand declares only the options its cmd_* reads
     OPTIONS = {
-        "verify": {"--out", "--format", "--seed", "--grid-spacing", "--pairs",
-                   "--perturb-piece"},
+        "verify": {"--out", "--format", "--seed", "--perturb-piece"},
         "contour": {"--out", "--format", "--xmin", "--xmax", "--ymin", "--ymax", "--nx", "--ny"},
         "region": {"--out", "--format", "--steps"},
         "sweep": {"--out", "--format", "--s-min", "--s-max", "--s-steps", "--N-list"},
@@ -391,7 +378,7 @@ class TestOptions:
         options = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
                    for name, p in sub.choices.items()}
         assert options == self.OPTIONS
-        assert sum(map(len, options.values())) == 28
+        assert sum(map(len, options.values())) == 26
 
 
 def test_import_loads_no_process_pool():
@@ -410,15 +397,8 @@ class TestBadInput:
     # each is refused before any work, with one line on stderr and exit 4
     # (a traceback exits 1, the code of a failed verification)
     @pytest.mark.parametrize("argv", [
-        ["verify", "--grid-spacing", "0"],
-        ["verify", "--grid-spacing", "abc"],
-        ["verify", "--grid-spacing=-1/4"],
-        ["verify", "--grid-spacing", "1/0"],
         ["verify", "--perturb-piece", "5"],
-        ["verify", "--pairs", "0"],
         ["verify", "--seed", "-1"],
-        ["verify", "--grid-spacing", "2"],
-        ["verify", "--grid-spacing", "10"],
         ["sweep", "--N-list", "0"],
         ["sweep", "--N-list", "x"],
         ["sweep", "--s-min", "nan"],
@@ -432,8 +412,19 @@ class TestBadInput:
         ["contour", "--nx", "abc"],
         ["contour", "--seed", "0"],
         ["verify", "--perturb-delta", "abc"],
-        ["verify", "--pairs", "x"],
         ["sweep", "--workers", "2"],
+        # verify checks one fixed lattice and sample: the removed options are
+        # refused whatever their value, their old defaults included
+        ["verify", "--grid-spacing", "1/16"],
+        ["verify", "--grid-spacing", "0"],
+        ["verify", "--grid-spacing", "abc"],
+        ["verify", "--grid-spacing=-1/4"],
+        ["verify", "--grid-spacing", "1/0"],
+        ["verify", "--grid-spacing", "2"],
+        ["verify", "--grid-spacing", "10"],
+        ["verify", "--pairs", "2000"],
+        ["verify", "--pairs", "0"],
+        ["verify", "--pairs", "x"],
         ["solve"],
         [],
     ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv) or "no-command")

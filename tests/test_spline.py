@@ -234,15 +234,15 @@ class TestViolation:
 
 class TestVerifyAll:
     def test_every_part_checks_the_given_spline(self):
-        # piece 1 stiffened to A = 2I breaks its seam, which the lattice
-        # points on seam 1|2 see too, its spectrum and the lattice pairs;
-        # (0,0) keeps its value and gradient
-        report = spline.verify_all(spacing=Q(1, 4), spline=BROKEN_PIECES["piece1-stiff"])
+        # piece 1 stiffened to A = 2I breaks its seam, which the default
+        # lattice's points on the seams see too, its spectrum and the lattice
+        # pairs; (0,0) keeps its value and gradient
+        report = spline.verify_all(spline=BROKEN_PIECES["piece1-stiff"])
         assert [c.name for c in report.checks if not c.passed] == [
             "seam 1|2 on <(3,-1),z> = 1/12",
             "piece 1 1-smooth (eigenvalues within [0,1])",
-            "seam agreement at 6 multiply-claimed lattice points",
-            "gradient monotonicity on 480 lattice pairs",
+            "seam agreement at 41 multiply-claimed lattice points",
+            "gradient monotonicity on 102456 lattice pairs",
             "1-smoothness (squared norms) on lattice pairs",
             "two-sided descent inequality on lattice pairs",
         ]
