@@ -82,13 +82,18 @@ def build_segment_interpolant(L: float, chain: PointData) -> SegmentInterpolant:
 
     Every adjacent pair must pass the two-point conditions within
     1e-9 L ||y - x||^2, relative to the spec units of one canonical unit of
-    f, so that the verdict does not depend on units; the error names the
-    first pair that does not.
+    f, so that the verdict does not depend on units, plus 16 rounding units
+    of the magnitudes that enter the pair's gap, |f_0| + |f_1| and
+    (||g_0|| + ||g_1||)(||x_0|| + ||x_1||), which knots with large values or
+    far from the origin round by; the error names the first pair that does
+    not.
     """
     if chain.x.ndim != 2 or chain.x.shape[0] < 2:
         raise InfeasibleData("a chain needs at least two knots")
     span = chain.x[-1] - chain.x[0]
-    slack = 1e-9 * L * float(span @ span)
+    f, x, g = np.abs(chain.f), np.linalg.norm(chain.x, axis=-1), np.linalg.norm(chain.g, axis=-1)
+    rounding = f[:-1] + f[1:] + (g[:-1] + g[1:]) * (x[:-1] + x[1:])
+    slack = 1e-9 * L * float(span @ span) + 16 * np.finfo(float).eps * rounding
     failing = np.flatnonzero(_pair_gaps(L, chain[:-1], chain[1:]) < -slack)
     if failing.size:
         k = int(failing[0])

@@ -250,8 +250,7 @@ def test_criterion_11_interpolation_round_trip():
 
 
 def test_criterion_12_sweep_determinism(tmp_path):
-    args = ["sweep", "--s-min", "0.5", "--s-steps", "8",
-            "--N-list", "1,2,5"]
+    args = ["sweep", "--s-steps", "8", "--N-list", "1,2,5"]
     out1, out2 = tmp_path / "run1.csv", tmp_path / "run2.csv"
     assert cli.main(args + ["--out", str(out1)]) == cli.EXIT_OK
     assert cli.main(args + ["--out", str(out2)]) == cli.EXIT_OK

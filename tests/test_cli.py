@@ -199,37 +199,23 @@ class TestRegion:
 
 class TestSweep:
     def test_small_grid(self, tmp_path):
+        # three points of [1/2, sqrt(1/2)], where every cell is feasible
         out = tmp_path / "sweep.csv"
-        code = cli.main([
-            "sweep", "--s-min", "0.5", "--s-max", "0.7", "--s-steps", "3",
-            "--N-list", "1,2", "--out", str(out),
-        ])
+        code = cli.main(["sweep", "--s-steps", "3", "--N-list", "1,2", "--out", str(out)])
         assert code == cli.EXIT_OK
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "s,N,B,U,status"
-        assert len(lines) == 7
-        row = next(
-            r.split(",") for r in lines[1:]
-            if abs(float(r.split(",")[0]) - 0.6) < 1e-12 and r.split(",")[1] == "1"
-        )
-        _, _, b, u, status = row
-        assert status == "Optimal"
+        rows = [r.split(",") for r in lines[1:]]
+        assert [(float(s), n) for s, n, *_ in rows[::2]] == \
+            [(0.5, "1"), ((0.5 + math.sqrt(0.5)) / 2, "1"), (math.sqrt(0.5), "1")]
+        assert all(r[4] == "Optimal" for r in rows)
+        # N = 1 at s: B = 1/4, U = s - 1/4
+        s, _, b, u, _ = rows[2]
         assert float(b) == pytest.approx(0.25, abs=1e-6)
-        assert float(u) == pytest.approx(0.35, abs=1e-6)
-
-    def test_all_infeasible_exit_code(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        code = cli.main([
-            "sweep", "--s-min", "0.3", "--s-max", "0.4", "--s-steps", "2",
-            "--N-list", "1", "--out", str(out),
-        ])
-        assert code == cli.EXIT_ALL_INFEASIBLE
-        for line in out.read_text().strip().split("\n")[1:]:
-            assert line.endswith("Infeasible")
+        assert float(u) == pytest.approx(float(s) - 0.25, abs=1e-6)
 
     def test_byte_identical_reruns(self, tmp_path):
-        args = ["sweep", "--s-min", "0.5", "--s-max", "0.7", "--s-steps", "4",
-                "--N-list", "1,2"]
+        args = ["sweep", "--s-steps", "4", "--N-list", "1,2"]
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(args + ["--out", str(out1)]) == cli.EXIT_OK
         assert cli.main(args + ["--out", str(out2)]) == cli.EXIT_OK
@@ -317,6 +303,25 @@ class TestInterpolate:
         assert float(last[0]) == 1.0
         assert float(last[1]) == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("change", [
+        {"f_x": 1e8},
+        {"f_x": 1e12},
+        {"x": [1e8, 0], "y": [1e8 + 1, 0]},
+        {"x": [1e8, 0], "y": [1e8 + 1, 0], "f_x": 1e8},
+    ], ids=["f-1e8", "f-1e12", "x-1e8", "x-and-f-1e8"])
+    def test_offset_data(self, change, tmp_path):
+        # solve accepts these chains; the knots' rounding at large f or x
+        # must not make the interpolant refuse them
+        path = _write_spec(tmp_path, dict(SPEC_06_N1, g_y=[0.6, 0.3], N=5, **change))
+        solved, out = tmp_path / "solve.json", tmp_path / "interp.csv"
+        assert cli.main(["solve", "--in", path, "--out", str(solved)]) == cli.EXIT_OK
+        assert cli.main(["interpolate", "--in", path, "--t-steps", "4",
+                         "--out", str(out)]) == cli.EXIT_OK
+        v = json.loads(solved.read_text())["value"]
+        t, value, _ = map(float, out.read_text().strip().split("\n")[-1].split(","))
+        assert t == 1.0
+        assert abs(value - v) <= 1e-9 * (1 + abs(v))
+
 
 class TestTableBytes:
     # sha256 of each table; contour, region and interpolate-N1 run no barrier,
@@ -367,7 +372,7 @@ class TestOptions:
         "verify": {"--out", "--format", "--seed", "--perturb-piece"},
         "contour": {"--out", "--format", "--xmin", "--xmax", "--ymin", "--ymax", "--nx", "--ny"},
         "region": {"--out", "--format", "--steps"},
-        "sweep": {"--out", "--format", "--s-min", "--s-max", "--s-steps", "--N-list"},
+        "sweep": {"--out", "--format", "--s-steps", "--N-list"},
         "solve": {"--out", "--in"},
         "interpolate": {"--out", "--in", "--t-steps"},
     }
@@ -378,7 +383,7 @@ class TestOptions:
         options = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
                    for name, p in sub.choices.items()}
         assert options == self.OPTIONS
-        assert sum(map(len, options.values())) == 26
+        assert sum(map(len, options.values())) == 24
 
 
 def test_import_loads_no_process_pool():
@@ -401,10 +406,13 @@ class TestBadInput:
         ["verify", "--seed", "-1"],
         ["sweep", "--N-list", "0"],
         ["sweep", "--N-list", "x"],
-        ["sweep", "--s-min", "nan"],
         ["sweep", "--s-steps", "0"],
         ["contour", "--nx", "0"],
         ["contour", "--xmax", "inf"],
+        # a window of finite bounds whose width overflows (argparse reads
+        # a bare -1e308 as an option, so the values are given with =)
+        ["contour", "--xmin=-1e308", "--xmax=1e308"],
+        ["contour", "--ymin=-1e308", "--ymax=1e308"],
         ["region", "--steps", "0"],
         ["interpolate", "--in", "unread.json", "--t-steps", "0"],
         # argparse's own errors take the same path: a value that is not a
@@ -413,6 +421,10 @@ class TestBadInput:
         ["contour", "--seed", "0"],
         ["verify", "--perturb-delta", "abc"],
         ["sweep", "--workers", "2"],
+        # the sweep always spans [1/2, sqrt(1/2)]: the removed options are
+        # refused whatever their value, the old --s-min default included
+        ["sweep", "--s-min", "0.5"],
+        ["sweep", "--s-max", "0.7"],
         # verify checks one fixed lattice and sample: the removed options are
         # refused whatever their value, their old defaults included
         ["verify", "--grid-spacing", "1/16"],
