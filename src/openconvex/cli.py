@@ -13,7 +13,8 @@ with 17 significant digits so CSV output is byte-reproducible, at any BLAS
 thread count.  A CSV table is formatted a block of rows at a
 time, by one ``%`` format over the block's cells (``"%.17g" % v`` is the same
 text as ``format(v, ".17g")``), so no cell is formatted by its own call, and
-each block is written as it is formatted, so no table is held whole.
+each block is written as it is formatted, so no table is held whole, nor
+the grid behind ``contour``'s: it is evaluated a block of rows at a time.
 The argument parser is built once per process and reused by every ``main``
 call.  Each option's check is its argparse ``type=`` converter, and every
 parse error, a refused value included, is one ``openconvex: error:`` line
@@ -46,6 +47,8 @@ EXIT_BAD_INPUT = 4
 PERTURB_DELTA = Fraction(1, 1000)
 # random pairs of each of verify's two float bound checks
 VERIFY_PAIRS = 2000
+# grid points that contour evaluates per block of rows (the fastest of 2**11..2**17)
+_CONTOUR_CHUNK = 1 << 13
 
 
 def _atomic_write(path: str | None, text: str | Iterable[str]) -> None:
@@ -100,20 +103,21 @@ def _csv(header: str, block: str, blocks: Iterable[list]) -> Iterator[str]:
 _SVG_W, _SVG_H, _SVG_PAD = 720, 480, 50
 
 
-def _svg_document(body: str) -> str:
-    return (
+def _svg_document(body: Iterable[str]) -> Iterator[str]:
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
         f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">\n'
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>\n'
-        f"{body}</svg>\n"
     )
+    yield from body
+    yield "</svg>\n"
 
 
-def _svg_lines(series: list[tuple[str, list[tuple[float, float]]]]) -> str:
+def _svg_lines(series: list[tuple[str, list[tuple[float, float]]]]) -> Iterator[str]:
     """Polyline chart; one (color, points) entry per series."""
     pts = [p for _, s in series for p in s if math.isfinite(p[0]) and math.isfinite(p[1])]
     if not pts:
-        return _svg_document("")
+        return _svg_document([])
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     x0, x1 = min(xs), max(xs)
@@ -139,27 +143,30 @@ def _svg_lines(series: list[tuple[str, list[tuple[float, float]]]]) -> str:
         body.append(
             f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-    return _svg_document("\n".join(body) + "\n")
+    return _svg_document(["\n".join(body) + "\n"])
 
 
-def _svg_heatmap(nx: int, ny: int, values: np.ndarray) -> str:
+def _svg_heatmap(nx: int, ny: int, values: np.ndarray) -> Iterator[str]:
+    """The <rect> lines of values (ny x nx, NaN off the domain), a grid row at a time."""
     finite = np.isfinite(values)
-    shown = values[finite]
-    lo, hi = (float(shown.min()), float(shown.max())) if shown.size else (0.0, 1.0)
+    shown = finite.any()
+    lo, hi = ((float(values.min(where=finite, initial=math.inf)),
+               float(values.max(where=finite, initial=-math.inf))) if shown else (0.0, 1.0))
     span = (hi - lo) or 1.0
     cw = (_SVG_W - 2 * _SVG_PAD) / nx
     ch = (_SVG_H - 2 * _SVG_PAD) / ny
-    j, i = np.nonzero(finite)
-    u = (shown - lo) / span
-    r, g, b = (255 * u).astype(int), (64 + 128 * (1 - u)).astype(int), (255 * (1 - u)).astype(int)
-    x = _SVG_PAD + i * cw
-    y = _SVG_H - _SVG_PAD - (j + 1) * ch
     size = f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}"'
-    cells = [
-        f'<rect x="{xc:.2f}" y="{yc:.2f}" {size} fill="rgb({rc},{gc},{bc})"/>'
-        for xc, yc, rc, gc, bc in zip(x.tolist(), y.tolist(), r.tolist(), g.tolist(), b.tolist())
-    ]
-    return _svg_document("\n".join(cells) + "\n")
+    for j in range(ny):
+        i = np.flatnonzero(finite[j])
+        u = (values[j, i] - lo) / span
+        r, g, b = (255 * u).astype(int), (64 + 128 * (1 - u)).astype(int), (255 * (1 - u)).astype(int)
+        y = f"{_SVG_H - _SVG_PAD - (j + 1) * ch:.2f}"
+        yield "".join(
+            f'<rect x="{xc:.2f}" y="{y}" {size} fill="rgb({rc},{gc},{bc})"/>\n'
+            for xc, rc, gc, bc in zip((_SVG_PAD + i * cw).tolist(), r.tolist(), g.tolist(), b.tolist())
+        )
+    if not shown:
+        yield "\n"
 
 
 # --- input checks --------------------------------------------------------------
@@ -236,20 +243,28 @@ def cmd_contour(args) -> int:
     x = np.linspace(args.xmin, args.xmax, args.nx)
     y = np.linspace(ymin, args.ymax, args.ny)
     rows = y > spline.DOMAIN_BOUND_F
-    X = np.column_stack([np.tile(x, rows.sum()), np.repeat(y[rows], args.nx)])
-    v, piece = spline.SPLINE.eval_float(X)
-    values = np.full((args.ny, args.nx), math.nan)
-    values[rows] = v.reshape(-1, args.nx)
+
+    def grid() -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
+        """(y, piece row, value row) of each domain row, a block of rows per eval_float."""
+        ys = y[rows]
+        step = max(1, _CONTOUR_CHUNK // args.nx)
+        for j in range(0, ys.size, step):
+            yb = ys[j:j + step]
+            v, piece = spline.SPLINE.eval_float(
+                np.column_stack([np.tile(x, yb.size), np.repeat(yb, args.nx)]))
+            yield from zip(yb.tolist(), piece.reshape(-1, args.nx), v.reshape(-1, args.nx))
+
     if args.format == "svg":
-        _atomic_write(args.out, _svg_heatmap(args.nx, args.ny, values))
+        # the colour scale needs every value before the first cell is drawn
+        values = np.full((args.ny, args.nx), math.nan)
+        for j, (_, _, f) in zip(np.flatnonzero(rows).tolist(), grid()):
+            values[j] = f
+        _atomic_write(args.out, _svg_document(_svg_heatmap(args.nx, args.ny, values)))
     else:
         # one block per row of the grid, its x labels formatted once
         block = ("%.17g,%%s,%%d,%%.17g\n" * args.nx) % tuple(x.tolist())
-        blocks = (
-            _cells(["%.17g" % y1] * args.nx, k.tolist(), f.tolist())
-            for y1, k, f in zip(y[rows].tolist(), piece.reshape(-1, args.nx),
-                                v.reshape(-1, args.nx))
-        )
+        blocks = (_cells(["%.17g" % y1] * args.nx, k.tolist(), f.tolist())
+                  for y1, k, f in grid())
         _atomic_write(args.out, _csv("x0,x1,piece,value", block, blocks))
     return EXIT_OK
 

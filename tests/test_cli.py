@@ -8,6 +8,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -133,11 +134,57 @@ class TestContour:
           "--format", "svg"],
          "cf59a204e81400625529de1306d328a5a09bf2a5e7be1b86e1372cef890b6bd9"),
         ([], "0408ad147224d2c2178ad66e85f1e2ff734e0f6f63853c5a36a27b77c72fd4c2"),
+        # recorded before the grid was evaluated a block of rows at a time:
+        # the default SVG; one row per block; many blocks and a partial last
+        # one; the first domain row in mid-block; no domain row at all
+        (["--format", "svg"],
+         "fb107f3d27223543d04eb3d98ebefeb8d21623fcd78a107d73168bd3a86e9ae5"),
+        (["--nx", "9000", "--ny", "3"],
+         "c0b79096f3a0a56a2862d64761c0083df2a7ad21b632722f02f3288114fc8eb2"),
+        (["--nx", "1", "--ny", "20000"],
+         "4f8316c4a92f3b656e6382c732ae032c7d15d9070bc6b5912538602095a51430"),
+        (["--nx", "3", "--ny", "20000", "--ymin", "-0.5"],
+         "55e74c6002cf5cad41503a3167ea24056378a71132f8344d120afcc83815a47b"),
+        (["--ymin", "-1", "--ymax", "-0.5"],
+         "4c2f61d497c107468d1df8edbc0f4bc5fc0dcfd55431ee23e6a53e2a1c71b5e0"),
+        (["--ymin", "-1", "--ymax", "-0.5", "--format", "svg"],
+         "fc457a735885558a2bf24e99292aadb92401f7a8829ae49d2fee03a024abe9a9"),
     ])
     def test_output_bytes_pinned(self, tmp_path, args, digest):
         out = tmp_path / "contour.out"
         assert cli.main(["contour", *args, "--out", str(out)]) == cli.EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @staticmethod
+    def _peak_bytes(tmp_path, *args):
+        """tracemalloc's peak over one contour run written to a file."""
+        tracemalloc.start()
+        try:
+            assert cli.main(["contour", *args, "--out", str(tmp_path / "c.out")]) == cli.EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # the grid is evaluated and written a block of rows at a time; held
+        # whole, it peaked at 13.4 MiB (400 x 400) and 53.7 MiB (400 x 1600)
+        mib = 1 << 20
+        csv = self._peak_bytes(tmp_path)
+        assert csv < 2 * mib
+        assert self._peak_bytes(tmp_path, "--ny", "1600") < csv + mib // 2
+        # the SVG keeps one float per cell for its colour scale, but its
+        # <rect> lines are written a row at a time (62.4 MiB when joined)
+        assert self._peak_bytes(tmp_path, "--format", "svg") < 4 * mib
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_refused_before_any_output(self, fmt, capsys):
+        # output is streamed to stdout, so the window is checked before the
+        # first line: a refusal never leaves a partial table behind
+        argv = ["contour", "--xmin=-1e308", "--xmax=1e308", "--format", fmt]
+        assert cli.main(argv) == cli.EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("openconvex: error: ")
 
     def test_stdout_matches_file(self, tmp_path, capsys):
         # the table is streamed a grid row at a time to either
