@@ -137,9 +137,15 @@ class ChainProblem:
 class BoundResult:
     status: str
     value: float
-    chain: PointData                # N+1 stacked knots; 0 rows when infeasible
+    knots: np.ndarray               # canonical rows (F_i, G_i); 0 rows when infeasible
+    problem: ChainProblem           # their frame: spec, basis and scale
     max_constraint_violation: float
     duality_gap_estimate: float
+
+    @property
+    def chain(self) -> PointData:
+        """The knots in the spec's units, as N+1 stacked points."""
+        return _recover_chain(self.problem, self.knots)
 
 
 def build_problem(spec: ChainSpec) -> ChainProblem:
@@ -307,8 +313,9 @@ def _constraint_values(problem: ChainProblem, K: np.ndarray) -> np.ndarray:
 def solve(problem: ChainProblem) -> BoundResult:
     """Solve the canonical upper program U_N(a, b); see the module docstring.
 
-    The result is in the units of ``problem.spec``.  A LOWER spec gets the
-    reversed chain and its end value a - U.
+    The value, violation and gap are in the units of ``problem.spec``; the
+    knots stay canonical, and the result's ``chain`` maps them back.  A LOWER
+    spec gets the reversed chain and its end value a - U.
     """
     N, gN = problem.N, problem.gN
     margin = gN[0] - float(gN @ gN)
@@ -321,16 +328,16 @@ def solve(problem: ChainProblem) -> BoundResult:
     K = _upper_ends(problem, G)
     violation = problem.scale * max(0.0, float(np.max(_constraint_values(problem, K))))
     if margin < -band:
-        d = problem.spec.x.size
-        empty = PointData(np.empty((0, d)), np.empty(0), np.empty((0, d)))
-        return BoundResult(INFEASIBLE, math.nan, empty, violation, 0.0)
+        return BoundResult(INFEASIBLE, math.nan, K[:0], problem, violation, 0.0)
     if problem.spec.direction == LOWER:
         K = _reverse(problem, K)
-    chain = _recover_chain(problem, K)
+    spec = problem.spec
+    tilt = spec.f_x + float(spec.g_x @ (spec.y - spec.x))
     return BoundResult(
         status=OPTIMAL if converged else ITERATION_LIMIT,
-        value=float(chain.f[-1]),
-        chain=chain,
+        value=tilt + problem.scale * float(K[-1, 0]),
+        knots=K,
+        problem=problem,
         max_constraint_violation=violation,
         duality_gap_estimate=problem.scale * gap,
     )
@@ -351,15 +358,15 @@ def _recover_chain(problem: ChainProblem, K: np.ndarray) -> PointData:
     """Map canonical knots back to the spec's chain points, as one stack.
 
     f_i = f_x + (i/N)<g_x, y - x> + L rho^2 F_i and g_i = g_x + L rho Q G_i,
-    with the columns of Q the reduced basis; g_0 and g_N are the data.
+    with the columns of Q the reduced basis; g_0 and g_N are the data.  No
+    knots map to no points.
     """
     spec = problem.spec
-    N = spec.N
     delta = spec.y - spec.x
-    frac = np.arange(N + 1) / N
+    frac = np.arange(len(K)) / spec.N
     f = spec.f_x + frac * float(spec.g_x @ delta) + problem.scale * K[:, 0]
     g = spec.g_x + spec.L * float(np.linalg.norm(delta)) * (K[:, 1:] @ problem.basis.T)
-    g[0], g[N] = spec.g_x, spec.g_y
+    g[frac == 0], g[frac == 1] = spec.g_x, spec.g_y
     return PointData(x=spec.x + frac[:, None] * delta, f=f, g=g)
 
 

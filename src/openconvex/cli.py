@@ -343,7 +343,8 @@ def _load_spec(path: str) -> chain.ChainSpec:
 def cmd_solve(args) -> int:
     spec = _load_spec(getattr(args, "in"))
     result = chain.solve_spec(spec)
-    knots = zip(result.chain.x.tolist(), result.chain.f.tolist(), result.chain.g.tolist())
+    points = result.chain
+    knots = zip(points.x.tolist(), points.f.tolist(), points.g.tolist())
     doc = {
         "status": result.status,
         "value": None if math.isnan(result.value) else result.value,
@@ -364,7 +365,7 @@ def cmd_interpolate(args) -> int:
         return EXIT_ALL_INFEASIBLE
     if result.status == chain.ITERATION_LIMIT:
         return EXIT_SOLVER_FAILURE
-    interp = interpolation.build_segment_interpolant(spec.L, result.chain)
+    interp = interpolation.build_segment_interpolant(result)
     t = np.arange(args.t_steps + 1) / args.t_steps
     v, dv = interpolation.eval_interpolant(interp, t)
     _atomic_write(args.out, _csv("t,value,dvalue", "%.17g,%.17g,%.17g\n" * t.size,

@@ -3,9 +3,13 @@
 A feasible pair of (value, gradient) triples can be interpolated by the
 convex envelope of two equal-curvature quadratic surrogates; gluing the
 per-segment envelopes along the chain yields a function that is L-smooth
-and convex on the segment [x, y] and matches every knot's data.  A chain
-is one stacked ``PointData`` of N+1 knots, and every function here works
-on whole stacks: no loop over segments, knots or sample points.
+and convex on the segment [x, y] and matches every knot's data.  The
+two-point conditions do not change under a tilt, a rotation or a rescale by
+L ||y - x||^2, so the interpolant is built on a solver result's canonical
+knots, x_i = (i/N) e_1 at L = 1, and only its samples are mapped back to the
+spec's units.  The knots are one stacked ``PointData`` of N+1 rows, and
+every function here works on whole stacks: no loop over segments, knots or
+sample points.
 """
 
 from __future__ import annotations
@@ -14,13 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import PointData, cocoercivity_gap
+from .bounds import PointData
+from .chain import BoundResult, ChainProblem, _constraint_values
 from .errors import InfeasibleData, RangeError
-
-
-def _pair_gaps(L: float, p0: PointData, p1: PointData) -> float | np.ndarray:
-    """The smaller co-coercivity gap of each pair, from p0 to p1 and back."""
-    return np.minimum(cocoercivity_gap(L, p0, p1), cocoercivity_gap(L, p1, p0))
 
 
 def envelope_eval(L: float, p0: PointData, p1: PointData,
@@ -59,63 +59,50 @@ def envelope_eval(L: float, p0: PointData, p1: PointData,
 
 @dataclass(frozen=True)
 class SegmentInterpolant:
-    """The envelope chain through ``knots``, a stack of N+1 knots."""
+    """The envelope chain through canonical ``knots`` in the frame ``problem``."""
 
-    knots: PointData
-    L: float
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.knots.x[0]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.knots.x[-1]
-
-    @property
-    def N(self) -> int:
-        return self.knots.x.shape[0] - 1
+    knots: PointData                # N+1 canonical knots x_i = (i/N) e_1, F_i, G_i
+    problem: ChainProblem           # their frame: spec, basis and scale L ||y - x||^2
 
 
-def build_segment_interpolant(L: float, chain: PointData) -> SegmentInterpolant:
-    """The envelope chain through a feasible stack of knots.
+def build_segment_interpolant(result: BoundResult) -> SegmentInterpolant:
+    """The envelope chain through a solver result's canonical knots.
 
-    Every adjacent pair must pass the two-point conditions within
-    1e-9 L ||y - x||^2, relative to the spec units of one canonical unit of
-    f, so that the verdict does not depend on units, plus 16 rounding units
-    of the magnitudes that enter the pair's gap, |f_0| + |f_1| and
-    (||g_0|| + ||g_1||)(||x_0|| + ||x_1||), which knots with large values or
-    far from the origin round by; the error names the first pair that does
-    not.
+    Every segment must meet the solver's two-point constraints h1_i, h2_i <= 0
+    within 1e-9 canonical units, that is within 1e-9 L ||y - x||^2 in the
+    spec's units, so that the verdict depends neither on units nor on f_x;
+    the error names the first pair that does not.
     """
-    if chain.x.ndim != 2 or chain.x.shape[0] < 2:
+    problem, K = result.problem, result.knots
+    if K.shape[0] < 2:
         raise InfeasibleData("a chain needs at least two knots")
-    span = chain.x[-1] - chain.x[0]
-    f, x, g = np.abs(chain.f), np.linalg.norm(chain.x, axis=-1), np.linalg.norm(chain.g, axis=-1)
-    rounding = f[:-1] + f[1:] + (g[:-1] + g[1:]) * (x[:-1] + x[1:])
-    slack = 1e-9 * L * float(span @ span) + 16 * np.finfo(float).eps * rounding
-    failing = np.flatnonzero(_pair_gaps(L, chain[:-1], chain[1:]) < -slack)
+    failing = np.flatnonzero(np.max(_constraint_values(problem, K), axis=1) > 1e-9)
     if failing.size:
         k = int(failing[0])
         raise InfeasibleData(f"pair ({k}, {k + 1}) violates the two-point conditions")
-    return SegmentInterpolant(chain, L)
+    x = np.zeros_like(K[:, 1:])
+    x[:, 0] = np.arange(len(K)) / problem.N
+    return SegmentInterpolant(PointData(x, K[:, 0], K[:, 1:]), problem)
 
 
 def eval_interpolant(interp: SegmentInterpolant, t):
     """(value, directional derivative along y-x) at x + t(y-x), t in [0,1].
 
-    t is a float, giving floats, or an array, giving arrays of its shape.
+    The canonical envelope V at t e_1 maps back to the value
+    f_x + t<g_x, y - x> + L ||y - x||^2 V(t) and the derivative
+    <g_x, y - x> + L ||y - x||^2 V'(t).  t is a float, giving floats, or an
+    array, giving arrays of its shape.
     """
     t = np.asarray(t, dtype=float)
     inside = (0.0 <= t) & (t <= 1.0)
     if not np.all(inside):
         raise RangeError(f"t = {t[~inside].flat[0]} outside [0, 1]")
-    direction = interp.y - interp.x
-    z = interp.x + t[..., None] * direction
-    seg = np.minimum((t * interp.N).astype(int), interp.N - 1)
-    value, g = envelope_eval(interp.L, interp.knots[seg], interp.knots[seg + 1], z)
-    deriv = np.vecdot(g, direction)
+    knots, problem, spec = interp.knots, interp.problem, interp.problem.spec
+    seg = np.minimum((t * problem.N).astype(int), problem.N - 1)
+    V, p = envelope_eval(1.0, knots[seg], knots[seg + 1], t[..., None] * knots.x[-1])
+    slope = float(spec.g_x @ (spec.y - spec.x))
+    value = spec.f_x + t * slope + problem.scale * V
+    deriv = slope + problem.scale * p[..., 0]
     if t.ndim == 0:
         return float(value), float(deriv)
     return value, deriv
-

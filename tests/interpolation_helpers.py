@@ -43,27 +43,29 @@ class Mixture:
 def combine(Fu: SegmentInterpolant, Fb: SegmentInterpolant, lam: float) -> Mixture:
     """Pointwise lam*Fu + (1-lam)*Fb; stays L-smooth and convex.
 
-    The two must share knot locations within 1e-12 rho, end values at x
-    within 1e-9 L rho^2 and end gradients within 1e-9 L rho, with
-    rho = ||y - x||: tolerances relative to the data, so that the verdict
-    does not depend on units.
+    The two must share their canonical knot count and their frames' L, and
+    the frames must share x and y within 1e-12 rho, f_x within 1e-9 L rho^2
+    and g_x and g_y within 1e-9 L rho, with rho = ||y - x||: tolerances
+    relative to the data, so that the verdict does not depend on units.
+    Canonical knot 0 is (F, G) = (0, 0) and knot N has G_N = (a, b), so the
+    frames carry each interpolant's endpoint data.
     """
     if not 0.0 <= lam <= 1.0:
         raise RangeError(f"lambda = {lam} outside [0, 1]")
-    ku, kb = Fu.knots, Fb.knots
-    if ku.x.shape != kb.x.shape or abs(Fu.L - Fb.L) > 0.0:
+    su, sb = Fu.problem.spec, Fb.problem.spec
+    if Fu.knots.f.shape != Fb.knots.f.shape or abs(su.L - sb.L) > 0.0:
         raise MismatchError("interpolants differ in knot count or smoothness")
-    rho = float(np.linalg.norm(Fu.y - Fu.x))
-    g_tol = 1e-9 * Fu.L * rho
+    rho = float(np.linalg.norm(su.y - su.x))
+    g_tol = 1e-9 * su.L * rho
 
     def close(a, b, tol) -> bool:
         return bool(np.all(np.abs(a - b) <= tol))
 
-    if not close(ku.x, kb.x, 1e-12 * rho):
+    if not (close(su.x, sb.x, 1e-12 * rho) and close(su.y, sb.y, 1e-12 * rho)):
         raise MismatchError("knot locations differ")
-    if not (close(ku.f[0], kb.f[0], g_tol * rho) and close(ku.g[0], kb.g[0], g_tol)):
+    if not (close(su.f_x, sb.f_x, g_tol * rho) and close(su.g_x, sb.g_x, g_tol)):
         raise MismatchError("endpoint data at x differs")
-    if not close(ku.g[-1], kb.g[-1], g_tol):
+    if not close(su.g_y, sb.g_y, g_tol):
         raise MismatchError("endpoint gradient at y differs")
     return Mixture((lam, 1.0 - lam), (Fu, Fb))
 

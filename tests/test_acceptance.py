@@ -216,13 +216,14 @@ def test_criterion_11_interpolation_round_trip():
             lo = chain.solve_spec(chain.normalized_spec(s, N, chain.LOWER))
             up = chain.solve_spec(chain.normalized_spec(s, N, chain.UPPER))
             assert lo.status == chain.OPTIMAL and up.status == chain.OPTIMAL
-            Fb = interpolation.build_segment_interpolant(1.0, lo.chain)
-            Fu = interpolation.build_segment_interpolant(1.0, up.chain)
+            Fb = interpolation.build_segment_interpolant(lo)
+            Fu = interpolation.build_segment_interpolant(up)
             for res, interp in ((lo, Fb), (up, Fu)):
-                for k, knot in enumerate(interp.knots):
+                knots = res.chain
+                for k in range(N + 1):
                     v, dv = interpolation.eval_interpolant(interp, k / N)
-                    worst_knot = max(worst_knot, abs(v - knot.f))
-                    d = float(knot.g @ (interp.y - interp.x))
+                    worst_knot = max(worst_knot, abs(v - knots.f[k]))
+                    d = float(knots.g[k] @ (knots.x[-1] - knots.x[0]))
                     worst_knot = max(worst_knot, abs(dv - d))
                 v_end, _ = interpolation.eval_interpolant(interp, 1.0)
                 worst_end = max(worst_end, abs(v_end - res.value))

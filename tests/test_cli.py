@@ -291,6 +291,25 @@ class TestSolve:
         assert result["status"] == "Infeasible"
         assert result["value"] is None
 
+    # sha256 of each result document; the knots, values and gaps of upper,
+    # lower, infeasible and moved three-dimensional specs keep their bits
+    @pytest.mark.parametrize("spec, digest", [
+        (dict(SPEC_06_N1, N=5),
+         "bd64021a1a440fb32eb72925ecfb044b1db6e76b39e492e393bfc78031ddb5cd"),
+        (dict(SPEC_06_N1, N=5, direction="lower"),
+         "e359b3eed70fbfffbe7db83f3a116628b25d8f3d7cf1a1ee06e2a950baa039fb"),
+        (dict(SPEC_06_N1, g_y=[0.4, math.sqrt(0.34)]),
+         "c3c1c50b58af660c42e70aa7790b7ff4f57fe4ddcaf568196034caa58165da82"),
+        ({"L": 1.5, "x": [0.3, -0.2, 1.0], "y": [1.1, 0.4, 0.5], "f_x": 0.7,
+          "g_x": [0.1, -0.3, 0.2], "g_y": [0.9, 0.2, -0.1], "N": 5},
+         "dd27a8a23663dab368284f10954f73c72f8b0cea2bc337bb195bf3a01dade970"),
+    ], ids=["upper-N5", "lower-N5", "infeasible-N1", "moved-3d-N5"])
+    def test_json_bytes_pinned(self, tmp_path, spec, digest):
+        out = tmp_path / "result.json"
+        argv = ["solve", "--in", _write_spec(tmp_path, spec), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_malformed_json_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -365,14 +384,17 @@ class TestInterpolate:
         assert cli.main(["interpolate", "--in", path, "--t-steps", "4",
                          "--out", str(out)]) == cli.EXIT_OK
         v = json.loads(solved.read_text())["value"]
-        t, value, _ = map(float, out.read_text().strip().split("\n")[-1].split(","))
+        t, value, dvalue = map(float, out.read_text().strip().split("\n")[-1].split(","))
         assert t == 1.0
         assert abs(value - v) <= 1e-9 * (1 + abs(v))
+        # the slope at y is <g_y, y - x> = 0.6, whatever the offset
+        assert abs(dvalue - 0.6) <= 2 * math.ulp(0.6)
 
 
 class TestTableBytes:
-    # sha256 of each table; contour, region and interpolate-N1 run no barrier,
-    # so only the interpolate-N5 and sweep pins move when its rounding does
+    # sha256 of each table; region, interpolate-N1 and the boundary spec run
+    # no barrier, so only the other interpolate pins and sweep move when its
+    # rounding does
     @pytest.mark.parametrize("argv, spec, digest", [
         (["interpolate"], SPEC_06_N1,
          "b6fee1a9524eb2d4ff319c76ab80a0e838554f54983721a1dcaaa8f8f9cc3123"),
@@ -382,7 +404,13 @@ class TestTableBytes:
          "7a9a8c089ae0b6eec9324c28e02c8310bb0f0bf3b8d9c7589444427828286b46"),
         (["region", "--steps", "10"], None,
          "1ff596aee5dc5538573631136233ca0b1863155b604836abc2a1f442a1ad9f1b"),
-    ], ids=["interpolate-N1", "interpolate-N5", "sweep", "region"])
+        (["interpolate"], dict(SPEC_06_N1, N=5, direction="lower"),
+         "2fbd05a728badd6e48d9c69446d05bff2e54c12c785a82f1327367d7839ca4bd"),
+        (["interpolate"], {"L": 1, "x": [0, 0], "y": [1, 0], "f_x": 0, "g_x": [0, 0],
+                           "g_y": [0.5, 0.5], "N": 5},
+         "90de1430bc8eccd9071888de0b1e69ce54d1bfba8e44e8a1360b0ab575ee0e37"),
+    ], ids=["interpolate-N1", "interpolate-N5", "sweep", "region", "interpolate-lower-N5",
+            "interpolate-boundary-N5"])
     def test_csv_bytes_pinned(self, tmp_path, argv, spec, digest):
         if spec is not None:
             argv = [*argv, "--in", _write_spec(tmp_path, spec)]

@@ -1,5 +1,7 @@
 """Envelope construction, segment interpolants, and convex combination."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -116,9 +118,12 @@ class TestEnvelope:
                 assert np.all(v <= q + 1e-10)
 
     def test_infeasible_pair_rejected(self):
-        pair = _pd([[0.0], [1.0]], [0.0, 0.0], [[0.0], [0.5]])
+        # canonical knots (F, G) = (0, 0) and (0, 0.5) on the unit segment
+        spec = chain.ChainSpec(1.0, np.zeros(1), np.ones(1), 0.0, np.zeros(1), [0.5], 1)
+        res = chain.solve_spec(spec)
+        pair = dataclasses.replace(res, knots=np.array([[0.0, 0.0], [0.0, 0.5]]))
         with pytest.raises(InfeasibleData, match=r"pair \(0, 1\)"):
-            build_segment_interpolant(1.0, pair)
+            build_segment_interpolant(pair)
 
 
 class TestSegmentInterpolant:
@@ -126,13 +131,14 @@ class TestSegmentInterpolant:
         spec = chain.normalized_spec(s, N, direction)
         res = chain.solve_spec(spec)
         assert res.status == chain.OPTIMAL
-        return build_segment_interpolant(spec.L, res.chain), res
+        return build_segment_interpolant(res), res
 
     def test_knot_round_trip(self):
         interp, res = self._interp(0.6, 4, chain.UPPER)
-        v, dv = eval_interpolant(interp, np.arange(interp.N + 1) / interp.N)
-        assert np.allclose(v, interp.knots.f, rtol=0.0, atol=1e-10)
-        assert np.allclose(dv, interp.knots.g @ (interp.y - interp.x), rtol=0.0, atol=1e-10)
+        knots = res.chain
+        v, dv = eval_interpolant(interp, np.arange(5) / 4)
+        assert np.allclose(v, knots.f, rtol=0.0, atol=1e-10)
+        assert np.allclose(dv, knots.g @ (knots.x[-1] - knots.x[0]), rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("direction", [chain.UPPER, chain.LOWER])
     def test_array_t_matches_scalar_t(self, direction):
@@ -162,14 +168,15 @@ class TestSegmentInterpolant:
     def test_corrupted_chain_rejected(self):
         spec = chain.normalized_spec(0.6, 3, chain.UPPER)
         res = chain.solve_spec(spec)
-        f = res.chain.f.copy()
-        f[1] += 0.5
+        K = res.knots.copy()
+        K[1, 0] += 0.1
         with pytest.raises(InfeasibleData, match=r"pair \(0, 1\)"):
-            build_segment_interpolant(spec.L, PointData(res.chain.x, f, res.chain.g))
+            build_segment_interpolant(dataclasses.replace(res, knots=K))
 
     def test_short_chain_rejected(self):
+        res = chain.solve_spec(chain.normalized_spec(0.6, 3, chain.UPPER))
         with pytest.raises(InfeasibleData):
-            build_segment_interpolant(1.0, _pd([[0.0]], [0.0], [[0.0]]))
+            build_segment_interpolant(dataclasses.replace(res, knots=res.knots[:1]))
 
     def test_t_out_of_range(self):
         interp, _ = self._interp(0.6, 2, chain.UPPER)
@@ -185,8 +192,8 @@ class TestCombine:
         spec_b = chain.normalized_spec(s, N, chain.LOWER)
         ru = chain.solve_spec(spec_u)
         rb = chain.solve_spec(spec_b)
-        Fu = build_segment_interpolant(spec_u.L, ru.chain)
-        Fb = build_segment_interpolant(spec_b.L, rb.chain)
+        Fu = build_segment_interpolant(ru)
+        Fb = build_segment_interpolant(rb)
         return Fu, Fb, ru, rb
 
     def test_extremes_reproduce_inputs(self):
@@ -234,7 +241,7 @@ class TestCombine:
             spec = chain.ChainSpec(L=1.0, x=np.zeros(2), y=np.array([rho, 0.0]), f_x=0.0,
                                    g_x=np.zeros(2), g_y=rho * np.asarray(g_y), N=3,
                                    direction=direction)
-            return build_segment_interpolant(spec.L, chain.solve_spec(spec).chain)
+            return build_segment_interpolant(chain.solve_spec(spec))
 
         Fu = build([0.6, 0.3], chain.UPPER)
         combine(Fu, build([0.6, 0.3], chain.LOWER), 0.5)

@@ -3,11 +3,13 @@
 Each draw is embedded in a spec of another dimension, scale, position and
 tilt, whose canonical program is U_N(a, b).  The segment interpolant of a
 chain is checked the same way: in canonical units it does not depend on the
-spec's units or on a rigid motion.  Refinement is checked on the canonical
+spec's units or on a rigid motion, and its derivatives do not depend on f_x.  Refinement is checked on the canonical
 program itself: U_N <= U_kN up to the certified gap, also within 1e-8 of the
 boundary circle a^2 + b^2 = a.
 """
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from openconvex import cli  # noqa: E402
 from openconvex.chain import (  # noqa: E402
     FEAS_BAND,
     INFEASIBLE,
@@ -26,7 +29,6 @@ from openconvex.chain import (  # noqa: E402
     build_problem,
     solve_spec,
 )
-from openconvex.bounds import PointData  # noqa: E402
 from openconvex.errors import InfeasibleData  # noqa: E402
 from openconvex.interpolation import (  # noqa: E402
     build_segment_interpolant,
@@ -102,19 +104,22 @@ def _moved(a, b, N, scale, L, seed):
     return ChainSpec(L, x, x + rho * Q[:, 0], 0.0, np.zeros(d), g_y, N, UPPER)
 
 
+# canonical (a, b, N) of the interpolant properties, among them b = 0, the
+# boundary a^2 + b^2 = a and N = 1
+SHAPES = st.sampled_from([(0.6, 0.3, 5), (0.55, 0.1, 3), (0.7, 0.0, 2), (0.5, 0.5, 4),
+                          (0.65, 0.2, 1)])
+
+
 def _curve(spec, scale):
-    """The solver's chain, its interpolant at 101 t, and that curve / scale."""
+    """The solver's result, its interpolant at 101 t, and that curve / scale."""
     res = solve_spec(spec)
     assert res.status == OPTIMAL
-    v, dv = eval_interpolant(build_segment_interpolant(spec.L, res.chain),
-                             np.arange(101) / 100)
-    return res.chain, np.concatenate([v, dv]) / scale
+    v, dv = eval_interpolant(build_segment_interpolant(res), np.arange(101) / 100)
+    return res, np.concatenate([v, dv]) / scale
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([(0.6, 0.3, 5), (0.55, 0.1, 3), (0.7, 0.0, 2), (0.5, 0.5, 4),
-                        (0.65, 0.2, 1)]),
-       st.floats(-12.0, 10.0), st.floats(-4.0, 4.0), st.integers(0, 2 ** 32 - 1))
+@given(SHAPES, st.floats(-12.0, 10.0), st.floats(-4.0, 4.0), st.integers(0, 2 ** 32 - 1))
 @example((0.6, 0.3, 5), -12.0, 0.0, 1)
 @example((0.6, 0.3, 5), 0.0, 2.0, 2)
 @example((0.6, 0.3, 5), 10.0, 4.0, 3)
@@ -124,14 +129,48 @@ def test_interpolant_unit_invariance(canonical, log_scale, log_L, seed):
     _, unit = _curve(ChainSpec(1.0, np.zeros(2), np.array([1.0, 0.0]), 0.0,
                                np.zeros(2), np.array([a, b]), N, UPPER), 1.0)
     spec = _moved(a, b, N, scale, 10.0 ** log_L, seed)
-    chain, curve = _curve(spec, scale)
+    res, curve = _curve(spec, scale)
     assert np.max(np.abs(curve - unit)) <= 1e-12
     # the upper chain takes F_1 at the top of its interval, so raising knot 1
     # by a tenth of a canonical unit breaks pair (0, 1) at any scale
-    f = chain.f.copy()
-    f[1] += 0.1 * scale
+    K = res.knots.copy()
+    K[1, 0] += 0.1
     with pytest.raises(InfeasibleData, match=r"pair \(0, 1\)"):
-        build_segment_interpolant(spec.L, PointData(chain.x, f, chain.g))
+        build_segment_interpolant(dataclasses.replace(res, knots=K))
+
+
+def _interpolate_rows(spec, directory) -> list[list[str]]:
+    """The cells of ``interpolate``'s CSV for spec at the default 101 t, header dropped."""
+    path, out = directory / "spec.json", directory / "interp.csv"
+    path.write_text(json.dumps({"L": spec.L, "x": spec.x.tolist(), "y": spec.y.tolist(),
+                                "f_x": spec.f_x, "g_x": spec.g_x.tolist(),
+                                "g_y": spec.g_y.tolist(), "N": spec.N}))
+    assert cli.main(["interpolate", "--in", str(path), "--out", str(out)]) == cli.EXIT_OK
+    return [row.split(",") for row in out.read_text().split("\n")[1:-1]]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(SHAPES, st.floats(-12.0, 10.0), st.floats(-4.0, 4.0), st.integers(0, 2 ** 32 - 1),
+       st.floats(-1e15, 1e15))
+@example((0.6, 0.3, 5), 0.0, 0.0, 1, 1e8)
+@example((0.6, 0.3, 5), 0.0, 0.0, 2, 1e12)
+@example((0.55, 0.1, 3), 4.0, 2.0, 3, -1e15)
+def test_interpolate_does_not_depend_on_f_x(tmp_path_factory, canonical, log_scale, log_L,
+                                            seed, f_x):
+    # f_x tilts f by a constant, which the two-point conditions do not see:
+    # the derivatives keep their bits, and the values move by f_x up to the
+    # rounding of adding it (ulp(1e15) = 0.125, so no bound relative to
+    # L ||y - x||^2 alone can hold for the values themselves)
+    a, b, N = canonical
+    scale = 10.0 ** log_scale
+    spec = _moved(a, b, N, scale, 10.0 ** log_L, seed)
+    directory = tmp_path_factory.mktemp("tilt")
+    base = _interpolate_rows(spec, directory)
+    tilted = _interpolate_rows(dataclasses.replace(spec, f_x=f_x), directory)
+    assert [(t, dv) for t, _, dv in tilted] == [(t, dv) for t, _, dv in base]
+    value, value0 = (np.array([float(v) for _, v, _ in rows]) for rows in (tilted, base))
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(value - f_x - value0) <= 4 * eps * abs(f_x) + 1e-12 * scale)
 
 
 def _canonical_spec(a, b, N):
