@@ -427,14 +427,12 @@ def sweep(s_values, Ns) -> list[SweepRow]:
     """One row per (s, N) under the normalization: one upper solve, B = s - U.
 
     The normalized spec has f_x = 0, g_x = 0 and <g_y, y - x> = s, so the
-    reversal identity B = a - U reads B = s - U in spec units.
+    reversal identity B = a - U reads B = s - U in spec units. An s with
+    s^2 > 1/2 raises RangeError, as in normalized_spec.
     """
     rows: list[SweepRow] = []
     for s in s_values:
         for N in Ns:
-            if s * s > 0.5 + 1e-12:
-                rows.append(SweepRow(s, N, math.nan, math.nan, INFEASIBLE))
-                continue
             up = solve_spec(normalized_spec(s, N, UPPER))
             rows.append(SweepRow(s, N, s - up.value, up.value, up.status))
     return rows

@@ -421,6 +421,11 @@ class TestSweep:
         assert all(spec.direction == UPPER for spec in calls)
         assert [r.status for r in rows] == [INFEASIBLE] * 4 + [OPTIMAL] * 4
 
+    def test_s_outside_the_family_refused(self):
+        # the normalized family needs s^2 <= ||g_y||^2 = 1/2
+        with pytest.raises(RangeError):
+            sweep([0.75], [1])
+
 
 def _slacks(D):
     return chain._disk_slacks(chain._offsets(D))

@@ -8,7 +8,6 @@ import os
 import stat
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -31,6 +30,17 @@ def _write_spec(tmp_path, doc, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _child_env():
+    """The environment of a child interpreter that imports this package's tree."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+
+
+# a child that runs one CLI call and prints its own peak RSS in KiB (Linux)
+_PEAK_RSS = ("import resource, sys; from openconvex import cli; "
+             "assert cli.main(sys.argv[1:]) == cli.EXIT_OK; "
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
 
 
 class TestVerify:
@@ -155,26 +165,31 @@ class TestContour:
         assert cli.main(["contour", *args, "--out", str(out)]) == cli.EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    @staticmethod
-    def _peak_bytes(tmp_path, *args):
-        """tracemalloc's peak over one contour run written to a file."""
-        tracemalloc.start()
-        try:
-            assert cli.main(["contour", *args, "--out", str(tmp_path / "c.out")]) == cli.EXIT_OK
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def test_peak_memory_does_not_grow_with_the_grid(self, tmp_path):
-        # the grid is evaluated and written a block of rows at a time; held
-        # whole, it peaked at 13.4 MiB (400 x 400) and 53.7 MiB (400 x 1600)
-        mib = 1 << 20
-        csv = self._peak_bytes(tmp_path)
-        assert csv < 2 * mib
-        assert self._peak_bytes(tmp_path, "--ny", "1600") < csv + mib // 2
-        # the SVG keeps one float per cell for its colour scale, but its
-        # <rect> lines are written a row at a time (62.4 MiB when joined)
-        assert self._peak_bytes(tmp_path, "--format", "svg") < 4 * mib
+        # The grid is evaluated and written a block of rows at a time. Each
+        # call runs in its own child and reports its own peak RSS: in one
+        # process a large call's peak would hide a smaller call's growth,
+        # and RUSAGE_CHILDREN gives the largest child ever waited for. Held
+        # whole, the grid put the default CSV 14 MiB over the 1 x 1 call,
+        # 400 x 1600 42 MiB over the default CSV, and the default SVG, its
+        # <rect> lines joined, 72 MiB over the 1 x 1 call.
+        calls = {"base": ["--nx", "1", "--ny", "1"], "csv": [],
+                 "tall": ["--ny", "1600"], "svg": ["--format", "svg"]}
+        children = {
+            name: subprocess.Popen(
+                [sys.executable, "-c", _PEAK_RSS, "contour", *args,
+                 "--out", str(tmp_path / name)],
+                env=_child_env(), stdout=subprocess.PIPE, text=True)
+            for name, args in calls.items()}
+        mib = {}
+        for name, child in children.items():
+            out, _ = child.communicate(timeout=60)
+            assert child.returncode == 0
+            mib[name] = int(out) / 1024
+        assert mib["csv"] < mib["base"] + 6
+        assert mib["tall"] < mib["csv"] + 4
+        # the SVG keeps one float per cell for its colour scale (1.3 MB)
+        assert mib["svg"] < mib["base"] + 6
 
     @pytest.mark.parametrize("fmt", ["csv", "svg"])
     def test_refused_before_any_output(self, fmt, capsys):
@@ -374,11 +389,13 @@ class TestInterpolate:
         {"f_x": 1e12},
         {"x": [1e8, 0], "y": [1e8 + 1, 0]},
         {"x": [1e8, 0], "y": [1e8 + 1, 0], "f_x": 1e8},
-    ], ids=["f-1e8", "f-1e12", "x-1e8", "x-and-f-1e8"])
+        {"L": 1e4, "y": [1e3, 0], "g_y": [6e6, 3e6]},
+    ], ids=["f-1e8", "f-1e12", "x-1e8", "x-and-f-1e8", "units-1e10"])
     def test_offset_data(self, change, tmp_path):
-        # solve accepts these chains; the knots' rounding at large f or x
-        # must not make the interpolant refuse them
-        path = _write_spec(tmp_path, dict(SPEC_06_N1, g_y=[0.6, 0.3], N=5, **change))
+        # solve accepts these chains; the knots' rounding at large f, x or
+        # L ||y - x||^2 must not make the interpolant refuse them
+        spec = {**SPEC_06_N1, "g_y": [0.6, 0.3], "N": 5, **change}
+        path = _write_spec(tmp_path, spec)
         solved, out = tmp_path / "solve.json", tmp_path / "interp.csv"
         assert cli.main(["solve", "--in", path, "--out", str(solved)]) == cli.EXIT_OK
         assert cli.main(["interpolate", "--in", path, "--t-steps", "4",
@@ -387,8 +404,9 @@ class TestInterpolate:
         t, value, dvalue = map(float, out.read_text().strip().split("\n")[-1].split(","))
         assert t == 1.0
         assert abs(value - v) <= 1e-9 * (1 + abs(v))
-        # the slope at y is <g_y, y - x> = 0.6, whatever the offset
-        assert abs(dvalue - 0.6) <= 2 * math.ulp(0.6)
+        # the slope at y is <g_y, y - x>, whatever the offset
+        slope = math.fsum(g * (b - a) for g, a, b in zip(spec["g_y"], spec["x"], spec["y"]))
+        assert abs(dvalue - slope) <= 2 * math.ulp(slope)
 
 
 class TestTableBytes:
@@ -466,11 +484,21 @@ def test_import_loads_no_process_pool():
     code = ("import sys, openconvex.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["region", "--steps", "3"], cli.EXIT_OK),
+    (["verify", "--perturb-piece", "2"], cli.EXIT_VERIFY_FAILED),
+    (["contour", "--nx", "abc"], cli.EXIT_BAD_INPUT),
+], ids=["region", "verify-perturbed", "contour-bad-nx"])
+def test_module_exit_code(argv, code):
+    # python -m openconvex.cli hands main's return value to the shell
+    run = subprocess.run([sys.executable, "-m", "openconvex.cli", *argv],
+                         env=_child_env(), capture_output=True, timeout=60)
+    assert run.returncode == code
 
 
 class TestBadInput:

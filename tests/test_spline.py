@@ -369,10 +369,14 @@ BROKEN_PIECES = {
 }
 
 
+LATTICES = {"coarse": COARSE_LATTICE, "band": BOUNDARY_BAND,
+            "close-up": SEAM_CLOSE_UP, "seam-crossing": SEAM_CROSSING}
+
+
 @functools.cache
 def _cached_reference(model, lattice):
-    kw = {"coarse": COARSE_LATTICE, "band": BOUNDARY_BAND}[lattice]
-    return _reference_grid_report(model={**MODELS, **BROKEN_PIECES}[model], **kw)
+    """The Fraction reference for a spline on a named lattice, computed once per session."""
+    return _reference_grid_report(model=model, **LATTICES[lattice])
 
 
 def _pair_check_dtypes(monkeypatch):
@@ -400,17 +404,15 @@ class TestGridInvariants:
     @pytest.mark.parametrize("lattice", ["coarse", "band", "close-up", "seam-crossing"])
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_matches_fraction_reference(self, lattice, model):
-        kw = {"coarse": COARSE_LATTICE, "band": BOUNDARY_BAND,
-              "close-up": SEAM_CLOSE_UP, "seam-crossing": SEAM_CROSSING}[lattice]
-        report = spline.verify_grid_properties(spline=MODELS[model], **kw)
-        expected = _reference_grid_report(model=MODELS[model], **kw)
-        assert [(c.name, c.passed) for c in report.checks] == expected
+        report = spline.verify_grid_properties(spline=MODELS[model], **LATTICES[lattice])
+        assert [(c.name, c.passed) for c in report.checks] == \
+            _cached_reference(MODELS[model], lattice)
 
     @pytest.mark.parametrize("model", list(BROKEN_PIECES.values()))
     def test_non_convex_or_stiff_piece_matches_reference(self, model):
         report = spline.verify_grid_properties(spline=model, **COARSE_LATTICE)
-        expected = _reference_grid_report(model=model, **COARSE_LATTICE)
-        assert [(c.name, c.passed) for c in report.checks] == expected
+        assert [(c.name, c.passed) for c in report.checks] == \
+            _cached_reference(model, "coarse")
         assert not report.passed
 
     # Blocks hold whole rows: on the coarse lattice a row has up to 62
@@ -423,14 +425,14 @@ class TestGridInvariants:
     @pytest.mark.parametrize("model", [*sorted(MODELS), *BROKEN_PIECES])
     def test_block_boundaries_match_reference(self, monkeypatch, chunk, lattice, model):
         monkeypatch.setattr(spline, "_PAIR_CHUNK", chunk)
-        kw = {"coarse": COARSE_LATTICE, "band": BOUNDARY_BAND}[lattice]
-        report = spline.verify_grid_properties(spline={**MODELS, **BROKEN_PIECES}[model], **kw)
+        model = {**MODELS, **BROKEN_PIECES}[model]
+        report = spline.verify_grid_properties(spline=model, **LATTICES[lattice])
         assert [(c.name, c.passed) for c in report.checks] == _cached_reference(model, lattice)
 
     @pytest.mark.parametrize("lattice", ["coarse", "band", "default"])
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_python_integers_agree_with_int64(self, monkeypatch, lattice, model):
-        kw = {"coarse": COARSE_LATTICE, "band": BOUNDARY_BAND, "default": {}}[lattice]
+        kw = {**LATTICES, "default": {}}[lattice]
         dtypes = _pair_check_dtypes(monkeypatch)
         fast = spline.verify_grid_properties(spline=MODELS[model], **kw)
         monkeypatch.setattr(spline, "_INT64_SAFE", 0)
