@@ -17,9 +17,10 @@ G[0..N] with F_0 = 0, G_0 = 0, G_N = (a, b), chain step e_1/N, and
 
 where a and b are the components of (g_y - g_x)/(L rho) along and across
 y - x.  Projecting every G_i onto span{e_1, e_2} keeps a chain feasible and
-F_N unchanged, so two gradient coordinates suffice (one when b = 0).  Only
-the upper program U_N(a, b) is solved: reversing a chain maps the feasible
-set onto itself and F_N to a - F_N, so the lower bound is a - U_N(a, b).
+F_N unchanged, so two gradient coordinates suffice for every spec; at b = 0
+e_2 is 0 and so is every second coordinate.  Only the upper program U_N(a, b)
+is solved: reversing a chain maps the feasible set onto itself and F_N to
+a - F_N, so the lower bound is a - U_N(a, b).
 Tolerances act in canonical units, that is relative to L ||y - x||^2.
 
 For fixed gradients each increment F_i+1 - F_i has an interval, and the
@@ -38,7 +39,7 @@ s_j = 1/(4N^2) - ||D_j - e_1/(2N)||^2 is m/N^2.  Each Newton step is block
 elimination of the KKT system (Boyd & Vandenberghe, Convex Optimization,
 10.4) in one pass over the rows: the blocks H_j = (t + 2/s_j) I + (4/s_j^2)
 u_j u_j', u_j = D_j - e_1/(2N), are inverted by Sherman-Morrison and applied
-to the gradient once, and the r x r system (r <= 2) for the multiplier of
+to the gradient once, and the 2 x 2 system for the multiplier of
 sum_j D_j = (a, b) is solved by its closed-form inverse, with no linalg or
 matmul call.  Along a Newton direction each slack and the objective are
 exact quadratics in the step: the line search backtracks on those, takes the
@@ -124,8 +125,8 @@ class ChainProblem:
     """The canonical upper program of ``spec``: maximize F_N over the knots."""
 
     spec: ChainSpec
-    basis: np.ndarray               # d x r orthonormal: e_1, then e_2 when b > 0
-    gN: np.ndarray                  # G_N = (a, b), or (a,) when b = 0
+    basis: np.ndarray               # d x 2: e_1, then e_2 (0 when b = 0)
+    gN: np.ndarray                  # G_N = (a, b)
     scale: float                    # L rho^2: spec units of one canonical unit of f
 
     @property
@@ -158,10 +159,9 @@ def build_problem(spec: ChainSpec) -> ChainProblem:
     across = g_hat - a * e1
     b = float(np.linalg.norm(across))
     if b <= 1e-12 * max(1.0, float(np.linalg.norm(g_hat))):
-        basis, gN = e1[:, None], np.array([a])
-    else:
-        basis, gN = np.column_stack([e1, across / b]), np.array([a, b])
-    return ChainProblem(spec, basis, gN, spec.L * rho * rho)
+        b, across = 0.0, np.zeros_like(e1)
+    basis = np.column_stack([e1, across / b if b else across])
+    return ChainProblem(spec, basis, np.array([a, b]), spec.L * rho * rho)
 
 
 # --- barrier machinery -------------------------------------------------------
@@ -188,9 +188,9 @@ def _newton_step(w: np.ndarray, D: np.ndarray, s: np.ndarray,
     H_j = c_j I + (4/s_j^2) u_j u_j' with c_j = t + 2/s_j has the inverse
     (I - beta_j u_j u_j') / c_j, beta_j = 1/(||u_j||^2 + s_j/2 + t s_j^2/4)
     (Sherman-Morrison), so dD_j = -H_j^-1 g_j - H_j^-1 nu and nu solves the
-    r x r system (sum_j H_j^-1) nu = -sum_j H_j^-1 g_j.  H_j^-1 is applied
+    2 x 2 system (sum_j H_j^-1) nu = -sum_j H_j^-1 g_j.  H_j^-1 is applied
     to g once; H_j^-1 nu = nu/c_j - (beta_j/c_j)(u_j . nu) u_j is taken from
-    nu, and the r x r system (r <= 2) by its closed-form inverse.  With
+    nu, and the 2 x 2 system by its closed-form inverse.  With
     D_j = u_j + e_1/(2N), g_j = c_j u_j - t (w_j - 1/(2N)) e_1, and with
     ||u_j||^2 = 1/(4N^2) - s_j, beta_j needs no pass over u.
     """
@@ -204,13 +204,10 @@ def _newton_step(w: np.ndarray, D: np.ndarray, s: np.ndarray,
     rhs = -hg.sum(axis=0)
     # sum_j H_j^-1 = (sum_j 1/c_j) I - sum_j (beta_j/c_j) u_j u_j'
     diag = ic.sum() - np.vecdot(bu.T, u.T)
-    if diag.size == 1:
-        nu = rhs / diag
-    else:
-        (d0, d1), (r0, r1) = diag.tolist(), rhs.tolist()
-        off = -float(np.vecdot(bu[:, 0], u[:, 1]))
-        det = d0 * d1 - off * off
-        nu = np.array([(d1 * r0 - off * r1) / det, (d0 * r1 - off * r0) / det])
+    (d0, d1), (r0, r1) = diag.tolist(), rhs.tolist()
+    off = -float(np.vecdot(bu[:, 0], u[:, 1]))
+    det = d0 * d1 - off * off
+    nu = np.array([(d1 * r0 - off * r1) / det, (d0 * r1 - off * r0) / det])
     return g, np.vecdot(u, nu)[:, None] * bu - ic[:, None] * nu - hg, nu
 
 
@@ -277,7 +274,7 @@ def _newton_center(w: np.ndarray, D: np.ndarray, u: np.ndarray, s: np.ndarray,
 
 
 def _barrier_path(problem: ChainProblem) -> tuple[np.ndarray, float, bool]:
-    """Increments D (N x r) maximizing U_N by path-following from D_j = (a, b)/N.
+    """Increments D (N x 2) maximizing U_N by path-following from D_j = (a, b)/N.
 
     Returns (D, gap, converged); with N disk constraints the gap is N/t.  The
     path converges when the last centering, at N/t <= NEWTON_TOL, ends centred.

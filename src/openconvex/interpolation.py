@@ -23,36 +23,35 @@ from .chain import BoundResult, ChainProblem, _constraint_values
 from .errors import InfeasibleData, RangeError
 
 
-def envelope_eval(L: float, p0: PointData, p1: PointData,
-                  z) -> tuple[float | np.ndarray, np.ndarray]:
+def envelope_eval(p0: PointData, p1: PointData, z) -> tuple[float | np.ndarray, np.ndarray]:
     """Value and gradient at z of the convex envelope of min(q0, q1).
 
-    q_k(z) = p_k.f + <p_k.g, z - p_k.x> + (L/2) ||z - p_k.x||^2 are the
-    equal-curvature surrogates of the pair.  The partial infimum over the
-    split points is in closed form and leaves a convex quadratic in the
-    combination weight lam, minimized by clamping its stationary point to
-    [0, 1]; when that quadratic is flat, relative to L^2 ||p1.x - p0.x||^2,
-    it is linear in lam and lam is 0 or 1.  On stacks of pairs, with z
-    broadcast against their rows, it works row by row.
+    q_k(z) = p_k.f + <p_k.g, z - p_k.x> + 1/2 ||z - p_k.x||^2 are the
+    curvature-1 surrogates of the pair: the knots are canonical, at L = 1.
+    The partial infimum over the split points is in closed form and leaves a
+    convex quadratic in the combination weight lam, minimized by clamping its
+    stationary point to [0, 1]; when that quadratic is flat, relative to
+    ||p1.x - p0.x||^2, it is linear in lam and lam is 0 or 1.  On stacks of
+    pairs, with z broadcast against their rows, it works row by row.
     """
     z = np.asarray(z, dtype=float)
     gg0, gg1 = np.vecdot(p0.g, p0.g), np.vecdot(p1.g, p1.g)
     dx = p1.x - p0.x
-    c = L * (z - p1.x) + p1.g
-    w = L * dx + p0.g - p1.g
+    c = z - p1.x + p1.g
+    w = dx + p0.g - p1.g
     ww, cw = np.vecdot(w, w), np.vecdot(c, w)
-    flat = ww <= 1e-14 * L * L * np.vecdot(dx, dx)
-    rhs = L * (p1.f - p0.f) + 0.5 * (gg0 - gg1)
+    flat = ww <= 1e-14 * np.vecdot(dx, dx)
+    rhs = p1.f - p0.f + 0.5 * (gg0 - gg1)
     lam = np.clip((rhs - cw) / np.where(flat, 1.0, ww), 0.0, 1.0)
-    slope = p0.f - p1.f + (gg1 - gg0) / (2.0 * L) + cw / L
+    slope = p0.f - p1.f + (gg1 - gg0) / 2.0 + cw
     lam = np.where(flat, np.where(slope >= 0.0, 0.0, 1.0), lam)
     xbar = lam[..., None] * p0.x + (1.0 - lam)[..., None] * p1.x
     gbar = lam[..., None] * p0.g + (1.0 - lam)[..., None] * p1.g
-    p = L * (z - xbar) + gbar
+    p = z - xbar + gbar
     value = (
         lam * p0.f
         + (1.0 - lam) * p1.f
-        + (np.vecdot(p, p) - lam * gg0 - (1.0 - lam) * gg1) / (2.0 * L)
+        + (np.vecdot(p, p) - lam * gg0 - (1.0 - lam) * gg1) / 2.0
     )
     return value, p
 
@@ -99,7 +98,7 @@ def eval_interpolant(interp: SegmentInterpolant, t):
         raise RangeError(f"t = {t[~inside].flat[0]} outside [0, 1]")
     knots, problem, spec = interp.knots, interp.problem, interp.problem.spec
     seg = np.minimum((t * problem.N).astype(int), problem.N - 1)
-    V, p = envelope_eval(1.0, knots[seg], knots[seg + 1], t[..., None] * knots.x[-1])
+    V, p = envelope_eval(knots[seg], knots[seg + 1], t[..., None] * knots.x[-1])
     slope = float(spec.g_x @ (spec.y - spec.x))
     value = spec.f_x + t * slope + problem.scale * V
     deriv = slope + problem.scale * p[..., 0]

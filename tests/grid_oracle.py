@@ -25,7 +25,6 @@ def oracle_grid_n2(spec: ChainSpec, resolution: int = 400) -> tuple[float, float
     if spec.N != 2:
         raise RangeError("grid oracle is defined for N = 2")
     problem = build_problem(spec)
-    r = problem.gN.size
     g2 = problem.gN
 
     def evaluate(G):
@@ -40,7 +39,7 @@ def oracle_grid_n2(spec: ChainSpec, resolution: int = 400) -> tuple[float, float
 
     def grid(center, halfwidth):
         axes = [np.linspace(center[k] - halfwidth, center[k] + halfwidth,
-                            resolution) for k in range(r)]
+                            resolution) for k in range(2)]
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 

@@ -1,11 +1,12 @@
 """Chain programs, closed forms, oracles, and the barrier solver."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from openconvex import chain
+from openconvex import chain, cli
 from openconvex.chain import (
     INFEASIBLE,
     LOWER,
@@ -107,11 +108,34 @@ class TestProblemShape:
             direction=UPPER,
         )
         p = build_problem(spec)
-        assert p.gN.size <= 2
-        assert p.basis.shape == (5, p.gN.size)
-        assert np.allclose(p.basis.T @ p.basis, np.eye(p.gN.size), atol=1e-14)
-        # g_y - g_x parallel to y - x (s = sqrt(1/2)) leaves one direction
-        assert build_problem(_spec(math.sqrt(0.5), 3)).gN.size == 1
+        assert p.gN.size == 2 and p.gN[1] > 0
+        assert p.basis.shape == (5, 2)
+        assert np.allclose(p.basis.T @ p.basis, np.eye(2), atol=1e-14)
+        # g_y - g_x parallel to y - x (s = sqrt(1/2)): b = 0 and the second
+        # basis column is exactly zero
+        p = build_problem(_spec(math.sqrt(0.5), 3))
+        assert p.gN.size == 2 and p.gN[1] == 0.0
+        assert p.basis.shape == (2, 2)
+        assert np.array_equal(p.basis, [[1.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("direction", [UPPER, LOWER])
+    def test_one_dimensional_spec_is_its_planar_embedding(self, direction, tmp_path):
+        # d = 1 through the barrier (N = 3): the same canonical program as the
+        # spec embedded in the plane, so the same result bit for bit
+        line = ChainSpec(1.0, [0.0], [1.0], 0.0, [0.0], [0.6], N=3, direction=direction)
+        plane = ChainSpec(1.0, [0.0, 0.0], [1.0, 0.0], 0.0, [0.0, 0.0], [0.6, 0.0],
+                          N=3, direction=direction)
+        got, want = solve_spec(line), solve_spec(plane)
+        assert got.status == want.status == OPTIMAL
+        assert got.value == want.value
+        assert np.array_equal(got.knots, want.knots)
+        assert got.chain.g.shape == (4, 1)
+        assert np.array_equal(got.chain.g[:, 0], want.chain.g[:, 0])
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"L": 1, "x": [0], "y": [1], "f_x": 0, "g_x": [0],
+                                    "g_y": [0.6], "N": 3, "direction": direction}))
+        assert cli.main(["interpolate", "--in", str(path),
+                         "--out", str(tmp_path / "interp.csv")]) == cli.EXIT_OK
 
     def test_canonical_scalars(self):
         # (a, b) are the components of (g_y - g_x)/(L rho) along and across y - x
@@ -440,15 +464,16 @@ class TestLineSearch:
     def _interior(s):
         # the start D_j = (a, b)/N, where every disk slack is width = m/N^2,
         # moved by a small seeded perturbation; the direction dD is scaled to
-        # the same width and sums to 0, as a Newton step does
+        # the same width and sums to 0, as a Newton step does; both stay in the
+        # span of the basis, so at b = 0 their second coordinates are exactly 0
         N = 5
         problem = build_problem(_spec(s, N))
-        shape = (N, problem.gN.size)
+        span = problem.basis.any(axis=0)
         width = (problem.gN[0] - float(problem.gN @ problem.gN)) / N ** 2
         rng = np.random.default_rng(7)
-        D = problem.gN / N + 0.05 * width * rng.normal(size=shape)
+        D = problem.gN / N + 0.05 * width * rng.normal(size=(N, 2)) * span
         assert np.all(_slacks(D) > 0.5 * width)
-        dD = width * rng.normal(size=shape)
+        dD = width * rng.normal(size=(N, 2)) * span
         w = (N - np.arange(N)) / N
         return w, D, dD - dD.mean(axis=0), width
 
@@ -469,10 +494,9 @@ class TestLineSearch:
 
     @classmethod
     def _blocks(cls, D):
-        # H_j = (t + 2/s_j) I + (4/s_j^2) u_j u_j', one r x r block per increment
+        # H_j = (t + 2/s_j) I + (4/s_j^2) u_j u_j', one 2 x 2 block per increment
         s, u = _slacks(D), chain._offsets(D)
-        eye = np.eye(D.shape[1])
-        return ((cls.T + 2.0 / s)[:, None, None] * eye
+        return ((cls.T + 2.0 / s)[:, None, None] * np.eye(2)
                 + (4.0 / s ** 2)[:, None, None] * u[:, :, None] * u[:, None, :])
 
     def test_predicted_slacks_match_direct_evaluation(self, interior):
@@ -526,30 +550,34 @@ class TestLineSearch:
             # the Hessian is block diagonal: no other increment moves
             assert np.delete(column, j, axis=0) == pytest.approx(0.0, abs=1e-6)
 
-    # r = 2 at s = 0.7; r = 1 at s = sqrt(1/2), where b = 0 and m > 0; the
-    # closed-form r x r solve is worst conditioned at t = 1e10
-    @pytest.mark.parametrize("r, t", [(2, 1.0), (2, 1e6), (2, 1e10),
-                                      (1, 1.0), (1, 1e6), (1, 1e10)],
+    # s = 0.7 has b > 0; s = sqrt(1/2) has b = 0 and m > 0; the closed-form
+    # 2 x 2 solve is worst conditioned at t = 1e10
+    @pytest.mark.parametrize("s, t", [(0.7, 1.0), (0.7, 1e6), (0.7, 1e10),
+                                      (math.sqrt(0.5), 1.0), (math.sqrt(0.5), 1e6),
+                                      (math.sqrt(0.5), 1e10)],
                              ids=["1.0", "1000000.0", "10000000000.0",
                                   "b0-1.0", "b0-1000000.0", "b0-10000000000.0"])
-    def test_step_solves_full_kkt_system(self, r, t):
+    def test_step_solves_full_kkt_system(self, s, t):
         # the block-eliminated step against the dense KKT system
         #   [blockdiag(H_j)  A'] [dD]   [-g]
         #   [A               0 ] [nu] = [ 0],   A = [I I ... I]
-        w, D, _, _ = self._interior(0.7 if r == 2 else math.sqrt(0.5))
+        w, D, _, _ = self._interior(s)
         N = D.shape[0]
-        assert D.shape[1] == r
         g, dD, nu = chain._newton_step(w, D, _slacks(D), t)
-        blocks = self._blocks(D) + (t - self.T) * np.eye(r)
-        kkt = np.zeros((N * r + r, N * r + r))
+        blocks = self._blocks(D) + (t - self.T) * np.eye(2)
+        kkt = np.zeros((2 * N + 2, 2 * N + 2))
         for j in range(N):
-            kkt[j * r:(j + 1) * r, j * r:(j + 1) * r] = blocks[j]
-        kkt[:N * r, N * r:] = np.tile(np.eye(r), (N, 1))
-        kkt[N * r:, :N * r] = kkt[:N * r, N * r:].T
-        ref = np.linalg.solve(kkt, np.concatenate([-g.ravel(), np.zeros(r)]))
+            kkt[2 * j:2 * j + 2, 2 * j:2 * j + 2] = blocks[j]
+        kkt[:2 * N, 2 * N:] = np.tile(np.eye(2), (N, 1))
+        kkt[2 * N:, :2 * N] = kkt[:2 * N, 2 * N:].T
+        ref = np.linalg.solve(kkt, np.concatenate([-g.ravel(), np.zeros(2)]))
         got = np.concatenate([dD.ravel(), nu])
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
         assert np.max(np.abs(dD.sum(axis=0))) <= 1e-10 * np.max(np.abs(dD))
+        if s == math.sqrt(0.5):
+            # at b = 0 the second coordinate of the step and multiplier is exactly 0
+            assert not D[:, 1].any()
+            assert not dD[:, 1].any() and nu[1] == 0.0
 
 
 class TestReversalPrecision:

@@ -419,7 +419,7 @@ class TestTableBytes:
         (["interpolate"], dict(SPEC_06_N1, N=5),
          "c257fb81385b76dedd4f1e9d5e85abd101e377eaf1d3ba2314bc23273a1ac456"),
         (["sweep", "--s-steps", "3", "--N-list", "1,2"], None,
-         "7a9a8c089ae0b6eec9324c28e02c8310bb0f0bf3b8d9c7589444427828286b46"),
+         "906e04cb68a3c86fab4d0738fc64f2e2a0cd363e99d3dfe77cdbe73099c7c5fc"),
         (["region", "--steps", "10"], None,
          "1ff596aee5dc5538573631136233ca0b1863155b604836abc2a1f442a1ad9f1b"),
         (["interpolate"], dict(SPEC_06_N1, N=5, direction="lower"),

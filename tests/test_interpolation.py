@@ -72,7 +72,7 @@ class TestEnvelope:
         p0 = _pd([0.0, 0.0], 0.0, [0.0, 0.0])
         p1 = _pd([1.0, 0.0], 0.5, [1.0, 0.0])
         for z in ([0.3, 0.0], [0.5, 0.4], [1.0, 0.0]):
-            v, g = envelope_eval(1.0, p0, p1, z)
+            v, g = envelope_eval(p0, p1, z)
             z = np.asarray(z)
             assert v == pytest.approx(0.5 * float(z @ z), abs=1e-12)
             assert np.allclose(g, z, atol=1e-12)
@@ -84,16 +84,16 @@ class TestEnvelope:
         p1 = _pd([1.0], 0.25, [0.5])
         assert two_point_feasible(1.0, p0, p1)
         # before the window the envelope equals q0
-        v, g = envelope_eval(1.0, p0, p1, [0.1])
+        v, g = envelope_eval(p0, p1, [0.1])
         assert v == pytest.approx(0.005, abs=1e-12)
         assert g[0] == pytest.approx(0.1, abs=1e-12)
         # inside the window it is the tangent line
         for z in (0.5, 0.6):
-            v, g = envelope_eval(1.0, p0, p1, [z])
+            v, g = envelope_eval(p0, p1, [z])
             assert v == pytest.approx(0.25 * z - 0.03125, abs=1e-12)
             assert g[0] == pytest.approx(0.25, abs=1e-12)
         # past the window it equals q1
-        v, g = envelope_eval(1.0, p0, p1, [0.9])
+        v, g = envelope_eval(p0, p1, [0.9])
         assert v == pytest.approx(0.205, abs=1e-12)
         assert g[0] == pytest.approx(0.4, abs=1e-12)
 
@@ -112,16 +112,16 @@ class TestEnvelope:
                 continue
             p1 = _pd(x1, 0.5 * (lo + hi), g1)
             z = p0.x + ts * d
-            v, _ = envelope_eval(1.0, p0, p1, z)
+            v, _ = envelope_eval(p0, p1, z)
             for p in (p0, p1):
                 q = p.f + (z - p.x) @ p.g + 0.5 * np.sum((z - p.x) ** 2, axis=1)
                 assert np.all(v <= q + 1e-10)
 
     def test_infeasible_pair_rejected(self):
-        # canonical knots (F, G) = (0, 0) and (0, 0.5) on the unit segment
+        # canonical knots (F, G) = (0, (0, 0)) and (0, (0.5, 0)) on the unit segment
         spec = chain.ChainSpec(1.0, np.zeros(1), np.ones(1), 0.0, np.zeros(1), [0.5], 1)
         res = chain.solve_spec(spec)
-        pair = dataclasses.replace(res, knots=np.array([[0.0, 0.0], [0.0, 0.5]]))
+        pair = dataclasses.replace(res, knots=np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0]]))
         with pytest.raises(InfeasibleData, match=r"pair \(0, 1\)"):
             build_segment_interpolant(pair)
 
