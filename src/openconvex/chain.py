@@ -67,6 +67,10 @@ OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
 ITERATION_LIMIT = "IterationLimit"
 
+# the longest chain a spec may ask for: a larger N is refused, not left to
+# fail in allocating its N + 1 knots
+MAX_N = 10**6
+
 # a - a^2 - b^2 within FEAS_BAND * max(1, |a|) of 0 is the boundary of the
 # feasible set; below that band the program is infeasible
 FEAS_BAND = 1e-12
@@ -105,8 +109,9 @@ class ChainSpec:
             raise DegenerateError("spec endpoints coincide")
         if self.L <= 0:
             raise RangeError("L must be positive")
-        if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)) or self.N < 1:
-            raise RangeError(f"N must be a positive integer, got {self.N!r}")
+        if (isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer))
+                or not 1 <= self.N <= MAX_N):
+            raise RangeError(f"N must be an integer from 1 to {MAX_N}, got {self.N!r}")
         if self.direction not in (UPPER, LOWER):
             raise RangeError(f"direction must be '{UPPER}' or '{LOWER}'")
         # build_problem's rho, g_hat and scale, with overflow read as inf and

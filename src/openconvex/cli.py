@@ -47,8 +47,14 @@ EXIT_BAD_INPUT = 4
 PERTURB_DELTA = Fraction(1, 1000)
 # random pairs of each of verify's two float bound checks
 VERIFY_PAIRS = 2000
+# contour's grid: CONTOUR_SHAPE = (nx, ny) points on CONTOUR_X x CONTOUR_Y, all in x1 > -23/240
+CONTOUR_X = (-1.5, 2.5)
+CONTOUR_Y = (spline.DOMAIN_BOUND_F + 1e-6, 2.0)
+CONTOUR_SHAPE = (400, 400)
 # grid points that contour evaluates per block of rows (the fastest of 2**11..2**17)
 _CONTOUR_CHUNK = 1 << 13
+# steps of t over [0, 1] in region's table and in interpolate's
+REGION_STEPS, T_STEPS = 1000, 100
 
 
 def _atomic_write(path: str | None, text: str | Iterable[str]) -> None:
@@ -146,27 +152,23 @@ def _svg_lines(series: list[tuple[str, list[tuple[float, float]]]]) -> Iterator[
     return _svg_document(["\n".join(body) + "\n"])
 
 
-def _svg_heatmap(nx: int, ny: int, values: np.ndarray) -> Iterator[str]:
-    """The <rect> lines of values (ny x nx, NaN off the domain), a grid row at a time."""
-    finite = np.isfinite(values)
-    shown = finite.any()
-    lo, hi = ((float(values.min(where=finite, initial=math.inf)),
-               float(values.max(where=finite, initial=-math.inf))) if shown else (0.0, 1.0))
+def _svg_heatmap(values: np.ndarray) -> Iterator[str]:
+    """The <rect> lines of values (ny x nx), a grid row at a time."""
+    ny, nx = values.shape
+    lo, hi = float(values.min()), float(values.max())
     span = (hi - lo) or 1.0
     cw = (_SVG_W - 2 * _SVG_PAD) / nx
     ch = (_SVG_H - 2 * _SVG_PAD) / ny
     size = f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}"'
+    xs = (_SVG_PAD + np.arange(nx) * cw).tolist()
     for j in range(ny):
-        i = np.flatnonzero(finite[j])
-        u = (values[j, i] - lo) / span
+        u = (values[j] - lo) / span
         r, g, b = (255 * u).astype(int), (64 + 128 * (1 - u)).astype(int), (255 * (1 - u)).astype(int)
         y = f"{_SVG_H - _SVG_PAD - (j + 1) * ch:.2f}"
         yield "".join(
             f'<rect x="{xc:.2f}" y="{y}" {size} fill="rgb({rc},{gc},{bc})"/>\n'
-            for xc, rc, gc, bc in zip((_SVG_PAD + i * cw).tolist(), r.tolist(), g.tolist(), b.tolist())
+            for xc, rc, gc, bc in zip(xs, r.tolist(), g.tolist(), b.tolist())
         )
-    if not shown:
-        yield "\n"
 
 
 # --- input checks --------------------------------------------------------------
@@ -199,11 +201,11 @@ def _checked(convert, ok, what: str):
     return parse
 
 
-_positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+_count = _checked(int, lambda n: 1 <= n <= chain.MAX_N, f"an integer from 1 to {chain.MAX_N}")
 _seed = _checked(int, lambda n: n >= 0, "a non-negative integer")
-_finite_float = _checked(float, math.isfinite, "a finite number")
-_n_list = _checked(lambda text: [int(v) for v in text.split(",")], lambda ns: min(ns) >= 1,
-                   "comma-separated positive integers")
+_n_list = _checked(lambda text: [int(v) for v in text.split(",")],
+                   lambda ns: 1 <= min(ns) <= max(ns) <= chain.MAX_N,
+                   f"comma-separated integers from 1 to {chain.MAX_N}")
 _out_path = _checked(str, lambda p: p == "-" or (os.path.isdir(os.path.dirname(os.path.abspath(p)))
                                                   and not os.path.isdir(p)),
                      "'-' or a file path in an existing directory")
@@ -236,41 +238,32 @@ def cmd_verify(args) -> int:
 
 
 def cmd_contour(args) -> int:
-    ymin = args.ymin if args.ymin is not None else spline.DOMAIN_BOUND_F + 1e-6
-    # linspace over a window whose width overflows gives inf or nan abscissae
-    if not (math.isfinite(args.xmax - args.xmin) and math.isfinite(args.ymax - ymin)):
-        _bad_input("the contour window's width or height overflows")
-    x = np.linspace(args.xmin, args.xmax, args.nx)
-    y = np.linspace(ymin, args.ymax, args.ny)
-    rows = y > spline.DOMAIN_BOUND_F
+    nx, ny = CONTOUR_SHAPE
+    x, y = np.linspace(*CONTOUR_X, nx), np.linspace(*CONTOUR_Y, ny)
 
     def grid() -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
-        """(y, piece row, value row) of each domain row, a block of rows per eval_float."""
-        ys = y[rows]
-        step = max(1, _CONTOUR_CHUNK // args.nx)
-        for j in range(0, ys.size, step):
-            yb = ys[j:j + step]
+        """(y, piece row, value row) of each grid row, a block of rows per eval_float."""
+        step = max(1, _CONTOUR_CHUNK // nx)
+        for j in range(0, ny, step):
+            yb = y[j:j + step]
             v, piece = spline.SPLINE.eval_float(
-                np.column_stack([np.tile(x, yb.size), np.repeat(yb, args.nx)]))
-            yield from zip(yb.tolist(), piece.reshape(-1, args.nx), v.reshape(-1, args.nx))
+                np.column_stack([np.tile(x, yb.size), np.repeat(yb, nx)]))
+            yield from zip(yb.tolist(), piece.reshape(-1, nx), v.reshape(-1, nx))
 
     if args.format == "svg":
         # the colour scale needs every value before the first cell is drawn
-        values = np.full((args.ny, args.nx), math.nan)
-        for j, (_, _, f) in zip(np.flatnonzero(rows).tolist(), grid()):
-            values[j] = f
-        _atomic_write(args.out, _svg_document(_svg_heatmap(args.nx, args.ny, values)))
+        values = np.array([f for _, _, f in grid()])
+        _atomic_write(args.out, _svg_document(_svg_heatmap(values)))
     else:
         # one block per row of the grid, its x labels formatted once
-        block = ("%.17g,%%s,%%d,%%.17g\n" * args.nx) % tuple(x.tolist())
-        blocks = (_cells(["%.17g" % y1] * args.nx, k.tolist(), f.tolist())
-                  for y1, k, f in grid())
+        block = ("%.17g,%%s,%%d,%%.17g\n" * nx) % tuple(x.tolist())
+        blocks = (_cells(["%.17g" % y1] * nx, k.tolist(), f.tolist()) for y1, k, f in grid())
         _atomic_write(args.out, _csv("x0,x1,piece,value", block, blocks))
     return EXIT_OK
 
 
 def cmd_region(args) -> int:
-    ts = np.linspace(0.0, 1.0, args.steps + 1)
+    ts = np.linspace(0.0, 1.0, REGION_STEPS + 1)
     inner, outer = bounds.analytical_region(ts)
     ts, *columns = (v.tolist() for v in (ts, inner.lo, inner.hi, outer.lo, outer.hi))
     if args.format == "svg":
@@ -366,7 +359,7 @@ def cmd_interpolate(args) -> int:
     if result.status == chain.ITERATION_LIMIT:
         return EXIT_SOLVER_FAILURE
     interp = interpolation.build_segment_interpolant(result)
-    t = np.arange(args.t_steps + 1) / args.t_steps
+    t = np.arange(T_STEPS + 1) / T_STEPS
     v, dv = interpolation.eval_interpolant(interp, t)
     _atomic_write(args.out, _csv("t,value,dvalue", "%.17g,%.17g,%.17g\n" * t.size,
                                  [_cells(t.tolist(), v.tolist(), dv.tolist())]))
@@ -402,22 +395,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contour", help="piece/value grid of the spline")
     outputs(p, "csv", "svg")
-    p.add_argument("--xmin", type=_finite_float, default=-1.5)
-    p.add_argument("--xmax", type=_finite_float, default=2.5)
-    p.add_argument("--ymin", type=_finite_float, default=None)
-    p.add_argument("--ymax", type=_finite_float, default=2.0)
-    p.add_argument("--nx", type=_positive_int, default=400)
-    p.add_argument("--ny", type=_positive_int, default=400)
     p.set_defaults(func=cmd_contour)
 
     p = sub.add_parser("region", help="inner/outer admissible-gap intervals")
     outputs(p, "csv", "svg")
-    p.add_argument("--steps", type=_positive_int, default=1000)
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("sweep", help="chain bounds over s in [1/2, sqrt(1/2)]")
     outputs(p, "csv", "svg")
-    p.add_argument("--s-steps", type=_positive_int, default=60)
+    p.add_argument("--s-steps", type=_count, default=60)
     p.add_argument("--N-list", dest="n_list", type=_n_list, default="1,2,5,50")
     p.set_defaults(func=cmd_sweep)
 
@@ -429,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interpolate", help="sample the segment interpolant")
     outputs(p)
     p.add_argument("--in", required=True, help="chain spec JSON path")
-    p.add_argument("--t-steps", type=_positive_int, default=100)
     p.set_defaults(func=cmd_interpolate)
 
     return parser

@@ -451,10 +451,11 @@ def verify_grid_properties(
 ) -> VerificationReport:
     """Sampled exact invariants on a rational lattice.
 
-    Counts the lattice points in the open domain, each of which the seam
-    order assigns to a piece, checks that both pieces agree at each point
-    on a seam, and checks gradient monotonicity, 1-smoothness and the
-    two-sided descent inequality on a deterministic subset of point pairs:
+    Checks at the lattice points in the open domain that the seams' <= sides
+    are nested, so that the seam order gives the pieces the domain in turn,
+    and that both pieces agree at each point on a seam.  Checks gradient
+    monotonicity, 1-smoothness and the two-sided descent inequality on a
+    deterministic subset of point pairs:
     the k-th pair (a < b, counted row by row from k = 1) for every k that
     pair_stride divides.  Each of the three pair lines is one verdict over
     the whole sample, n(n-1)/2 // pair_stride pairs for n lattice points.
@@ -493,12 +494,15 @@ def verify_grid_properties(
     X0, X1 = X0[inside], X1[inside]
 
     # Piece k claims the points on its sides of seams k-1 and k; the active
-    # piece is the lowest-index claim.
+    # piece is the lowest-index claim.  Coverage: the seams' <= sides are
+    # nested, a point on the <= side of seam k is on that of seam k+1.
     claims = np.ones((len(ints), len(X0)), dtype=bool)
+    below = np.empty((len(spline.seams), len(X0)), dtype=bool)
     for k, h in enumerate(spline.seams):
         n0, n1, o = _integer_line(h)
         v, o = n0 * X0 + n1 * X1, o * D
-        claims[k] &= v <= o
+        below[k] = v <= o
+        claims[k] &= below[k]
         claims[k + 1] &= v >= o
     F, G0, G1 = (np.empty(claims.shape, dtype=dtype) for _ in range(3))
     for k, (a00, a01, a11, b0, b1, c0) in enumerate(ints):
@@ -510,7 +514,8 @@ def verify_grid_properties(
     cols = np.arange(len(X0))
     f, g0, g1 = F[first, cols], G0[first, cols], G1[first, cols]
     mismatch = (claims & ((F != f) | (G0 != g0) | (G1 != g1))).any(axis=0)
-    report.add(f"region coverage on {len(X0)}-point lattice", True)
+    nested = not (below[:-1] & ~below[1:]).any()
+    report.add(f"region coverage on {len(X0)}-point lattice", nested)
     shared = int((claims.sum(axis=0) > 1).sum())
     report.add(f"seam agreement at {shared} multiply-claimed lattice points", not mismatch.any())
 

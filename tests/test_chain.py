@@ -70,6 +70,15 @@ class TestSpecValidation:
         with pytest.raises(RangeError):
             normalized_spec(0.75, 1)
 
+    @pytest.mark.parametrize("N", [0, chain.MAX_N + 1, 10**20])
+    def test_chain_length_out_of_range(self, N):
+        # a chain longer than MAX_N is refused, not left to fail in
+        # allocating its N + 1 knots
+        args = (1.0, np.zeros(2), np.array([1.0, 0.0]), 0.0, np.zeros(2), np.array([0.6, 0.3]))
+        assert ChainSpec(*args, chain.MAX_N).N == chain.MAX_N
+        with pytest.raises(RangeError):
+            ChainSpec(*args, N)
+
 
 class TestProblemShape:
     def test_n1_sizes(self):

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -9,10 +10,11 @@ import stat
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from openconvex import checks, cli, spline
+from openconvex import chain, checks, cli, spline
 
 SPEC_06_N1 = {
     "L": 1.0,
@@ -37,9 +39,10 @@ def _child_env():
     return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
 
 
-# a child that runs one CLI call and prints its own peak RSS in KiB (Linux)
+# a child that imports the CLI, runs the CLI call its arguments give, if
+# any, and prints its own peak RSS in KiB (Linux)
 _PEAK_RSS = ("import resource, sys; from openconvex import cli; "
-             "assert cli.main(sys.argv[1:]) == cli.EXIT_OK; "
+             "assert not sys.argv[1:] or cli.main(sys.argv[1:]) == cli.EXIT_OK; "
              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
 
 
@@ -106,79 +109,48 @@ class TestVerify:
 
 
 class TestContour:
-    def test_csv_has_exact_value_at_violation_point(self, tmp_path):
-        out = tmp_path / "contour.csv"
-        code = cli.main([
-            "contour", "--xmin", "0", "--xmax", "2", "--nx", "3",
-            "--ymin", "0", "--ymax", "1", "--ny", "2",
-            "--out", str(out),
-        ])
-        assert code == cli.EXIT_OK
-        lines = out.read_text().strip().split("\n")
-        assert lines[0] == "x0,x1,piece,value"
-        row = next(r for r in lines[1:] if r.startswith("2,0,"))
-        fields = row.split(",")
-        assert fields[2] == "4"
-        assert float(fields[3]) == pytest.approx(16991.0 / 23040.0, abs=1e-15)
+    # sha256 of the default CSV, the one the benchmark checks
+    CSV_SHA256 = "0408ad147224d2c2178ad66e85f1e2ff734e0f6f63853c5a36a27b77c72fd4c2"
 
-    def test_svg_output(self, tmp_path):
+    def test_svg_output(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CONTOUR_SHAPE", (20, 20))
         out = tmp_path / "contour.svg"
-        code = cli.main([
-            "contour", "--nx", "20", "--ny", "20", "--format", "svg",
-            "--out", str(out),
-        ])
-        assert code == cli.EXIT_OK
+        assert cli.main(["contour", "--format", "svg", "--out", str(out)]) == cli.EXIT_OK
         assert out.read_text().startswith("<svg")
 
-    # sha256 of the output of the per-point implementation these replaced;
-    # the last two grids start below the domain, whose rows are skipped.
-    # The default 400 x 400 grid, last, is the one the benchmark checks.
+    # sha256 of the output of the per-point implementation these replaced,
+    # recorded before the grid was evaluated a block of rows at a time
     @pytest.mark.parametrize("args, digest", [
-        (["--nx", "20", "--ny", "20"],
-         "296ff81c76e0edfd8e8322152b775890fb458f33b3a9b48c8c0a5b8411fa43b1"),
-        (["--nx", "20", "--ny", "20", "--format", "svg"],
-         "ea824d78f792a68dc90b5c1edf90f021708367e980719add70bb7ab5eb2bbb91"),
-        (["--nx", "37", "--ny", "29", "--ymin", "-0.5", "--xmin", "-3", "--xmax", "4"],
-         "2690a78a979cb6e78ebb4ed0caecf64a35b677842e6b03d727f63b48128d5d0d"),
-        (["--nx", "37", "--ny", "29", "--ymin", "-0.5", "--xmin", "-3", "--xmax", "4",
-          "--format", "svg"],
-         "cf59a204e81400625529de1306d328a5a09bf2a5e7be1b86e1372cef890b6bd9"),
-        ([], "0408ad147224d2c2178ad66e85f1e2ff734e0f6f63853c5a36a27b77c72fd4c2"),
-        # recorded before the grid was evaluated a block of rows at a time:
-        # the default SVG; one row per block; many blocks and a partial last
-        # one; the first domain row in mid-block; no domain row at all
+        ([], CSV_SHA256),
         (["--format", "svg"],
          "fb107f3d27223543d04eb3d98ebefeb8d21623fcd78a107d73168bd3a86e9ae5"),
-        (["--nx", "9000", "--ny", "3"],
-         "c0b79096f3a0a56a2862d64761c0083df2a7ad21b632722f02f3288114fc8eb2"),
-        (["--nx", "1", "--ny", "20000"],
-         "4f8316c4a92f3b656e6382c732ae032c7d15d9070bc6b5912538602095a51430"),
-        (["--nx", "3", "--ny", "20000", "--ymin", "-0.5"],
-         "55e74c6002cf5cad41503a3167ea24056378a71132f8344d120afcc83815a47b"),
-        (["--ymin", "-1", "--ymax", "-0.5"],
-         "4c2f61d497c107468d1df8edbc0f4bc5fc0dcfd55431ee23e6a53e2a1c71b5e0"),
-        (["--ymin", "-1", "--ymax", "-0.5", "--format", "svg"],
-         "fc457a735885558a2bf24e99292aadb92401f7a8829ae49d2fee03a024abe9a9"),
-    ])
+    ], ids=["csv", "svg"])
     def test_output_bytes_pinned(self, tmp_path, args, digest):
         out = tmp_path / "contour.out"
         assert cli.main(["contour", *args, "--out", str(out)]) == cli.EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # one grid row per block, 57 blocks of 7 rows and a last block of one,
+    # and the whole grid in one block
+    @pytest.mark.parametrize("chunk", [1, 7 * 400, 1 << 20])
+    def test_block_size_keeps_the_bytes(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "_CONTOUR_CHUNK", chunk)
+        out = tmp_path / "contour.csv"
+        assert cli.main(["contour", "--out", str(out)]) == cli.EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.CSV_SHA256
 
     def test_peak_memory_does_not_grow_with_the_grid(self, tmp_path):
         # The grid is evaluated and written a block of rows at a time. Each
         # call runs in its own child and reports its own peak RSS: in one
         # process a large call's peak would hide a smaller call's growth,
         # and RUSAGE_CHILDREN gives the largest child ever waited for. Held
-        # whole, the grid put the default CSV 14 MiB over the 1 x 1 call,
-        # 400 x 1600 42 MiB over the default CSV, and the default SVG, its
-        # <rect> lines joined, 72 MiB over the 1 x 1 call.
-        calls = {"base": ["--nx", "1", "--ny", "1"], "csv": [],
-                 "tall": ["--ny", "1600"], "svg": ["--format", "svg"]}
+        # whole, the grid put the CSV 14 MiB over a child that only imports
+        # the CLI, and the SVG, its <rect> lines joined, 72 MiB over it.
+        calls = {"import": [], "csv": ["contour"], "svg": ["contour", "--format", "svg"]}
         children = {
             name: subprocess.Popen(
-                [sys.executable, "-c", _PEAK_RSS, "contour", *args,
-                 "--out", str(tmp_path / name)],
+                [sys.executable, "-c", _PEAK_RSS, *args,
+                 *(["--out", str(tmp_path / name)] if args else [])],
                 env=_child_env(), stdout=subprocess.PIPE, text=True)
             for name, args in calls.items()}
         mib = {}
@@ -186,45 +158,33 @@ class TestContour:
             out, _ = child.communicate(timeout=60)
             assert child.returncode == 0
             mib[name] = int(out) / 1024
-        assert mib["csv"] < mib["base"] + 6
-        assert mib["tall"] < mib["csv"] + 4
+        assert mib["csv"] < mib["import"] + 6
         # the SVG keeps one float per cell for its colour scale (1.3 MB)
-        assert mib["svg"] < mib["base"] + 6
+        assert mib["svg"] < mib["import"] + 6
 
-    @pytest.mark.parametrize("fmt", ["csv", "svg"])
-    def test_refused_before_any_output(self, fmt, capsys):
-        # output is streamed to stdout, so the window is checked before the
-        # first line: a refusal never leaves a partial table behind
-        argv = ["contour", "--xmin=-1e308", "--xmax=1e308", "--format", fmt]
-        assert cli.main(argv) == cli.EXIT_BAD_INPUT
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("openconvex: error: ")
-
-    def test_stdout_matches_file(self, tmp_path, capsys):
+    def test_stdout_matches_file(self, tmp_path, capsys, monkeypatch):
         # the table is streamed a grid row at a time to either
+        monkeypatch.setattr(cli, "CONTOUR_SHAPE", (20, 20))
         out = tmp_path / "contour.csv"
-        small = ["contour", "--nx", "20", "--ny", "20"]
-        assert cli.main([*small, "--out", str(out)]) == cli.EXIT_OK
-        assert cli.main(small) == cli.EXIT_OK
+        assert cli.main(["contour", "--out", str(out)]) == cli.EXIT_OK
+        assert cli.main(["contour"]) == cli.EXIT_OK
         assert capsys.readouterr().out == out.read_text()
 
 
 class TestRegion:
     def test_inclusion_on_grid(self, tmp_path):
         out = tmp_path / "region.csv"
-        assert cli.main(["region", "--steps", "100", "--out", str(out)]) == 0
+        assert cli.main(["region", "--out", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "t,inner_lo,inner_hi,outer_lo,outer_hi"
-        assert len(lines) == 102
+        assert len(lines) == cli.REGION_STEPS + 2
         for line in lines[1:]:
             t, ilo, ihi, olo, ohi = map(float, line.split(","))
             assert olo - 1e-15 <= ilo <= ihi <= ohi + 1e-15
 
     def test_svg_output(self, tmp_path):
         out = tmp_path / "region.svg"
-        code = cli.main(["region", "--steps", "50", "--format", "svg",
-                         "--out", str(out)])
+        code = cli.main(["region", "--format", "svg", "--out", str(out)])
         assert code == cli.EXIT_OK
         assert "<polyline" in out.read_text()
 
@@ -237,7 +197,7 @@ class TestRegion:
         saved = os.umask(umask)
         try:
             for out in (new, old):
-                assert cli.main(["region", "--steps", "3", "--out", str(out)]) == 0
+                assert cli.main(["region", "--out", str(out)]) == 0
         finally:
             os.umask(saved)
         assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
@@ -355,12 +315,11 @@ class TestInterpolate:
         doc = dict(SPEC_06_N1, N=3)
         path = _write_spec(tmp_path, doc)
         out = tmp_path / "interp.csv"
-        code = cli.main(["interpolate", "--in", path, "--t-steps", "20",
-                         "--out", str(out)])
+        code = cli.main(["interpolate", "--in", path, "--out", str(out)])
         assert code == cli.EXIT_OK
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "t,value,dvalue"
-        assert len(lines) == 22
+        assert len(lines) == cli.T_STEPS + 2
         first = list(map(float, lines[1].split(",")))
         assert first[0] == 0.0 and first[1] == pytest.approx(0.0, abs=1e-9)
         values = [float(l.split(",")[1]) for l in lines[1:]]
@@ -398,8 +357,7 @@ class TestInterpolate:
         path = _write_spec(tmp_path, spec)
         solved, out = tmp_path / "solve.json", tmp_path / "interp.csv"
         assert cli.main(["solve", "--in", path, "--out", str(solved)]) == cli.EXIT_OK
-        assert cli.main(["interpolate", "--in", path, "--t-steps", "4",
-                         "--out", str(out)]) == cli.EXIT_OK
+        assert cli.main(["interpolate", "--in", path, "--out", str(out)]) == cli.EXIT_OK
         v = json.loads(solved.read_text())["value"]
         t, value, dvalue = map(float, out.read_text().strip().split("\n")[-1].split(","))
         assert t == 1.0
@@ -420,8 +378,8 @@ class TestTableBytes:
          "c257fb81385b76dedd4f1e9d5e85abd101e377eaf1d3ba2314bc23273a1ac456"),
         (["sweep", "--s-steps", "3", "--N-list", "1,2"], None,
          "906e04cb68a3c86fab4d0738fc64f2e2a0cd363e99d3dfe77cdbe73099c7c5fc"),
-        (["region", "--steps", "10"], None,
-         "1ff596aee5dc5538573631136233ca0b1863155b604836abc2a1f442a1ad9f1b"),
+        (["region"], None,
+         "017293d406c82e455c6318b6cca57629d92b9dd646acce81471f461c7534cb8a"),
         (["interpolate"], dict(SPEC_06_N1, N=5, direction="lower"),
          "2fbd05a728badd6e48d9c69446d05bff2e54c12c785a82f1327367d7839ca4bd"),
         (["interpolate"], {"L": 1, "x": [0, 0], "y": [1, 0], "f_x": 0, "g_x": [0, 0],
@@ -446,15 +404,15 @@ class TestParserReuse:
     def test_one_parser_per_process(self):
         assert cli.build_parser() is cli.build_parser()
 
-    def test_no_state_between_calls(self, tmp_path):
+    def test_no_state_between_calls(self, tmp_path, monkeypatch):
         # an option given to one call is back at its default in the next
         assert cli.main(["verify", "--perturb-piece", "2",
                          "--out", str(tmp_path / "bad.txt")]) == cli.EXIT_VERIFY_FAILED
         assert cli.main(["verify", "--out", str(tmp_path / "good.txt")]) == cli.EXIT_OK
-        small = ["--nx", "3", "--ny", "2"]
+        monkeypatch.setattr(cli, "CONTOUR_SHAPE", (3, 2))
         svg, csv = tmp_path / "c.svg", tmp_path / "c.csv"
-        assert cli.main(["contour", *small, "--format", "svg", "--out", str(svg)]) == 0
-        assert cli.main(["contour", *small, "--out", str(csv)]) == 0
+        assert cli.main(["contour", "--format", "svg", "--out", str(svg)]) == 0
+        assert cli.main(["contour", "--out", str(csv)]) == 0
         assert svg.read_text().startswith("<svg")
         assert csv.read_text().startswith("x0,x1,piece,value\n")
 
@@ -463,11 +421,11 @@ class TestOptions:
     # each subcommand declares only the options its cmd_* reads
     OPTIONS = {
         "verify": {"--out", "--format", "--seed", "--perturb-piece"},
-        "contour": {"--out", "--format", "--xmin", "--xmax", "--ymin", "--ymax", "--nx", "--ny"},
-        "region": {"--out", "--format", "--steps"},
+        "contour": {"--out", "--format"},
+        "region": {"--out", "--format"},
         "sweep": {"--out", "--format", "--s-steps", "--N-list"},
         "solve": {"--out", "--in"},
-        "interpolate": {"--out", "--in", "--t-steps"},
+        "interpolate": {"--out", "--in"},
     }
 
     def test_each_subcommand_options_pinned(self):
@@ -476,7 +434,21 @@ class TestOptions:
         options = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
                    for name, p in sub.choices.items()}
         assert options == self.OPTIONS
-        assert sum(map(len, options.values())) == 24
+        assert sum(map(len, options.values())) == 16
+
+
+def test_parser_takes_every_benchmark_call(tmp_path, monkeypatch):
+    # the calls bench/workloads.py makes: an option one of them passes that
+    # the parser no longer has would otherwise fail only the benchmark
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    out = str(tmp_path / "out")
+    for argv in ([*workloads.BAND_ARGS, "--out", out],
+                 ["interpolate", "--in", str(tmp_path / "spec.json"), "--out", out],
+                 ["verify", "--seed", "3", "--out", out],
+                 ["verify", "--perturb-piece", "2", "--out", out],
+                 ["contour", "--out", out]):
+        assert cli.build_parser().parse_args(argv).func.__name__ == f"cmd_{argv[0]}"
 
 
 def test_import_loads_no_process_pool():
@@ -490,10 +462,10 @@ def test_import_loads_no_process_pool():
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["region", "--steps", "3"], cli.EXIT_OK),
+    (["region"], cli.EXIT_OK),
     (["verify", "--perturb-piece", "2"], cli.EXIT_VERIFY_FAILED),
-    (["contour", "--nx", "abc"], cli.EXIT_BAD_INPUT),
-], ids=["region", "verify-perturbed", "contour-bad-nx"])
+    (["sweep", "--s-steps", "abc"], cli.EXIT_BAD_INPUT),
+], ids=["region", "verify-perturbed", "sweep-bad-s-steps"])
 def test_module_exit_code(argv, code):
     # python -m openconvex.cli hands main's return value to the shell
     run = subprocess.run([sys.executable, "-m", "openconvex.cli", *argv],
@@ -510,20 +482,17 @@ class TestBadInput:
         ["sweep", "--N-list", "0"],
         ["sweep", "--N-list", "x"],
         ["sweep", "--s-steps", "0"],
-        ["contour", "--nx", "0"],
-        ["contour", "--xmax", "inf"],
-        # a window of finite bounds whose width overflows (argparse reads
-        # a bare -1e308 as an option, so the values are given with =)
-        ["contour", "--xmin=-1e308", "--xmax=1e308"],
-        ["contour", "--ymin=-1e308", "--ymax=1e308"],
-        ["region", "--steps", "0"],
-        ["interpolate", "--in", "unread.json", "--t-steps", "0"],
+        # a count above chain.MAX_N, refused rather than left to fail in an allocation
+        ["sweep", "--N-list", "100000000000000000000"],
+        ["sweep", "--s-steps", "1000000000000"],
         # argparse's own errors take the same path: a value that is not a
         # number, an unknown option, a missing --in or subcommand
-        ["contour", "--nx", "abc"],
+        ["sweep", "--s-steps", "abc"],
         ["contour", "--seed", "0"],
         ["verify", "--perturb-delta", "abc"],
         ["sweep", "--workers", "2"],
+        ["solve"],
+        [],
         # the sweep always spans [1/2, sqrt(1/2)]: the removed options are
         # refused whatever their value, the old --s-min default included
         ["sweep", "--s-min", "0.5"],
@@ -540,8 +509,24 @@ class TestBadInput:
         ["verify", "--pairs", "2000"],
         ["verify", "--pairs", "0"],
         ["verify", "--pairs", "x"],
-        ["solve"],
-        [],
+        # contour has one grid and region and interpolate one t grid: the
+        # removed options are refused whatever their value, their old
+        # defaults and the values they once refused included (argparse
+        # reads a bare -1e308 as an option, so those values are given with =)
+        ["contour", "--xmin=-1.5"],
+        ["contour", "--xmax", "2.5"],
+        ["contour", "--ymin", "0"],
+        ["contour", "--ymax", "2"],
+        ["contour", "--nx", "400"],
+        ["contour", "--ny", "400"],
+        ["region", "--steps", "1000"],
+        ["contour", "--nx", "0"],
+        ["contour", "--nx", "abc"],
+        ["contour", "--xmax", "inf"],
+        ["contour", "--xmin=-1e308", "--xmax=1e308"],
+        ["contour", "--ymin=-1e308", "--ymax=1e308"],
+        ["region", "--steps", "0"],
+        ["interpolate", "--in", "unread.json", "--t-steps", "0"],
     ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv) or "no-command")
     def test_exit_4_with_one_line(self, argv, tmp_path, capsys):
         self._refused(argv, tmp_path, capsys)
@@ -566,6 +551,23 @@ class TestBadInput:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("openconvex: error: argument --out: ")
         assert list(tmp_path.iterdir()) == []
+
+    def test_t_steps_refused(self, tmp_path, capsys):
+        # on a spec interpolate solves, so that only the removed option is refused
+        path = _write_spec(tmp_path, SPEC_06_N1)
+        self._refused(["interpolate", "--in", path, "--t-steps", "100"], tmp_path, capsys)
+
+    def test_counts_end_at_max_n(self, capsys):
+        # parsed only, not run: MAX_N is the largest count either option takes
+        parse = cli.build_parser().parse_args
+        top = chain.MAX_N
+        args = parse(["sweep", "--s-steps", str(top), "--N-list", f"1,{top}"])
+        assert (args.s_steps, args.n_list) == (top, [1, top])
+        for argv in (["--s-steps", str(top + 1)], ["--N-list", f"1,{top + 1}"]):
+            with pytest.raises(SystemExit) as refused:
+                parse(["sweep", *argv])
+            assert refused.value.code == cli.EXIT_BAD_INPUT
+        assert len(capsys.readouterr().err.splitlines()) == 2
 
     def test_help_returns_0(self, capsys):
         assert cli.main(["verify", "--help"]) == cli.EXIT_OK
@@ -601,11 +603,12 @@ class TestBadInput:
         {"y": [1e-170, 0], "g_y": [5e-171, 5e-171]},
         {"L": 1e-300, "g_y": [1e10, 0]},
         {"g_y": [1e200, 1e200]},
+        {"N": 10 ** 20},
     ], ids=["N-fraction", "N-bool", "L-bool", "f_x-bool", "vector-bool",
             "vectors-2d", "vectors-scalar", "vectors-empty", "L-string",
             "f_x-string", "vector-string", "strings", "L-huge-int",
             "scale-overflow", "distance-underflow", "g-hat-overflow",
-            "g-hat-norm-overflow"])
+            "g-hat-norm-overflow", "N-huge"])
     def test_malformed_spec(self, command, change, tmp_path, capsys):
         # a truncated N, a boolean read as 0 or 1, a string read as a number,
         # an integer past the float range, a vector of another shape or a

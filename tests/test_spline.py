@@ -269,7 +269,12 @@ def _regions_holding(x0, x1, num=Q):
 
 
 def _reference_grid_report(spacing, x_range, y_range, pair_stride, model):
-    """The lattice checks as a per-pair Fraction loop: (name, passed) per line."""
+    """The lattice checks as a per-pair Fraction loop: (name, passed) per line.
+
+    Coverage holds when the model's seams are nested at every point: on the
+    <= side of seam k means on the <= side of seam k+1.  The pieces and the
+    pairs come from REGIONS, apart from the model's seam order.
+    """
     nx = int((x_range[1] - x_range[0]) / spacing)
     ny = int((y_range[1] - y_range[0]) / spacing)
     pts = [
@@ -282,6 +287,8 @@ def _reference_grid_report(spacing, x_range, y_range, pair_stride, model):
     shared = 0
     data = []
     for p in pts:
+        held = [h.contains(p) for h in model.seams]
+        coverage_ok &= all(after for before, after in zip(held, held[1:]) if before)
         claims = _regions_holding(p.x0, p.x1)
         if not claims:
             coverage_ok = False
@@ -407,6 +414,19 @@ class TestGridInvariants:
         report = spline.verify_grid_properties(spline=MODELS[model], **LATTICES[lattice])
         assert [(c.name, c.passed) for c in report.checks] == \
             _cached_reference(MODELS[model], lattice)
+
+    def test_coverage_fails_when_the_seams_are_not_nested(self):
+        # seams 1|2 and 2|3 swapped: a point of piece 2's strip is on the <=
+        # side of seam 2|3, now first, and not of seam 1|2, now second
+        base = build_spline()
+        swapped = replace(base, seams=(base.seams[1], base.seams[0], base.seams[2]))
+        for model, passed in ((base, True), (swapped, False)):
+            coverage = spline.verify_grid_properties(spline=model).checks[0]
+            assert (coverage.name, coverage.passed) == \
+                ("region coverage on 2754-point lattice", passed)
+        coarse = spline.verify_grid_properties(spline=swapped, **COARSE_LATTICE).checks[0]
+        assert (coarse.name, coarse.passed) == _cached_reference(swapped, "coarse")[0]
+        assert not coarse.passed
 
     @pytest.mark.parametrize("model", list(BROKEN_PIECES.values()))
     def test_non_convex_or_stiff_piece_matches_reference(self, model):
