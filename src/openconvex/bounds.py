@@ -153,6 +153,14 @@ def sum_identity(N: int, xi: float) -> tuple[float, float]:
     return direct, closed
 
 
+def check_unit_interval(t) -> None:
+    """Raise RangeError naming the first entry of t (a float or an array) outside [0, 1]."""
+    ts = np.ravel(t)
+    bad = ts[~((0.0 <= ts) & (ts <= 1.0))]
+    if bad.size:
+        raise RangeError(f"t = {bad[0]} outside [0, 1]")
+
+
 def analytical_region(t: float | np.ndarray) -> tuple[Interval, Interval]:
     """Admissible f(y)-f(x) region versus the plain descent region.
 
@@ -161,10 +169,7 @@ def analytical_region(t: float | np.ndarray) -> tuple[Interval, Interval]:
     (inner, outer), with ends of t's shape, has inner a subset of outer for
     every t in [0, 1].  RangeError names the first t outside [0, 1].
     """
-    ts = np.ravel(t)
-    bad = ts[~((0.0 <= ts) & (ts <= 1.0))]
-    if bad.size:
-        raise RangeError(f"t = {bad[0]} outside [0, 1]")
+    check_unit_interval(t)
     inner = Interval(0.5 * t * t, t - 0.5 * t * t)
     outer = Interval(np.maximum(0.0, t - 0.5), np.minimum(0.5, t))
     return inner, outer

@@ -96,15 +96,10 @@ class ChainSpec:
     direction: str = UPPER
 
     def __post_init__(self):
-        for name in ("x", "y", "g_x", "g_y"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if not (self.x.ndim == 1 and self.x.size >= 1
-                and self.x.shape == self.y.shape == self.g_x.shape == self.g_y.shape):
+        for name in ("L", "x", "y", "f_x", "g_x", "g_y"):
+            object.__setattr__(self, name, _spec_number(name, getattr(self, name)))
+        if not 0 < self.x.size == self.y.size == self.g_x.size == self.g_y.size:
             raise DimensionMismatch("spec vectors must be 1-D and share one length d >= 1")
-        if not (math.isfinite(self.L) and math.isfinite(self.f_x)
-                and all(np.isfinite(getattr(self, name)).all()
-                        for name in ("x", "y", "g_x", "g_y"))):
-            raise RangeError("L, f_x, x, y, g_x and g_y must be finite")
         if np.array_equal(self.x, self.y):
             raise DegenerateError("spec endpoints coincide")
         if self.L <= 0:
@@ -114,15 +109,31 @@ class ChainSpec:
             raise RangeError(f"N must be an integer from 1 to {MAX_N}, got {self.N!r}")
         if self.direction not in (UPPER, LOWER):
             raise RangeError(f"direction must be '{UPPER}' or '{LOWER}'")
-        # build_problem's rho, g_hat and scale, with overflow read as inf and
-        # underflow as 0
+        # the canonical form must stay in the float64 range (overflow reads as inf)
         with np.errstate(all="ignore"):
-            rho = float(np.linalg.norm(self.y - self.x))
-            g_hat = (self.g_y - self.g_x) / (self.L * rho)
-            g_sq = float(g_hat @ g_hat)
-        if not (0 < self.L * rho * rho < math.inf and math.isfinite(g_sq)):
+            problem = build_problem(self)
+            g_sq = float(problem.gN @ problem.gN)
+        if not (0 < problem.scale < math.inf and math.isfinite(g_sq)):
             raise RangeError("L ||y - x||^2 or (g_y - g_x) / (L ||y - x||) "
                              "leaves the float64 range")
+
+
+def _spec_number(name: str, value) -> float | np.ndarray:
+    """One spec value in float64: L and f_x are spec numbers, finite ints or
+    floats that are not bools, and x, y, g_x and g_y flat lists or 1-D arrays
+    of them.  An int past the float range raises OverflowError."""
+    vector = name in ("x", "y", "g_x", "g_y")
+    items = value.tolist() if isinstance(value, np.ndarray) else value
+    entries = items if vector else [items]
+    if not (isinstance(entries, (list, tuple)) and all(
+            isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            for v in entries)):
+        raise TypeError(f"{name} must be {'a list of numbers' if vector else 'a number'}, "
+                        f"got {value!r}")
+    numbers = np.array(items, dtype=float)
+    if not np.isfinite(numbers).all():
+        raise RangeError(f"{name} must be finite, got {value!r}")
+    return numbers if vector else float(numbers)
 
 
 @dataclass
@@ -132,11 +143,21 @@ class ChainProblem:
     spec: ChainSpec
     basis: np.ndarray               # d x 2: e_1, then e_2 (0 when b = 0)
     gN: np.ndarray                  # G_N = (a, b)
+    slope: float                    # <g_x, y - x>: the tilt's rise from x to y
+    g_scale: float                  # L rho: spec units of one canonical unit of g
     scale: float                    # L rho^2: spec units of one canonical unit of f
 
     @property
     def N(self) -> int:
         return self.spec.N
+
+    def value(self, t, F):
+        """f_x + t <g_x, y - x> + L rho^2 F: canonical values F at x + t(y - x) in spec units."""
+        return self.spec.f_x + t * self.slope + self.scale * F
+
+    def derivative(self, dF):
+        """<g_x, y - x> + L rho^2 dF: a canonical derivative along y - x in spec units."""
+        return self.slope + self.scale * dF
 
 
 @dataclass
@@ -166,7 +187,8 @@ def build_problem(spec: ChainSpec) -> ChainProblem:
     if b <= 1e-12 * max(1.0, float(np.linalg.norm(g_hat))):
         b, across = 0.0, np.zeros_like(e1)
     basis = np.column_stack([e1, across / b if b else across])
-    return ChainProblem(spec, basis, np.array([a, b]), spec.L * rho * rho)
+    return ChainProblem(spec, basis, np.array([a, b]), float(spec.g_x @ delta),
+                        spec.L * rho, spec.L * rho * rho)
 
 
 # --- barrier machinery -------------------------------------------------------
@@ -333,11 +355,9 @@ def solve(problem: ChainProblem) -> BoundResult:
         return BoundResult(INFEASIBLE, math.nan, K[:0], problem, violation, 0.0)
     if problem.spec.direction == LOWER:
         K = _reverse(problem, K)
-    spec = problem.spec
-    tilt = spec.f_x + float(spec.g_x @ (spec.y - spec.x))
     return BoundResult(
         status=OPTIMAL if converged else ITERATION_LIMIT,
-        value=tilt + problem.scale * float(K[-1, 0]),
+        value=problem.value(1.0, float(K[-1, 0])),
         knots=K,
         problem=problem,
         max_constraint_violation=violation,
@@ -359,17 +379,16 @@ def _reverse(problem: ChainProblem, K: np.ndarray) -> np.ndarray:
 def _recover_chain(problem: ChainProblem, K: np.ndarray) -> PointData:
     """Map canonical knots back to the spec's chain points, as one stack.
 
-    f_i = f_x + (i/N)<g_x, y - x> + L rho^2 F_i and g_i = g_x + L rho Q G_i,
-    with the columns of Q the reduced basis; g_0 and g_N are the data.  No
-    knots map to no points.
+    f_i is problem.value at i/N and g_i = g_x + L rho Q G_i, with the columns
+    of Q the reduced basis; g_0 and g_N are the data.  No knots map to no
+    points.
     """
     spec = problem.spec
-    delta = spec.y - spec.x
     frac = np.arange(len(K)) / spec.N
-    f = spec.f_x + frac * float(spec.g_x @ delta) + problem.scale * K[:, 0]
-    g = spec.g_x + spec.L * float(np.linalg.norm(delta)) * (K[:, 1:] @ problem.basis.T)
+    g = spec.g_x + problem.g_scale * (K[:, 1:] @ problem.basis.T)
     g[frac == 0], g[frac == 1] = spec.g_x, spec.g_y
-    return PointData(x=spec.x + frac[:, None] * delta, f=f, g=g)
+    return PointData(x=spec.x + frac[:, None] * (spec.y - spec.x),
+                     f=problem.value(frac, K[:, 0]), g=g)
 
 
 def solve_spec(spec: ChainSpec) -> BoundResult:

@@ -28,6 +28,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from fractions import Fraction
@@ -121,9 +122,7 @@ def _svg_document(body: Iterable[str]) -> Iterator[str]:
 
 def _svg_lines(series: list[tuple[str, list[tuple[float, float]]]]) -> Iterator[str]:
     """Polyline chart; one (color, points) entry per series."""
-    pts = [p for _, s in series for p in s if math.isfinite(p[0]) and math.isfinite(p[1])]
-    if not pts:
-        return _svg_document([])
+    pts = [p for _, s in series for p in s]
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     x0, x1 = min(xs), max(xs)
@@ -142,10 +141,7 @@ def _svg_lines(series: list[tuple[str, list[tuple[float, float]]]]) -> Iterator[
         f'height="{_SVG_H - 2 * _SVG_PAD}" fill="none" stroke="black"/>'
     ]
     for color, s in series:
-        good = [p for p in s if math.isfinite(p[1])]
-        if not good:
-            continue
-        path = " ".join(f"{px:.2f},{py:.2f}" for px, py in map(to_px, good))
+        path = " ".join(f"{px:.2f},{py:.2f}" for px, py in map(to_px, s))
         body.append(
             f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -206,9 +202,11 @@ _seed = _checked(int, lambda n: n >= 0, "a non-negative integer")
 _n_list = _checked(lambda text: [int(v) for v in text.split(",")],
                    lambda ns: 1 <= min(ns) <= max(ns) <= chain.MAX_N,
                    f"comma-separated integers from 1 to {chain.MAX_N}")
-_out_path = _checked(str, lambda p: p == "-" or (os.path.isdir(os.path.dirname(os.path.abspath(p)))
-                                                  and not os.path.isdir(p)),
-                     "'-' or a file path in an existing directory")
+# os.replace would turn a link, FIFO or device into a regular file
+_out_path = _checked(str, lambda p: p == "-" or (
+    os.path.basename(p) != "" and os.path.isdir(os.path.dirname(os.path.abspath(p)))
+    and (not os.path.lexists(p) or stat.S_ISREG(os.lstat(p).st_mode))),
+    "'-' or a new or regular file in an existing directory")
 
 
 # --- subcommands -------------------------------------------------------------
@@ -304,31 +302,13 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _numeric(doc: dict, name: str):
-    """doc[name], refused unless it is a JSON number or a list of them.
-
-    float() would read a boolean as 0 or 1 and a string such as "1" as 1.
-    """
-    value = doc[name]
-    if not all(type(v) in (int, float) for v in (value if isinstance(value, list) else [value])):
-        raise TypeError(f"{name} must be numeric, got {json.dumps(value)}")
-    return value
-
-
 def _load_spec(path: str) -> chain.ChainSpec:
+    """The spec at path, its JSON values passed as they are: ChainSpec judges them."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        return chain.ChainSpec(
-            L=float(_numeric(doc, "L")),
-            x=np.asarray(_numeric(doc, "x"), dtype=float),
-            y=np.asarray(_numeric(doc, "y"), dtype=float),
-            f_x=float(_numeric(doc, "f_x")),
-            g_x=np.asarray(_numeric(doc, "g_x"), dtype=float),
-            g_y=np.asarray(_numeric(doc, "g_y"), dtype=float),
-            N=doc["N"],
-            direction=str(doc.get("direction", "upper")).lower(),
-        )
+        return chain.ChainSpec(doc["L"], doc["x"], doc["y"], doc["f_x"], doc["g_x"], doc["g_y"],
+                               doc["N"], doc.get("direction", chain.UPPER))
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         _bad_input(f"cannot read a chain spec from {path!r}: {exc!r}")
 

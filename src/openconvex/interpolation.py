@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import PointData
+from .bounds import PointData, check_unit_interval
 from .chain import BoundResult, ChainProblem, _constraint_values
-from .errors import InfeasibleData, RangeError
+from .errors import InfeasibleData
 
 
 def envelope_eval(p0: PointData, p1: PointData, z) -> tuple[float | np.ndarray, np.ndarray]:
@@ -87,21 +87,16 @@ def build_segment_interpolant(result: BoundResult) -> SegmentInterpolant:
 def eval_interpolant(interp: SegmentInterpolant, t):
     """(value, directional derivative along y-x) at x + t(y-x), t in [0,1].
 
-    The canonical envelope V at t e_1 maps back to the value
-    f_x + t<g_x, y - x> + L ||y - x||^2 V(t) and the derivative
-    <g_x, y - x> + L ||y - x||^2 V'(t).  t is a float, giving floats, or an
-    array, giving arrays of its shape.
+    The canonical envelope V at t e_1 and its derivative V'(t) map back to
+    the spec's units by the problem's value and derivative maps.  t is a
+    float, giving floats, or an array, giving arrays of its shape.
     """
     t = np.asarray(t, dtype=float)
-    inside = (0.0 <= t) & (t <= 1.0)
-    if not np.all(inside):
-        raise RangeError(f"t = {t[~inside].flat[0]} outside [0, 1]")
-    knots, problem, spec = interp.knots, interp.problem, interp.problem.spec
+    check_unit_interval(t)
+    knots, problem = interp.knots, interp.problem
     seg = np.minimum((t * problem.N).astype(int), problem.N - 1)
     V, p = envelope_eval(knots[seg], knots[seg + 1], t[..., None] * knots.x[-1])
-    slope = float(spec.g_x @ (spec.y - spec.x))
-    value = spec.f_x + t * slope + problem.scale * V
-    deriv = slope + problem.scale * p[..., 0]
+    value, deriv = problem.value(t, V), problem.derivative(p[..., 0])
     if t.ndim == 0:
         return float(value), float(deriv)
     return value, deriv

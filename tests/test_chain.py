@@ -66,6 +66,30 @@ class TestSpecValidation:
         with pytest.raises(RangeError):
             ChainSpec(**args)
 
+    # what numpy or float() would read as a number: a bool as 0 or 1, a
+    # string as its value, and a nested list as a 2-D vector
+    @pytest.mark.parametrize("field, value", [
+        ("L", True), ("f_x", False), ("x", ["0", "0"]), ("g_y", [True, False]),
+        ("y", [[1, 0]]), ("L", "1"), ("f_x", None), ("g_x", np.array([True, False])),
+        ("y", 1.0),
+    ], ids=["L-bool", "f_x-bool", "x-strings", "g_y-bools", "y-nested", "L-string",
+            "f_x-None", "g_x-bool-array", "y-scalar"])
+    def test_non_numbers_refused(self, field, value):
+        args = dict(L=1.0, x=[0, 0], y=[1, 0], f_x=0.0, g_x=[0, 0], g_y=[0.6, 0.3], N=2)
+        args[field] = value
+        with pytest.raises(TypeError, match=f"^{field} must be "):
+            ChainSpec(**args)
+
+    def test_numbers_of_every_kind_accepted(self):
+        # ints of any size that fits a float, numpy scalars and arrays
+        spec = ChainSpec(10**20, [0, 0], np.array([1, 0]), np.float32(0.5), [np.int64(0), 0.0],
+                         (6e19, 3e19), 2)
+        assert (spec.L, spec.f_x) == (1e20, 0.5)
+        assert all(v.dtype == np.float64 and v.shape == (2,)
+                   for v in (spec.x, spec.y, spec.g_x, spec.g_y))
+        with pytest.raises(OverflowError):
+            ChainSpec(10**400, [0, 0], [1, 0], 0.0, [0, 0], [0.6, 0.3], 2)
+
     def test_normalized_out_of_range(self):
         with pytest.raises(RangeError):
             normalized_spec(0.75, 1)

@@ -278,7 +278,11 @@ class TestSolve:
         ({"L": 1.5, "x": [0.3, -0.2, 1.0], "y": [1.1, 0.4, 0.5], "f_x": 0.7,
           "g_x": [0.1, -0.3, 0.2], "g_y": [0.9, 0.2, -0.1], "N": 5},
          "dd27a8a23663dab368284f10954f73c72f8b0cea2bc337bb195bf3a01dade970"),
-    ], ids=["upper-N5", "lower-N5", "infeasible-N1", "moved-3d-N5"])
+        # an int of 2**64 or more is a spec number too (numpy would make it an object)
+        ({"L": 10**20, "x": [0, 0], "y": [1, 0], "f_x": 0, "g_x": [0, 0],
+          "g_y": [6e19, 3e19], "N": 2},
+         "fc22cb48bd0ec01e485e81394385be84b1085f2d3df64ed5c97f99105b2c55ba"),
+    ], ids=["upper-N5", "lower-N5", "infeasible-N1", "moved-3d-N5", "L-int-1e20-N2"])
     def test_json_bytes_pinned(self, tmp_path, spec, digest):
         out = tmp_path / "result.json"
         argv = ["solve", "--in", _write_spec(tmp_path, spec), "--out", str(out)]
@@ -394,6 +398,20 @@ class TestTableBytes:
         assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    # sha256 of each line chart: region's and sweep's points are all finite
+    # and no series is empty, the single-cell sweep spanning no x or y
+    @pytest.mark.parametrize("argv, digest", [
+        (["region"], "7f962663b4095763303e3967b8c8989bd4f6b734159f149040637c0e0b0e47a4"),
+        (["sweep", "--s-steps", "3", "--N-list", "1,2"],
+         "2a8e7abce04351c12f43fd072dade3fa5ad8538d450939b4dfc0c9ed83d1e27b"),
+        (["sweep", "--s-steps", "1", "--N-list", "1"],
+         "2f2c7a56a9f272d84f0abb8fbfa06de9b78276fb4ee726aa74d45f3511a2cd97"),
+    ], ids=["region", "sweep", "sweep-one-cell"])
+    def test_svg_bytes_pinned(self, tmp_path, argv, digest):
+        out = tmp_path / "chart.svg"
+        assert cli.main([*argv, "--format", "svg", "--out", str(out)]) == cli.EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1])
     def test_percent_format_matches_format(self, v):
         # the tables format floats with "%.17g" %, the writer before them with format()
@@ -440,8 +458,7 @@ class TestOptions:
 def test_parser_takes_every_benchmark_call(tmp_path, monkeypatch):
     # the calls bench/workloads.py makes: an option one of them passes that
     # the parser no longer has would otherwise fail only the benchmark
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    workloads = importlib.import_module("workloads")
+    workloads = _bench_workloads(monkeypatch)
     out = str(tmp_path / "out")
     for argv in ([*workloads.BAND_ARGS, "--out", out],
                  ["interpolate", "--in", str(tmp_path / "spec.json"), "--out", out],
@@ -449,6 +466,29 @@ def test_parser_takes_every_benchmark_call(tmp_path, monkeypatch):
                  ["verify", "--perturb-piece", "2", "--out", out],
                  ["contour", "--out", out]):
         assert cli.build_parser().parse_args(argv).func.__name__ == f"cmd_{argv[0]}"
+
+
+def _bench_workloads(monkeypatch):
+    """bench/workloads.py, imported as the benchmark runs it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    return importlib.import_module("workloads")
+
+
+def test_every_benchmark_trace_target_exists(monkeypatch):
+    # the traced benchmark wraps each by name: a moved or renamed one would
+    # otherwise fail only the traced smoke
+    for module, name, *_ in _bench_workloads(monkeypatch).trace_targets():
+        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+
+def test_interpolate_solves_once_through_the_module(tmp_path, monkeypatch):
+    # the benchmark's SolveLog patches chain.solve_spec and refuses a run
+    # that records fewer solves than requests
+    calls, solve_spec = [], chain.solve_spec
+    monkeypatch.setattr(chain, "solve_spec", lambda spec: calls.append(spec) or solve_spec(spec))
+    path = _write_spec(tmp_path, dict(SPEC_06_N1, N=5))
+    assert cli.main(["interpolate", "--in", path, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert len(calls) == 1
 
 
 def test_import_loads_no_process_pool():
@@ -552,6 +592,35 @@ class TestBadInput:
         assert captured.err.startswith("openconvex: error: argument --out: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("kind", ["fifo", "symlink", "dangling-symlink", "empty",
+                                      "trailing-slash"])
+    def test_out_is_not_a_regular_file(self, kind, tmp_path, monkeypatch, capsys):
+        # os.replace would put a regular file in place of the FIFO or link
+        # (its target keeping its bytes); "" and "name/" name no file and
+        # failed in os.replace with a traceback
+        (tmp_path / "target").write_text("kept\n")
+        make = {"fifo": os.mkfifo, "symlink": lambda p: os.symlink(tmp_path / "target", p),
+                "dangling-symlink": lambda p: os.symlink(tmp_path / "missing", p)}
+        entry = tmp_path / "entry"
+        if kind in make:
+            make[kind](entry)
+        before = entry.lstat() if kind in make else None
+        out = {"empty": "", "trailing-slash": f"{tmp_path / 'new'}/"}.get(kind, str(entry))
+        workdir = tmp_path / "cwd"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        assert cli.main(["region", "--out", out]) == cli.EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("openconvex: error: argument --out: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted(["target", "cwd", *(["entry"] if kind in make else [])])
+        assert list(workdir.iterdir()) == []
+        assert (tmp_path / "target").read_text() == "kept\n"
+        if before is not None:
+            assert (entry.lstat().st_mode, entry.lstat().st_ino) == (before.st_mode, before.st_ino)
+
     def test_t_steps_refused(self, tmp_path, capsys):
         # on a spec interpolate solves, so that only the removed option is refused
         path = _write_spec(tmp_path, SPEC_06_N1)
@@ -604,15 +673,16 @@ class TestBadInput:
         {"L": 1e-300, "g_y": [1e10, 0]},
         {"g_y": [1e200, 1e200]},
         {"N": 10 ** 20},
+        {"direction": "UPPER"},
     ], ids=["N-fraction", "N-bool", "L-bool", "f_x-bool", "vector-bool",
             "vectors-2d", "vectors-scalar", "vectors-empty", "L-string",
             "f_x-string", "vector-string", "strings", "L-huge-int",
             "scale-overflow", "distance-underflow", "g-hat-overflow",
-            "g-hat-norm-overflow", "N-huge"])
+            "g-hat-norm-overflow", "N-huge", "direction-upper-case"])
     def test_malformed_spec(self, command, change, tmp_path, capsys):
         # a truncated N, a boolean read as 0 or 1, a string read as a number,
-        # an integer past the float range, a vector of another shape or a
-        # spec whose canonical form leaves the float range is refused, not
-        # solved
+        # an integer past the float range, a vector of another shape, a
+        # direction not spelled as ChainSpec spells it or a spec whose
+        # canonical form leaves the float range is refused, not solved
         path = _write_spec(tmp_path, dict(SPEC_06_N1, **change))
         self._refused([command, "--in", path], tmp_path, capsys)

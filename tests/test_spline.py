@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import math
 import operator
 from dataclasses import asdict, replace
@@ -10,7 +11,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from openconvex import spline
+from openconvex import cli, spline
 from openconvex.errors import DomainError
 from openconvex.spline import ExactPoint, build_spline
 
@@ -248,6 +249,22 @@ class TestVerifyAll:
         ]
 
 
+def test_every_verify_line_can_fail(monkeypatch, tmp_path):
+    # through the CLI, so that verify's two float lines are judged too
+    def verdicts(model):
+        monkeypatch.setattr(spline, "build_spline", lambda offsets=None: model)
+        out = tmp_path / "verify.json"
+        cli.main(["verify", "--format", "json", "--out", str(out)])
+        return [c["passed"] for c in json.loads(out.read_text())["checks"]]
+
+    plain = verdicts(_PLAIN)
+    assert all(plain) and len(plain) == 19
+    # a new line without a model that fails it fails here
+    assert sorted(FAILS_LINE) == list(range(len(plain)))
+    by_model = {model: verdicts(model) for model in set(FAILS_LINE.values())}
+    assert [line for line, model in FAILS_LINE.items() if by_model[model][line]] == []
+
+
 # The paper's regions, written out apart from the spline's seam order: piece
 # k + 1 is the set where every (normal, offset, side) of REGIONS[k] holds
 # <normal, z> side offset, on the open domain x1 > -23/240.
@@ -370,9 +387,34 @@ MODELS = {
     "piece2+1/1000": build_spline({2: Q(1, 1000)}),
     "piece4-1/7": build_spline({4: Q(-1, 7)}),
 }
-BROKEN_PIECES = {
-    "piece1-stiff": _with_piece(0, a00=Q(2), a11=Q(2)),       # not 1-smooth
-    "piece3-non-convex": _with_piece(2, a00=Q(-1, 3)),        # not convex
+# piece k + 1 stiffened to a00 = a11 = 2 (convex, not 1-smooth) or made non-convex by a00 = -1/3
+STIFF = [_with_piece(k, a00=Q(2), a11=Q(2)) for k in range(4)]
+NON_CONVEX = [_with_piece(k, a00=Q(-1, 3)) for k in range(4)]
+BROKEN_PIECES = {"piece1-stiff": STIFF[0], "piece3-non-convex": NON_CONVEX[2]}
+_PLAIN = build_spline()
+# seams 1|2 and 2|3 swapped: a point of piece 2's strip is on the <= side of
+# seam 2|3, now first, and not of seam 1|2, now second
+SWAPPED_SEAMS = replace(_PLAIN, seams=(_PLAIN.seams[1], _PLAIN.seams[0], _PLAIN.seams[2]))
+# every piece 1/2 ||z||^2: at (0,0), (2,0) the co-coercivity sides are equal, lhs = rhs = 2
+ALL_PIECE_1 = replace(_PLAIN, pieces=(_PLAIN.pieces[0],) * 4)
+
+# For each verify line, by its position (a line's name can carry data), a
+# spline on which it FAILs: lines 0-16 are verify_all's, 17 and 18 the two
+# float checks cmd_verify adds.
+FAILS_LINE = {
+    0: MODELS["piece2+1/1000"],                         # seam 1|2
+    1: MODELS["piece2+1/1000"],                         # seam 2|3
+    2: MODELS["piece4-1/7"],                            # seam 3|4
+    3: NON_CONVEX[0], 4: STIFF[0],                      # piece 1 convex, 1-smooth
+    5: NON_CONVEX[1], 6: STIFF[1],                      # piece 2
+    7: NON_CONVEX[2], 8: STIFF[2],                      # piece 3
+    9: NON_CONVEX[3], 10: STIFF[3],                     # piece 4
+    11: ALL_PIECE_1,                                    # co-coercivity violated
+    12: SWAPPED_SEAMS,                                  # region coverage
+    13: MODELS["piece2+1/1000"],                        # seam agreement
+    14: STIFF[0], 15: STIFF[0], 16: STIFF[0],          # the lattice pair lines
+    17: MODELS["piece2+1/1000"],                        # two-sided global bound
+    18: MODELS["piece2+1/1000"],                        # local co-coercivity
 }
 
 
@@ -416,16 +458,12 @@ class TestGridInvariants:
             _cached_reference(MODELS[model], lattice)
 
     def test_coverage_fails_when_the_seams_are_not_nested(self):
-        # seams 1|2 and 2|3 swapped: a point of piece 2's strip is on the <=
-        # side of seam 2|3, now first, and not of seam 1|2, now second
-        base = build_spline()
-        swapped = replace(base, seams=(base.seams[1], base.seams[0], base.seams[2]))
-        for model, passed in ((base, True), (swapped, False)):
+        for model, passed in ((_PLAIN, True), (SWAPPED_SEAMS, False)):
             coverage = spline.verify_grid_properties(spline=model).checks[0]
             assert (coverage.name, coverage.passed) == \
                 ("region coverage on 2754-point lattice", passed)
-        coarse = spline.verify_grid_properties(spline=swapped, **COARSE_LATTICE).checks[0]
-        assert (coarse.name, coarse.passed) == _cached_reference(swapped, "coarse")[0]
+        coarse = spline.verify_grid_properties(spline=SWAPPED_SEAMS, **COARSE_LATTICE).checks[0]
+        assert (coarse.name, coarse.passed) == _cached_reference(SWAPPED_SEAMS, "coarse")[0]
         assert not coarse.passed
 
     @pytest.mark.parametrize("model", list(BROKEN_PIECES.values()))
