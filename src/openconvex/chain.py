@@ -109,13 +109,6 @@ class ChainSpec:
             raise RangeError(f"N must be an integer from 1 to {MAX_N}, got {self.N!r}")
         if self.direction not in (UPPER, LOWER):
             raise RangeError(f"direction must be '{UPPER}' or '{LOWER}'")
-        # the canonical form must stay in the float64 range (overflow reads as inf)
-        with np.errstate(all="ignore"):
-            problem = build_problem(self)
-            g_sq = float(problem.gN @ problem.gN)
-        if not (0 < problem.scale < math.inf and math.isfinite(g_sq)):
-            raise RangeError("L ||y - x||^2 or (g_y - g_x) / (L ||y - x||) "
-                             "leaves the float64 range")
 
 
 def _spec_number(name: str, value) -> float | np.ndarray:
@@ -176,15 +169,20 @@ class BoundResult:
 
 
 def build_problem(spec: ChainSpec) -> ChainProblem:
-    """Canonicalize: tilt away (f_x, g_x), rotate y - x onto e_1, rescale by L rho^2."""
+    """Canonicalize: tilt away (f_x, g_x), rotate y - x onto e_1, rescale by L rho^2;
+    RangeError if L rho^2 or ||g_hat|| leaves the float64 range."""
     delta = spec.y - spec.x
-    rho = float(np.linalg.norm(delta))
+    with np.errstate(all="ignore"):     # overflow reads as inf, underflow as 0
+        rho = float(np.linalg.norm(delta))
+        g_hat = (spec.g_y - spec.g_x) / (spec.L * rho)
+        g_norm = math.sqrt(g_hat @ g_hat)
+    if not (0 < spec.L * rho * rho < math.inf and g_norm < math.inf):
+        raise RangeError("L ||y-x||^2 or (g_y - g_x)/(L ||y-x||) leaves the float64 range")
     e1 = delta / rho
-    g_hat = (spec.g_y - spec.g_x) / (spec.L * rho)
     a = float(g_hat @ e1)
     across = g_hat - a * e1
     b = float(np.linalg.norm(across))
-    if b <= 1e-12 * max(1.0, float(np.linalg.norm(g_hat))):
+    if b <= 1e-12 * max(1.0, g_norm):
         b, across = 0.0, np.zeros_like(e1)
     basis = np.column_stack([e1, across / b if b else across])
     return ChainProblem(spec, basis, np.array([a, b]), float(spec.g_x @ delta),
@@ -379,9 +377,8 @@ def _reverse(problem: ChainProblem, K: np.ndarray) -> np.ndarray:
 def _recover_chain(problem: ChainProblem, K: np.ndarray) -> PointData:
     """Map canonical knots back to the spec's chain points, as one stack.
 
-    f_i is problem.value at i/N and g_i = g_x + L rho Q G_i, with the columns
-    of Q the reduced basis; g_0 and g_N are the data.  No knots map to no
-    points.
+    f_i is problem.value at i/N and g_i = g_x + L rho Q G_i (Q the reduced
+    basis); g_0 and g_N are the data.  No knots map to no points.
     """
     spec = problem.spec
     frac = np.arange(len(K)) / spec.N

@@ -37,6 +37,7 @@ from typing import Iterable, Iterator, NoReturn
 import numpy as np
 
 from . import bounds, chain, checks, interpolation, spline
+from .errors import RangeError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -302,20 +303,23 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _load_spec(path: str) -> chain.ChainSpec:
-    """The spec at path, its JSON values passed as they are: ChainSpec judges them."""
+def _solve_spec(path: str) -> chain.BoundResult:
+    """Solve the spec at path, its JSON values as they are; malformed data exits 4."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        return chain.ChainSpec(doc["L"], doc["x"], doc["y"], doc["f_x"], doc["g_x"], doc["g_y"],
+        spec = chain.ChainSpec(doc["L"], doc["x"], doc["y"], doc["f_x"], doc["g_x"], doc["g_y"],
                                doc["N"], doc.get("direction", chain.UPPER))
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         _bad_input(f"cannot read a chain spec from {path!r}: {exc!r}")
+    try:
+        return chain.solve_spec(spec)
+    except RangeError as exc:       # build_problem: a canonical form past the float range
+        _bad_input(f"cannot solve the chain spec in {path!r}: {exc}")
 
 
 def cmd_solve(args) -> int:
-    spec = _load_spec(getattr(args, "in"))
-    result = chain.solve_spec(spec)
+    result = _solve_spec(getattr(args, "in"))
     points = result.chain
     knots = zip(points.x.tolist(), points.f.tolist(), points.g.tolist())
     doc = {
@@ -332,8 +336,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_interpolate(args) -> int:
-    spec = _load_spec(getattr(args, "in"))
-    result = chain.solve_spec(spec)
+    result = _solve_spec(getattr(args, "in"))
     if result.status == chain.INFEASIBLE:
         return EXIT_ALL_INFEASIBLE
     if result.status == chain.ITERATION_LIMIT:

@@ -90,6 +90,23 @@ class TestSpecValidation:
         with pytest.raises(OverflowError):
             ChainSpec(10**400, [0, 0], [1, 0], 0.0, [0, 0], [0.6, 0.3], 2)
 
+    # ChainSpec holds the data; build_problem, the one canonicalizer, refuses
+    # a scale or a ||g_hat|| past the float range, including a g_hat whose
+    # across-component alone overflows while a stays small
+    @pytest.mark.parametrize("change", [
+        {"L": 1e200, "y": [1e200, 0], "g_y": [1e300, 5e299]},
+        {"y": [1e-170, 0], "g_y": [5e-171, 5e-171]},
+        {"g_y": [1e200, 1e200]}, {"g_y": [0, 1e200]}, {"g_y": [0.6, 1e200]},
+    ], ids=["scale-overflow", "scale-underflow", "g-hat-overflow",
+            "across-overflow", "across-overflow-a"])
+    def test_canonical_form_out_of_range(self, change):
+        args = dict(L=1.0, x=[0, 0], y=[1, 0], f_x=0.0, g_x=[0, 0], g_y=[0.6, 0.3], N=1)
+        spec = ChainSpec(**dict(args, **change))
+        with pytest.raises(RangeError, match="float64 range"):
+            build_problem(spec)
+        with pytest.raises(RangeError, match="float64 range"):
+            solve_spec(spec)
+
     def test_normalized_out_of_range(self):
         with pytest.raises(RangeError):
             normalized_spec(0.75, 1)

@@ -672,13 +672,16 @@ class TestBadInput:
         {"y": [1e-170, 0], "g_y": [5e-171, 5e-171]},
         {"L": 1e-300, "g_y": [1e10, 0]},
         {"g_y": [1e200, 1e200]},
+        {"g_y": [0, 1e200]},
+        {"g_y": [0.6, 1e200]},
         {"N": 10 ** 20},
         {"direction": "UPPER"},
     ], ids=["N-fraction", "N-bool", "L-bool", "f_x-bool", "vector-bool",
             "vectors-2d", "vectors-scalar", "vectors-empty", "L-string",
             "f_x-string", "vector-string", "strings", "L-huge-int",
             "scale-overflow", "distance-underflow", "g-hat-overflow",
-            "g-hat-norm-overflow", "N-huge", "direction-upper-case"])
+            "g-hat-norm-overflow", "g-hat-across-overflow",
+            "g-hat-across-overflow-a", "N-huge", "direction-upper-case"])
     def test_malformed_spec(self, command, change, tmp_path, capsys):
         # a truncated N, a boolean read as 0 or 1, a string read as a number,
         # an integer past the float range, a vector of another shape, a
