@@ -111,7 +111,10 @@ def local_condition(x, y, dist_y: float) -> bool:
 
 
 def min_chain_length(x, y, dist_x: float, dist_y: float) -> int:
-    """Smallest N with N > ||y-x|| / min(dist_x, dist_y)."""
+    """Smallest N with N > ||y-x|| / min(dist_x, dist_y); RangeError unless
+    both distances are positive and finite."""
+    if not (0.0 < dist_x < np.inf and 0.0 < dist_y < np.inf):
+        raise RangeError(f"distances {dist_x}, {dist_y} must be positive and finite")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     ratio = float(np.linalg.norm(y - x)) / min(dist_x, dist_y)

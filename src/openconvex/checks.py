@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import spline
-from .bounds import PointData, cocoercivity_gap, global_bound_interval
+from .bounds import cocoercivity_gap, global_bound_interval
 
 X0_RANGE = (-2.0, 3.0)
 X1_RANGE = (spline.DOMAIN_BOUND_F + 1e-6, 2.0)
@@ -22,12 +22,6 @@ def _sample_points(rng: np.random.Generator, n: int) -> np.ndarray:
     x0 = rng.uniform(*X0_RANGE, size=n)
     x1 = rng.uniform(*X1_RANGE, size=n)
     return np.column_stack([x0, x1])
-
-
-def _point_data(model: spline.PiecewiseQuadratic, X: np.ndarray) -> PointData:
-    """The stacked PointData of model at the rows of X, from one classification pass."""
-    f, g = model.float_data(X)
-    return PointData(x=X, f=f, g=g)
 
 
 def global_bound_max_excursion(n_pairs: int, seed: int = 0,
@@ -41,8 +35,8 @@ def global_bound_max_excursion(n_pairs: int, seed: int = 0,
     X = _sample_points(rng, n_pairs)
     Y = _sample_points(rng, n_pairs)
     distinct = np.any(X != Y, axis=1)
-    py = _point_data(model, Y[distinct])
-    iv = global_bound_interval(1.0, _point_data(model, X[distinct]), py)
+    py = model.eval_float(Y[distinct])[0]
+    iv = global_bound_interval(1.0, model.eval_float(X[distinct])[0], py)
     excursion = np.maximum(iv.lo - py.f, py.f - iv.hi)
     return float(np.max(excursion, initial=-math.inf))
 
@@ -64,5 +58,5 @@ def local_cocoercivity_min_gap(n_pairs: int, seed: int = 0,
     radius = dist_y * np.sqrt(draws[:, 1]) * (1.0 - 1e-6)
     X = np.column_stack([Y[:, 0] + radius * np.cos(theta),
                          Y[:, 1] + radius * np.sin(theta)])
-    gap = cocoercivity_gap(1.0, _point_data(model, X), _point_data(model, Y))
+    gap = cocoercivity_gap(1.0, model.eval_float(X)[0], model.eval_float(Y)[0])
     return float(np.min(gap, initial=math.inf))

@@ -245,9 +245,9 @@ def cmd_contour(args) -> int:
         step = max(1, _CONTOUR_CHUNK // nx)
         for j in range(0, ny, step):
             yb = y[j:j + step]
-            v, piece = spline.SPLINE.eval_float(
+            points, piece = spline.SPLINE.eval_float(
                 np.column_stack([np.tile(x, yb.size), np.repeat(yb, nx)]))
-            yield from zip(yb.tolist(), piece.reshape(-1, nx), v.reshape(-1, nx))
+            yield from zip(yb.tolist(), piece.reshape(-1, nx), points.f.reshape(-1, nx))
 
     if args.format == "svg":
         # the colour scale needs every value before the first cell is drawn

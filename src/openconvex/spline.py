@@ -16,9 +16,9 @@ is exact, with zero floating-point tolerance: in rational arithmetic
 (fractions.Fraction), or on the lattice in integers after scaling by common
 denominators.  The lattice is built in int64 when an a-priori bound on its
 intermediates is below 2^62, and in Python integers otherwise.  The float
-paths serve sampling and plotting only: the methods eval_float and
-float_data (values and gradients from one classification of the points),
-and the one-point eval_F_float and grad_F_float on SPLINE.
+paths serve sampling and plotting only: the method eval_float (the points,
+values, gradients and pieces of an n x 2 array, from one classification of
+its rows), and the one-point eval_F_float and grad_F_float on SPLINE.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .bounds import PointData
+from .errors import DimensionMismatch, DomainError, RangeError
 
 Q = Fraction
 
@@ -147,33 +148,19 @@ class PiecewiseQuadratic:
     def gradient(self, p: ExactPoint) -> tuple[Q, Q]:
         return self.pieces[self.classify_region(p) - 1].gradient(p)
 
-    def eval_float(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Float values and 1-based piece indices at the rows of X (n x 2).
+    def eval_float(self, X) -> tuple[PointData, np.ndarray]:
+        """The spline at the rows of X (n x 2) in floats: a stacked PointData
+        of the points, their values and their gradients, and the 1-based
+        piece index of each row, from one classification pass.
 
         The piece is the first whose seam holds the point by float
-        comparisons, or the last piece when none does.  Raises DomainError if
-        any point is not finite or has x1 <= -23/240.
+        comparisons, or the last piece when none does.  Raises
+        DimensionMismatch unless X is n x 2, and DomainError if any point is
+        not finite or has x1 <= -23/240.
         """
-        x0, x1, c, k = self._float_pieces(X)
-        return _value(c, x0, x1), k + 1
-
-    def float_data(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Float values and gradients (n x 2) from one classification of X.
-
-        The values are bit for bit those of eval_float.
-        """
-        x0, x1, c, _ = self._float_pieces(X)
-        return _value(c, x0, x1), np.column_stack(_gradient(c, x0, x1))
-
-    @cached_property
-    def _float_coefficients(self) -> np.ndarray:
-        """Each piece's coefficients as floats, one row each."""
-        return np.array([q.coefficients for q in self.pieces], dtype=float)
-
-    def _float_pieces(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Columns x0, x1 of X, the active piece's coefficients (6 x n) and
-        the 0-based active piece of each row."""
         X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != 2:
+            raise DimensionMismatch(f"points of shape {X.shape}, expected n x 2")
         x0, x1 = X[:, 0], X[:, 1]
         outside = ~(np.isfinite(X).all(axis=1) & (x1 > DOMAIN_BOUND_F))
         if outside.any():
@@ -183,7 +170,13 @@ class PiecewiseQuadratic:
         below = [float(h.normal[0]) * x0 + float(h.normal[1]) * x1 <= float(h.offset)
                  for h in self.seams]
         k = np.select(below, range(len(below)), len(below))
-        return x0, x1, self._float_coefficients[k].T, k
+        c = self._float_coefficients[k].T
+        return PointData(X, _value(c, x0, x1), np.column_stack(_gradient(c, x0, x1))), k + 1
+
+    @cached_property
+    def _float_coefficients(self) -> np.ndarray:
+        """Each piece's coefficients as floats, one row each."""
+        return np.array([q.coefficients for q in self.pieces], dtype=float)
 
 
 # --- the concrete counterexample spline -----------------------------------
@@ -200,7 +193,7 @@ def build_spline(piece_offsets: dict[int, Q] | None = None) -> PiecewiseQuadrati
 
     piece_offsets is a test hook: {1-based piece index: rational delta}
     added to the piece's constant term, used to exercise failure paths of
-    the seam verification.
+    the seam verification.  An index outside 1..4 raises RangeError.
     """
     seams = (HalfPlane((Q(3), Q(-1)), Q(1, 12)),     # 3 x0 - x1 = 1/12
              HalfPlane((Q(3), Q(-1)), Q(31, 12)),    # 3 x0 - x1 = 31/12
@@ -211,6 +204,8 @@ def build_spline(piece_offsets: dict[int, Q] | None = None) -> PiecewiseQuadrati
     p4 = _square_expansion(p3, Q(-1, 10), seams[2])
 
     offsets = piece_offsets or {}
+    if not set(offsets) <= {1, 2, 3, 4}:
+        raise RangeError(f"piece indices are 1..4, got {list(offsets)}")
     pieces = tuple(replace(q, c=q.c + Q(offsets.get(k, 0)))
                    for k, q in enumerate((p1, p2, p3, p4), start=1))
     return PiecewiseQuadratic(pieces, seams)
@@ -220,11 +215,11 @@ SPLINE = build_spline()
 
 
 def eval_F_float(x0: float, x1: float) -> float:
-    return float(SPLINE.eval_float([[x0, x1]])[0][0])
+    return float(SPLINE.eval_float([[x0, x1]])[0].f[0])
 
 
 def grad_F_float(x0: float, x1: float) -> tuple[float, float]:
-    return tuple(SPLINE.float_data([[x0, x1]])[1][0].tolist())
+    return tuple(SPLINE.eval_float([[x0, x1]])[0].g[0].tolist())
 
 
 def domain_distance(p: ExactPoint) -> Q:

@@ -94,6 +94,12 @@ class TestChain:
         assert bounds.min_chain_length([0.0, 0.0], [2.0, 0.0], 0.5, 1.0) == 5
         assert bounds.min_chain_length([0.0], [1.0], 1.0, 1.0) == 2  # strict
 
+    @pytest.mark.parametrize("dist", [0.0, -1.0, math.nan, math.inf])
+    def test_min_chain_length_needs_positive_finite_distances(self, dist):
+        for dist_x, dist_y in ((dist, 1.0), (1.0, dist)):
+            with pytest.raises(RangeError):
+                bounds.min_chain_length([0.0, 0.0], [2.0, 0.0], dist_x, dist_y)
+
     def test_make_chain_spacing(self):
         pts = bounds.make_chain(np.zeros(2), np.array([2.0, 0.0]), 4)
         assert len(pts) == 5

@@ -108,8 +108,12 @@ class TestSpecValidation:
             solve_spec(spec)
 
     def test_normalized_out_of_range(self):
-        with pytest.raises(RangeError):
-            normalized_spec(0.75, 1)
+        # s^2 may pass 1/2 by rounding only: sqrt(1/2) is accepted, and an s
+        # with s^2 = 1/2 + 1e-10 is refused
+        assert normalized_spec(math.sqrt(0.5), 1).g_y[1] == 0.0
+        for s in (0.75, math.sqrt(0.5 + 1e-10)):
+            with pytest.raises(RangeError):
+                normalized_spec(s, 1)
 
     @pytest.mark.parametrize("N", [0, chain.MAX_N + 1, 10**20])
     def test_chain_length_out_of_range(self, N):
@@ -119,6 +123,12 @@ class TestSpecValidation:
         assert ChainSpec(*args, chain.MAX_N).N == chain.MAX_N
         with pytest.raises(RangeError):
             ChainSpec(*args, N)
+
+    def test_chain_length_limit_is_one_million(self):
+        args = (1.0, np.zeros(2), np.array([1.0, 0.0]), 0.0, np.zeros(2), np.array([0.6, 0.3]))
+        assert ChainSpec(*args, 1_000_000).N == 1_000_000
+        with pytest.raises(RangeError, match="1000000"):
+            ChainSpec(*args, 1_000_001)
 
 
 class TestProblemShape:

@@ -15,8 +15,8 @@ from openconvex import checks, spline
 
 
 def _point(model, x0, x1):
-    f, g = model.float_data([[x0, x1]])
-    return float(f[0]), g[0]
+    p = model.eval_float([[x0, x1]])[0]
+    return float(p.f[0]), p.g[0]
 
 
 def _reference_excursion(n_pairs, seed, model=spline.SPLINE):

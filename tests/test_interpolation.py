@@ -125,6 +125,22 @@ class TestEnvelope:
         with pytest.raises(InfeasibleData, match=r"pair \(0, 1\)"):
             build_segment_interpolant(pair)
 
+    def test_violation_slack_is_1e_9_canonical(self):
+        # G = (0, 0), (0.5, 0) on the unit segment admit F_1 in [1/8, 3/8], and
+        # h1 = F_1 - 3/8: passing 3/8 by 1e-10 is accepted, by 1e-8 refused
+        spec = chain.ChainSpec(1.0, np.zeros(1), np.ones(1), 0.0, np.zeros(1), [0.5], 1)
+        res = chain.solve_spec(spec)
+
+        def raised(excess):
+            return dataclasses.replace(res, knots=np.array([[0.0, 0.0, 0.0],
+                                                            [0.375 + excess, 0.5, 0.0]]))
+
+        assert np.max(chain._constraint_values(res.problem, raised(1e-8).knots)) \
+            == pytest.approx(1e-8)
+        build_segment_interpolant(raised(1e-10))
+        with pytest.raises(InfeasibleData, match=r"pair \(0, 1\)"):
+            build_segment_interpolant(raised(1e-8))
+
 
 class TestSegmentInterpolant:
     def _interp(self, s, N, direction):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from openconvex import cli, spline
-from openconvex.errors import DomainError
+from openconvex.errors import DimensionMismatch, DomainError, RangeError
 from openconvex.spline import ExactPoint, build_spline
 
 
@@ -126,6 +126,12 @@ class TestSeams:
         assert not report.passed
         failing = [c for c in report.checks if not c.passed]
         assert failing and all("seam" in c.name for c in failing)
+
+    @pytest.mark.parametrize("index", [0, 5, -1])
+    def test_piece_index_out_of_range(self, index):
+        # a mistyped hook is refused, not left to build the plain spline
+        with pytest.raises(RangeError, match="1..4"):
+            build_spline({index: Q(1, 1000)})
 
     # Each perturbation of a piece next to seam 1|2 (through z0 = (1/36, 0),
     # along d = (1, 3)) leaves some of its five residuals nonzero.
@@ -583,12 +589,11 @@ class TestFloatEvaluator:
         seams = _seam_points()
         assert len(seams) >= 9
         X = np.array(grid + seams)
-        values, pieces = m.eval_float(X)
-        # one classification pass gives the values' bits and the gradients
-        both_values, grads = m.float_data(X)
-        assert both_values.tobytes() == values.tobytes()
+        points, pieces = m.eval_float(X)
+        assert points.x.tobytes() == X.tobytes()
         assert set(pieces.tolist()) == {1, 2, 3, 4}
-        for (x0, x1), v, g, k in zip(X.tolist(), values.tolist(), grads.tolist(), pieces.tolist()):
+        for (x0, x1), v, g, k in zip(X.tolist(), points.f.tolist(), points.g.tolist(),
+                                     pieces.tolist()):
             rv, rg, rk = _reference_float(m, x0, x1)
             assert (v, tuple(g), k) == (rv, rg, rk), (x0, x1)
 
@@ -601,13 +606,19 @@ class TestFloatEvaluator:
         # a non-finite row is outside the open domain too
         for row in ([math.nan, 0.0], [0.0, math.nan], [math.inf, 0.0], [0.0, math.inf],
                     [-math.inf, 0.5]):
-            for evaluate in (spline.SPLINE.eval_float, spline.SPLINE.float_data):
-                with pytest.raises(DomainError):
-                    evaluate(np.array([[0.0, 0.5], row]))
+            with pytest.raises(DomainError):
+                spline.SPLINE.eval_float(np.array([[0.0, 0.5], row]))
 
     def test_empty_input(self):
-        values, pieces = spline.SPLINE.eval_float(np.empty((0, 2)))
-        assert values.shape == pieces.shape == (0,)
+        points, pieces = spline.SPLINE.eval_float(np.empty((0, 2)))
+        assert points.f.shape == pieces.shape == (0,)
+        assert points.x.shape == points.g.shape == (0, 2)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 1), (1, 1, 2)])
+    def test_rows_must_be_points_in_the_plane(self, shape):
+        # an extra column is refused, not dropped; a 1-D X is not n x 2
+        with pytest.raises(DimensionMismatch, match="n x 2"):
+            spline.SPLINE.eval_float(np.zeros(shape))
 
 
 class TestReport:
