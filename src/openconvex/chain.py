@@ -34,20 +34,22 @@ radius 1/(2N), so with w_j = (N - j)/N
 With m = a - a^2 - b^2 this is feasible iff m >= 0, so no phase I is
 needed.  On the boundary m = 0, and for N = 1, the increments are pinned to
 (a, b)/N, and that gives U_N directly.  Inside, log-barrier path-following
-with damped Newton steps starts from D_j = (a, b)/N, where every disk slack
-s_j = 1/(4N^2) - ||D_j - e_1/(2N)||^2 is m/N^2.  Each Newton step is block
+with damped Newton steps runs on one state, the offsets u_j = D_j - e_1/(2N)
+of the increments from the disk centre, started at u_j = (a, b)/N - e_1/(2N),
+where every disk slack s_j = 1/(4N^2) - ||u_j||^2 is m/N^2; D = u + e_1/(2N)
+is formed once, at the end of the path.  Each Newton step is block
 elimination of the KKT system (Boyd & Vandenberghe, Convex Optimization,
 10.4) in one pass over the rows: the blocks H_j = (t + 2/s_j) I + (4/s_j^2)
-u_j u_j', u_j = D_j - e_1/(2N), are inverted by Sherman-Morrison and applied
-to the gradient once, and the 2 x 2 system for the multiplier of
-sum_j D_j = (a, b) is solved by its closed-form inverse, with no linalg or
-matmul call.  Along a Newton direction each slack and the objective are
-exact quadratics in the step: the line search backtracks on those, takes the
-barrier change in closed form and checks the slacks of the carried offsets
-u + step dD.  A centering ends centred on a decrement below 2e-11 or not
-positive, or on one within the rounding floor that stops falling or passes
-no line search; a path whose last centering ends otherwise, after
-MAX_NEWTON steps say, is not reported Optimal.
+u_j u_j' are inverted by Sherman-Morrison and applied to the gradient once,
+and the 2 x 2 system for the multiplier of sum_j D_j = (a, b) is
+solved by its closed-form inverse, with no linalg or matmul call.  Along a
+Newton direction each slack and the objective are exact quadratics in the
+step: the line search backtracks on those, takes the barrier change in
+closed form and checks the slacks of u + step du directly, and the slacks it
+checked are the ones the next step reads.  A centering ends centred on a
+decrement below 2e-11 or not positive, or on one within the rounding floor
+that stops falling or passes no line search; a path whose last centering
+ends otherwise, after MAX_NEWTON steps say, is not reported Optimal.
 """
 
 from __future__ import annotations
@@ -170,14 +172,23 @@ class BoundResult:
 
 def build_problem(spec: ChainSpec) -> ChainProblem:
     """Canonicalize: tilt away (f_x, g_x), rotate y - x onto e_1, rescale by L rho^2;
-    RangeError if L rho^2 or ||g_hat|| leaves the float64 range."""
-    delta = spec.y - spec.x
+    RangeError if L rho^2, ||g_hat|| or a bound on the spec-unit values and
+    gradients of a result leaves the float64 range."""
     with np.errstate(all="ignore"):     # overflow reads as inf, underflow as 0
+        delta = spec.y - spec.x
         rho = float(np.linalg.norm(delta))
         g_hat = (spec.g_y - spec.g_x) / (spec.L * rho)
         g_norm = math.sqrt(g_hat @ g_hat)
-    if not (0 < spec.L * rho * rho < math.inf and g_norm < math.inf):
-        raise RangeError("L ||y-x||^2 or (g_y - g_x)/(L ||y-x||) leaves the float64 range")
+        slope = float(spec.g_x @ delta)
+        # canonical results are at most 1 in size when feasible (they start at
+        # F_0 = 0, G_0 = 0 with curvature <= 1); an infeasible one's violation
+        # is a^2 + b^2 - a <= ||g_hat|| (1 + ||g_hat||)
+        reach = 1.0 + g_norm * (1.0 + g_norm)
+        values = abs(spec.f_x) + abs(slope) + spec.L * rho * rho * reach
+        gradients = float(np.abs(spec.g_x).max()) + spec.L * rho * reach
+    if not (0 < spec.L * rho * rho and values < math.inf and gradients < math.inf):
+        raise RangeError("L ||y-x||^2, (g_y - g_x)/(L ||y-x||) or a value or gradient "
+                         "of the result leaves the float64 range")
     e1 = delta / rho
     a = float(g_hat @ e1)
     across = g_hat - a * e1
@@ -185,18 +196,10 @@ def build_problem(spec: ChainSpec) -> ChainProblem:
     if b <= 1e-12 * max(1.0, g_norm):
         b, across = 0.0, np.zeros_like(e1)
     basis = np.column_stack([e1, across / b if b else across])
-    return ChainProblem(spec, basis, np.array([a, b]), float(spec.g_x @ delta),
-                        spec.L * rho, spec.L * rho * rho)
+    return ChainProblem(spec, basis, np.array([a, b]), slope, spec.L * rho, spec.L * rho * rho)
 
 
 # --- barrier machinery -------------------------------------------------------
-
-
-def _offsets(D: np.ndarray) -> np.ndarray:
-    """u_j = D_j - e_1/(2N): each increment row's offset from the disk centre."""
-    u = D.copy()
-    u[:, 0] -= 0.5 / D.shape[0]
-    return u
 
 
 def _disk_slacks(u: np.ndarray) -> np.ndarray:
@@ -205,26 +208,25 @@ def _disk_slacks(u: np.ndarray) -> np.ndarray:
     return 0.25 / u.shape[0] ** 2 - np.vecdot(u, u)
 
 
-def _newton_step(w: np.ndarray, D: np.ndarray, s: np.ndarray,
+def _newton_step(w: np.ndarray, u: np.ndarray, s: np.ndarray,
                  t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient g and Newton step (dD, nu) of the centering problem at D.
+    """Gradient g and Newton step (du, nu) of the centering problem at offsets u.
 
-    The step solves H_j dD_j + g_j + nu = 0 for every j with sum_j dD_j = 0.
+    The step solves H_j du_j + g_j + nu = 0 for every j with sum_j du_j = 0.
     H_j = c_j I + (4/s_j^2) u_j u_j' with c_j = t + 2/s_j has the inverse
     (I - beta_j u_j u_j') / c_j, beta_j = 1/(||u_j||^2 + s_j/2 + t s_j^2/4)
-    (Sherman-Morrison), so dD_j = -H_j^-1 g_j - H_j^-1 nu and nu solves the
+    (Sherman-Morrison), so du_j = -H_j^-1 g_j - H_j^-1 nu and nu solves the
     2 x 2 system (sum_j H_j^-1) nu = -sum_j H_j^-1 g_j.  H_j^-1 is applied
     to g once; H_j^-1 nu = nu/c_j - (beta_j/c_j)(u_j . nu) u_j is taken from
     nu, and the 2 x 2 system by its closed-form inverse.  With
     D_j = u_j + e_1/(2N), g_j = c_j u_j - t (w_j - 1/(2N)) e_1, and with
     ||u_j||^2 = 1/(4N^2) - s_j, beta_j needs no pass over u.
     """
-    u = _offsets(D)
     c = t + 2.0 / s
     ic = 1.0 / c
     g = c[:, None] * u
-    g[:, 0] -= t * (w - 0.5 / D.shape[0])
-    bu = (ic / (0.25 / D.shape[0] ** 2 + s * (0.25 * t * s - 0.5)))[:, None] * u
+    g[:, 0] -= t * (w - 0.5 / u.shape[0])
+    bu = (ic / (0.25 / u.shape[0] ** 2 + s * (0.25 * t * s - 0.5)))[:, None] * u
     hg = ic[:, None] * g - np.vecdot(u, g)[:, None] * bu
     rhs = -hg.sum(axis=0)
     # sum_j H_j^-1 = (sum_j 1/c_j) I - sum_j (beta_j/c_j) u_j u_j'
@@ -238,9 +240,9 @@ def _newton_step(w: np.ndarray, D: np.ndarray, s: np.ndarray,
 
 def _step_change(step: float, lin: float, quad: float, a: np.ndarray, b: np.ndarray,
                  s: np.ndarray) -> float:
-    """Exact change of the centering objective over step*dD, inf outside the interior.
+    """Exact change of the centering objective over step*du, inf outside the interior.
 
-    Along dD the objective part changes by step*lin + step^2*quad/2 and the
+    Along du the objective part changes by step*lin + step^2*quad/2 and the
     slacks are s(step) = s - step*a - step^2*b/2, so the change needs no
     barrier values, whose difference is lost to rounding at large t.
     """
@@ -250,52 +252,50 @@ def _step_change(step: float, lin: float, quad: float, a: np.ndarray, b: np.ndar
     return step * (lin + 0.5 * step * quad) - float(np.log1p(-drop / s).sum())
 
 
-def _newton_center(w: np.ndarray, D: np.ndarray, u: np.ndarray, s: np.ndarray,
-                   t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+def _newton_center(w: np.ndarray, u: np.ndarray, t: float) -> tuple[np.ndarray, bool]:
     """Minimize t sum_j [1/2 ||D_j||^2 - w_j D_j,1] - sum_j log s_j over
-    sum_j D_j fixed, by damped Newton from interior D with offsets u and slacks s.
+    sum_j D_j fixed, D_j = u_j + e_1/(2N), by damped Newton from interior offsets u.
 
-    Returns the new increments, offsets and slacks, and whether the centering
-    ended centred.  At large t the Newton decrement levels off at a rounding
-    floor above the 1e-11 stop, where it stops falling or no step passes the
-    line search; either ends a centering centred only within that floor.  A
-    decrement that rises above it comes from a step that has not reached the
-    quadratic region yet, so the centering goes on.  MAX_NEWTON steps end it
-    uncentred.
+    Returns the new offsets and whether the centering ended centred.  At
+    large t the Newton decrement levels off at a rounding floor above the
+    1e-11 stop, where it stops falling or no step passes the line search;
+    either ends a centering centred only within that floor.  A decrement
+    that rises above it comes from a step that has not reached the quadratic
+    region yet, so the centering goes on.  MAX_NEWTON steps end it uncentred.
     """
+    s = _disk_slacks(u)
     previous = math.inf
     for _ in range(MAX_NEWTON):
-        g, dD, _ = _newton_step(w, D, s, t)
-        decrement = -float(np.vecdot(g.ravel(), dD.ravel()))
+        g, du, _ = _newton_step(w, u, s, t)
+        decrement = -float(np.vecdot(g.ravel(), du.ravel()))
         # the floor is under 1e-5 up to t = 1e10, and far below the
         # decrements of a centering still on its way
         floor = decrement <= 1e-3
         if decrement <= 0 or (floor and decrement >= previous):
-            return D, u, s, True
+            return u, True
         previous = decrement
         # backtracking on the exact quadratic slacks: stay strictly feasible,
         # then Armijo on the barrier change taken without cancellation
-        a = 2.0 * np.vecdot(u, dD)
-        b = 2.0 * np.vecdot(dD, dD)
-        # sum_j dD_j = 0, so sum_j D_j . dD_j = sum_j u_j . dD_j
-        lin = t * (0.5 * float(a.sum()) - float(np.vecdot(w, dD[:, 0])))
+        a = 2.0 * np.vecdot(u, du)
+        b = 2.0 * np.vecdot(du, du)
+        # sum_j du_j = 0, so sum_j D_j . du_j = sum_j u_j . du_j
+        lin = t * (0.5 * float(a.sum()) - float(np.vecdot(w, du[:, 0])))
         quad = 0.5 * t * float(b.sum())
         step = 1.0
         for _ in range(60):
             if _step_change(step, lin, quad, a, b, s) <= -0.25 * step * decrement:
                 # the direct evaluation guards against rounding in (a, b)
-                move = step * dD
-                un = u + move
+                un = u + step * du
                 sn = _disk_slacks(un)
                 if (sn > 0.0).all():
                     break
             step *= 0.5
         else:
-            return D, u, s, floor
-        D, u, s = D + move, un, sn
+            return u, floor
+        u, s = un, sn
         if 0.5 * decrement <= 1e-11:
-            return D, u, s, True
-    return D, u, s, False
+            return u, True
+    return u, False
 
 
 def _barrier_path(problem: ChainProblem) -> tuple[np.ndarray, float, bool]:
@@ -306,14 +306,12 @@ def _barrier_path(problem: ChainProblem) -> tuple[np.ndarray, float, bool]:
     """
     N = problem.N
     w = (N - np.arange(N)) / N
-    D = np.tile(problem.gN / N, (N, 1))
-    u = _offsets(D)
-    s = _disk_slacks(u)
+    u = np.tile(problem.gN / N - (0.5 / N, 0.0), (N, 1))
     t = 1.0 / BARRIER_MU0
     while True:
-        D, u, s, centred = _newton_center(w, D, u, s, t)
+        u, centred = _newton_center(w, u, t)
         if N / t <= NEWTON_TOL:
-            return D, N / t, centred
+            return u + (0.5 / N, 0.0), N / t, centred
         t /= MU_SHRINK
 
 

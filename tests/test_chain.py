@@ -92,13 +92,19 @@ class TestSpecValidation:
 
     # ChainSpec holds the data; build_problem, the one canonicalizer, refuses
     # a scale or a ||g_hat|| past the float range, including a g_hat whose
-    # across-component alone overflows while a stays small
+    # across-component alone overflows while a stays small, and a spec whose
+    # end value f_x + <g_x, y - x> + L rho^2 U, tilt slope <g_x, y - x> or
+    # infeasible violation in spec units would overflow
     @pytest.mark.parametrize("change", [
         {"L": 1e200, "y": [1e200, 0], "g_y": [1e300, 5e299]},
         {"y": [1e-170, 0], "g_y": [5e-171, 5e-171]},
         {"g_y": [1e200, 1e200]}, {"g_y": [0, 1e200]}, {"g_y": [0.6, 1e200]},
+        {"f_x": 1e308, "g_x": [1e308, 0], "g_y": [1e308, 0], "N": 3},
+        {"x": [0], "y": [1e10], "g_x": [1e300], "g_y": [1e300], "N": 2},
+        {"x": [0], "y": [1e145], "g_x": [0], "g_y": [1e155]},
     ], ids=["scale-overflow", "scale-underflow", "g-hat-overflow",
-            "across-overflow", "across-overflow-a"])
+            "across-overflow", "across-overflow-a", "value-overflow", "slope-overflow",
+            "violation-overflow"])
     def test_canonical_form_out_of_range(self, change):
         args = dict(L=1.0, x=[0, 0], y=[1, 0], f_x=0.0, g_x=[0, 0], g_y=[0.6, 0.3], N=1)
         spec = ChainSpec(**dict(args, **change))
@@ -212,6 +218,10 @@ class TestProblemShape:
         h = chain._constraint_values(p, K)
         assert h.shape == (1, 2)
         assert np.max(np.abs(h)) <= 1e-12
+        # N=2 on the boundary (a, b) = (1/2, 1/2): the straight chain with F
+        # at the upper ends is tight on both segments, G_1 != 0 included
+        K = np.array([[0.0, 0.0, 0.0], [1 / 16, 1 / 4, 1 / 4], [1 / 4, 1 / 2, 1 / 2]])
+        assert not chain._constraint_values(build_problem(_spec(0.5, 2)), K).any()
 
 
 class TestClosedFormN1:
@@ -511,101 +521,103 @@ class TestSweep:
             sweep([0.75], [1])
 
 
-def _slacks(D):
-    return chain._disk_slacks(chain._offsets(D))
-
-
 class TestLineSearch:
-    """The Newton step and the closed-form slacks and barrier change behind its line search."""
+    """The Newton step and the closed-form slacks and barrier change behind its
+    line search, on the offsets u_j = D_j - e_1/(2N) the barrier carries."""
 
     T = 1.0  # nothing cancels at t = 1, so direct differences are accurate
 
     @staticmethod
     def _interior(s):
-        # the start D_j = (a, b)/N, where every disk slack is width = m/N^2,
-        # moved by a small seeded perturbation; the direction dD is scaled to
-        # the same width and sums to 0, as a Newton step does; both stay in the
-        # span of the basis, so at b = 0 their second coordinates are exactly 0
+        # the start u_j = (a, b)/N - e_1/(2N), where every disk slack is
+        # width = m/N^2, moved by a small seeded perturbation; the direction du
+        # is scaled to the same width and sums to 0, as a Newton step does;
+        # both stay in the span of the basis, so at b = 0 their second
+        # coordinates are exactly 0
         N = 5
         problem = build_problem(_spec(s, N))
         span = problem.basis.any(axis=0)
         width = (problem.gN[0] - float(problem.gN @ problem.gN)) / N ** 2
         rng = np.random.default_rng(7)
-        D = problem.gN / N + 0.05 * width * rng.normal(size=(N, 2)) * span
-        assert np.all(_slacks(D) > 0.5 * width)
-        dD = width * rng.normal(size=(N, 2)) * span
+        u = problem.gN / N - (0.5 / N, 0.0) + 0.05 * width * rng.normal(size=(N, 2)) * span
+        assert np.all(chain._disk_slacks(u) > 0.5 * width)
+        du = width * rng.normal(size=(N, 2)) * span
         w = (N - np.arange(N)) / N
-        return w, D, dD - dD.mean(axis=0), width
+        return w, u, du - du.mean(axis=0), width
 
     @pytest.fixture
     def interior(self):
         return self._interior(0.7)
 
+    @staticmethod
+    def _increments(u):
+        return u + (0.5 / u.shape[0], 0.0)
+
     @classmethod
-    def _value(cls, w, D):
+    def _value(cls, w, u):
         # the centering objective t sum_j [1/2 |D_j|^2 - w_j D_j,1] - sum_j log s_j
+        D = cls._increments(u)
         return (cls.T * float(0.5 * np.sum(D * D) - w @ D[:, 0])
-                - float(np.sum(np.log(_slacks(D)))))
+                - float(np.sum(np.log(chain._disk_slacks(u)))))
 
     @staticmethod
-    def _rates(D, dD):
-        a = 2.0 * np.sum(chain._offsets(D) * dD, axis=1)
-        return a, 2.0 * np.sum(dD * dD, axis=1)
+    def _rates(u, du):
+        return 2.0 * np.sum(u * du, axis=1), 2.0 * np.sum(du * du, axis=1)
 
     @classmethod
-    def _blocks(cls, D):
+    def _blocks(cls, u):
         # H_j = (t + 2/s_j) I + (4/s_j^2) u_j u_j', one 2 x 2 block per increment
-        s, u = _slacks(D), chain._offsets(D)
+        s = chain._disk_slacks(u)
         return ((cls.T + 2.0 / s)[:, None, None] * np.eye(2)
                 + (4.0 / s ** 2)[:, None, None] * u[:, :, None] * u[:, None, :])
 
     def test_predicted_slacks_match_direct_evaluation(self, interior):
-        _, D, dD, _ = interior
-        s = _slacks(D)
-        a, b = self._rates(D, dD)
+        _, u, du, _ = interior
+        s = chain._disk_slacks(u)
+        a, b = self._rates(u, du)
         for alpha in (0.0, 0.1, 0.5, 1.0, 2.0):
             predicted = s - alpha * a - 0.5 * alpha ** 2 * b
-            direct = _slacks(D + alpha * dD)
+            direct = chain._disk_slacks(u + alpha * du)
             assert np.max(np.abs(predicted - direct) / np.abs(direct)) <= 1e-12
 
     def test_exact_change_matches_barrier_difference(self, interior):
-        w, D, dD, _ = interior
-        s = _slacks(D)
-        a, b = self._rates(D, dD)
-        lin = self.T * float(np.sum(D * dD) - w @ dD[:, 0])
-        quad = self.T * float(np.sum(dD * dD))
+        w, u, du, _ = interior
+        s = chain._disk_slacks(u)
+        a, b = self._rates(u, du)
+        lin = self.T * float(np.sum(self._increments(u) * du) - w @ du[:, 0])
+        quad = self.T * float(np.sum(du * du))
         checked = 0
         for alpha in (1e-3, 0.01, 0.1, 0.25):
-            if np.any(_slacks(D + alpha * dD) <= 0.0):
+            if np.any(chain._disk_slacks(u + alpha * du) <= 0.0):
                 continue
             exact = chain._step_change(alpha, lin, quad, a, b, s)
-            direct = self._value(w, D + alpha * dD) - self._value(w, D)
+            direct = self._value(w, u + alpha * du) - self._value(w, u)
             assert exact == pytest.approx(direct, rel=1e-9, abs=1e-12)
             checked += 1
         assert checked >= 2
 
     def test_step_outside_interior_is_rejected(self, interior):
-        _, D, dD, _ = interior
-        a, b = self._rates(D, dD)
-        # far enough along dD every increment leaves its disk
-        assert chain._step_change(1e6, 0.0, 0.0, a, b, _slacks(D)) == math.inf
+        _, u, du, _ = interior
+        a, b = self._rates(u, du)
+        # far enough along du every increment leaves its disk
+        assert chain._step_change(1e6, 0.0, 0.0, a, b, chain._disk_slacks(u)) == math.inf
 
     def test_gradient_and_hessian_match_differences(self, interior):
         # the per-block gradient against central differences of the centering
         # objective, and the blocks H_j against central differences of it
-        w, D, _, width = interior
+        w, u, _, width = interior
 
-        def grad(DD):
-            return chain._newton_step(w, DD, _slacks(DD), self.T)[0]
+        def grad(uu):
+            return chain._newton_step(w, uu, chain._disk_slacks(uu), self.T)[0]
 
-        g, H = grad(D), self._blocks(D)
+        g, H = grad(u), self._blocks(u)
         h = 1e-4 * width
-        for j, k in np.ndindex(D.shape):
-            e = np.zeros(D.shape)
+        for j, k in np.ndindex(u.shape):
+            e = np.zeros(u.shape)
             e[j, k] = h
             assert g[j, k] == pytest.approx(
-                (self._value(w, D + e) - self._value(w, D - e)) / (2 * h), rel=1e-6, abs=1e-8)
-            column = (grad(D + e) - grad(D - e)) / (2 * h)
+                (self._value(w, u + e) - self._value(w, u - e)) / (2 * h), rel=1e-6, abs=1e-8)
+            column = (grad(u + e) - grad(u - e)) / (2 * h)
             assert column[j] == pytest.approx(H[j, :, k], rel=1e-6, abs=1e-8)
             # the Hessian is block diagonal: no other increment moves
             assert np.delete(column, j, axis=0) == pytest.approx(0.0, abs=1e-6)
@@ -619,25 +631,25 @@ class TestLineSearch:
                                   "b0-1.0", "b0-1000000.0", "b0-10000000000.0"])
     def test_step_solves_full_kkt_system(self, s, t):
         # the block-eliminated step against the dense KKT system
-        #   [blockdiag(H_j)  A'] [dD]   [-g]
+        #   [blockdiag(H_j)  A'] [du]   [-g]
         #   [A               0 ] [nu] = [ 0],   A = [I I ... I]
-        w, D, _, _ = self._interior(s)
-        N = D.shape[0]
-        g, dD, nu = chain._newton_step(w, D, _slacks(D), t)
-        blocks = self._blocks(D) + (t - self.T) * np.eye(2)
+        w, u, _, _ = self._interior(s)
+        N = u.shape[0]
+        g, du, nu = chain._newton_step(w, u, chain._disk_slacks(u), t)
+        blocks = self._blocks(u) + (t - self.T) * np.eye(2)
         kkt = np.zeros((2 * N + 2, 2 * N + 2))
         for j in range(N):
             kkt[2 * j:2 * j + 2, 2 * j:2 * j + 2] = blocks[j]
         kkt[:2 * N, 2 * N:] = np.tile(np.eye(2), (N, 1))
         kkt[2 * N:, :2 * N] = kkt[:2 * N, 2 * N:].T
         ref = np.linalg.solve(kkt, np.concatenate([-g.ravel(), np.zeros(2)]))
-        got = np.concatenate([dD.ravel(), nu])
+        got = np.concatenate([du.ravel(), nu])
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
-        assert np.max(np.abs(dD.sum(axis=0))) <= 1e-10 * np.max(np.abs(dD))
+        assert np.max(np.abs(du.sum(axis=0))) <= 1e-10 * np.max(np.abs(du))
         if s == math.sqrt(0.5):
             # at b = 0 the second coordinate of the step and multiplier is exactly 0
-            assert not D[:, 1].any()
-            assert not dD[:, 1].any() and nu[1] == 0.0
+            assert not u[:, 1].any()
+            assert not du[:, 1].any() and nu[1] == 0.0
 
 
 class TestReversalPrecision:

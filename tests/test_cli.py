@@ -270,18 +270,18 @@ class TestSolve:
     # lower, infeasible and moved three-dimensional specs keep their bits
     @pytest.mark.parametrize("spec, digest", [
         (dict(SPEC_06_N1, N=5),
-         "bd64021a1a440fb32eb72925ecfb044b1db6e76b39e492e393bfc78031ddb5cd"),
+         "bed73b8a5753269d6414740a8625d97b264c1afbe4915e907d0b4759f1b3fe48"),
         (dict(SPEC_06_N1, N=5, direction="lower"),
-         "e359b3eed70fbfffbe7db83f3a116628b25d8f3d7cf1a1ee06e2a950baa039fb"),
+         "24fc07b1980b7cd29543ddd49a4e255dba46ae04d11a1ba739b813b8886b234f"),
         (dict(SPEC_06_N1, g_y=[0.4, math.sqrt(0.34)]),
          "c3c1c50b58af660c42e70aa7790b7ff4f57fe4ddcaf568196034caa58165da82"),
         ({"L": 1.5, "x": [0.3, -0.2, 1.0], "y": [1.1, 0.4, 0.5], "f_x": 0.7,
           "g_x": [0.1, -0.3, 0.2], "g_y": [0.9, 0.2, -0.1], "N": 5},
-         "dd27a8a23663dab368284f10954f73c72f8b0cea2bc337bb195bf3a01dade970"),
+         "2c8dfa1f11cdc4071bc6a136a170ec61df8fe93e33caa3f661f5e6141ba55bc5"),
         # an int of 2**64 or more is a spec number too (numpy would make it an object)
         ({"L": 10**20, "x": [0, 0], "y": [1, 0], "f_x": 0, "g_x": [0, 0],
           "g_y": [6e19, 3e19], "N": 2},
-         "fc22cb48bd0ec01e485e81394385be84b1085f2d3df64ed5c97f99105b2c55ba"),
+         "3c84a12196eca70b2ee98f4740971b9b2e50e4640307371a2a807bc04d9143e1"),
     ], ids=["upper-N5", "lower-N5", "infeasible-N1", "moved-3d-N5", "L-int-1e20-N2"])
     def test_json_bytes_pinned(self, tmp_path, spec, digest):
         out = tmp_path / "result.json"
@@ -379,13 +379,13 @@ class TestTableBytes:
         (["interpolate"], SPEC_06_N1,
          "b6fee1a9524eb2d4ff319c76ab80a0e838554f54983721a1dcaaa8f8f9cc3123"),
         (["interpolate"], dict(SPEC_06_N1, N=5),
-         "c257fb81385b76dedd4f1e9d5e85abd101e377eaf1d3ba2314bc23273a1ac456"),
+         "77be355b07c8c78fbe74b63e1a40180e1d0ac8367fa181f26ed65da059d85a5b"),
         (["sweep", "--s-steps", "3", "--N-list", "1,2"], None,
-         "906e04cb68a3c86fab4d0738fc64f2e2a0cd363e99d3dfe77cdbe73099c7c5fc"),
+         "8b3811fb28141269984f358f58dfae53e9669f0355b3c39d0a90468406c31562"),
         (["region"], None,
          "017293d406c82e455c6318b6cca57629d92b9dd646acce81471f461c7534cb8a"),
         (["interpolate"], dict(SPEC_06_N1, N=5, direction="lower"),
-         "2fbd05a728badd6e48d9c69446d05bff2e54c12c785a82f1327367d7839ca4bd"),
+         "1ca538a22783e434277ff3a17f3883b02986c72707f958029a1a3c69bf5df2a0"),
         (["interpolate"], {"L": 1, "x": [0, 0], "y": [1, 0], "f_x": 0, "g_x": [0, 0],
                            "g_y": [0.5, 0.5], "N": 5},
          "90de1430bc8eccd9071888de0b1e69ce54d1bfba8e44e8a1360b0ab575ee0e37"),
@@ -674,6 +674,9 @@ class TestBadInput:
         {"g_y": [1e200, 1e200]},
         {"g_y": [0, 1e200]},
         {"g_y": [0.6, 1e200]},
+        {"f_x": 1e308, "g_x": [1e308, 0], "g_y": [1e308, 0], "N": 3},
+        {"x": [0], "y": [1e10], "g_x": [1e300], "g_y": [1e300], "N": 2},
+        {"x": [0], "y": [1e145], "g_x": [0], "g_y": [1e155]},
         {"N": 10 ** 20},
         {"direction": "UPPER"},
     ], ids=["N-fraction", "N-bool", "L-bool", "f_x-bool", "vector-bool",
@@ -681,11 +684,12 @@ class TestBadInput:
             "f_x-string", "vector-string", "strings", "L-huge-int",
             "scale-overflow", "distance-underflow", "g-hat-overflow",
             "g-hat-norm-overflow", "g-hat-across-overflow",
-            "g-hat-across-overflow-a", "N-huge", "direction-upper-case"])
+            "g-hat-across-overflow-a", "value-overflow", "slope-overflow",
+            "violation-overflow", "N-huge", "direction-upper-case"])
     def test_malformed_spec(self, command, change, tmp_path, capsys):
         # a truncated N, a boolean read as 0 or 1, a string read as a number,
         # an integer past the float range, a vector of another shape, a
         # direction not spelled as ChainSpec spells it or a spec whose
-        # canonical form leaves the float range is refused, not solved
+        # canonical form or result leaves the float range is refused, not solved
         path = _write_spec(tmp_path, dict(SPEC_06_N1, **change))
         self._refused([command, "--in", path], tmp_path, capsys)

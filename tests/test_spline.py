@@ -151,6 +151,21 @@ class TestSeams:
         assert not first.passed
         assert first.detail == f"residuals {residuals}"
 
+    def test_horizontal_seam(self):
+        # a seam with n0 = 0, 2 x1 = 1/2, through z0 = (0, 1/4): q and
+        # q + 1/7 (x1 - 1/4)^2 agree on it with their gradients; with b1
+        # raised by 1/1000 they differ by x1/1000, which is 1/4000 at z0
+        line = spline.HalfPlane((Q(0), Q(2)), Q(1, 2))
+        q = spline.SPLINE.pieces[2]
+        glued = replace(q, a11=q.a11 + Q(2, 7), b1=q.b1 - Q(1, 14), c=q.c + Q(1, 112))
+        check, = spline.verify_c1_seams(spline.PiecewiseQuadratic((q, glued), (line,))).checks
+        assert check.name == "seam 1|2 on <(0,2),z> = 1/2"
+        assert check.passed and check.detail == "value and gradient agree identically"
+        tilted = replace(glued, b1=glued.b1 + Q(1, 1000))
+        check, = spline.verify_c1_seams(spline.PiecewiseQuadratic((q, tilted), (line,))).checks
+        assert not check.passed
+        assert check.detail == "residuals grad_dir=(0,0) grad=(0,1/1000) value=1/4000"
+
     @pytest.mark.parametrize("seam", [0, 1, 2])
     @pytest.mark.parametrize("side", [0, 1])
     def test_square_of_own_line_keeps_the_seam(self, seam, side):
