@@ -121,17 +121,16 @@ def min_chain_length(x, y, dist_x: float, dist_y: float) -> int:
     return int(np.floor(ratio)) + 1
 
 
-def make_chain(x, y, N: int) -> list[np.ndarray]:
-    """Equally spaced points x_i = x + (i/N)(y - x), i = 0..N."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def make_chain(x, y, N: int) -> np.ndarray:
+    """The (N+1) x d array of points x_i = x + (i/N)(y - x), i = 0..N."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise DimensionMismatch("x and y dimensions differ")
     if np.array_equal(x, y):
         raise DegenerateError("chain endpoints coincide")
     if N < 1:
         raise RangeError("N must be a positive integer")
-    return [x + (i / N) * (y - x) for i in range(N + 1)]
+    return x + (np.arange(N + 1) / N)[:, None] * (y - x)
 
 
 def alpha_weights(N: int, xi: float) -> AlphaWeights:

@@ -9,19 +9,20 @@ minimizes it.
 
 Those inequalities are unchanged by adding a linear function to f (a tilt),
 by a rotation, and by rescaling f by L rho^2 and g by L rho, rho = ||y - x||.
-So every spec is the canonical program in (a, b) and N: knots F[0..N] and
-G[0..N] with F_0 = 0, G_0 = 0, G_N = (a, b), chain step e_1/N, and
+So every spec is the canonical program in (a, b) and N: knots (i/N) e_1,
+F_i, G_i with F_0 = 0, G_0 = 0, G_N = (a, b), placed by bounds.make_chain,
 
     h1_i = 1/2 ||G_i - G_i+1||^2 - F_i + F_i+1 - G_i+1 . e_1/N <= 0
     h2_i = 1/2 ||G_i - G_i+1||^2 + F_i - F_i+1 + G_i . e_1/N   <= 0,
 
-where a and b are the components of (g_y - g_x)/(L rho) along and across
-y - x.  Projecting every G_i onto span{e_1, e_2} keeps a chain feasible and
-F_N unchanged, so two gradient coordinates suffice for every spec; at b = 0
-e_2 is 0 and so is every second coordinate.  Only the upper program U_N(a, b)
-is solved: reversing a chain maps the feasible set onto itself and F_N to
-a - F_N, so the lower bound is a - U_N(a, b).
-Tolerances act in canonical units, that is relative to L ||y - x||^2.
+each minus bounds.cocoercivity_gap at L = 1, from knot i+1 to i and back,
+where a and b are the parts of (g_y - g_x)/(L rho) along and across y - x.
+Projecting every G_i onto span{e_1, e_2} keeps a chain feasible and F_N
+unchanged, so two gradient coordinates suffice for every spec; at b = 0 e_2
+is 0 and so is every second coordinate.  Only U_N(a, b) is solved: reversing
+a chain maps the feasible set onto itself and F_N to a - F_N, so the lower
+bound is a - U_N(a, b).  Tolerances act in canonical units, that is relative
+to L ||y - x||^2.
 
 For fixed gradients each increment F_i+1 - F_i has an interval, and the
 maximum takes its upper end.  The interval is non-empty iff the gradient
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import PointData
+from .bounds import PointData, cocoercivity_gap, make_chain
 from .errors import DegenerateError, DimensionMismatch, RangeError
 
 UPPER = "upper"
@@ -159,7 +160,7 @@ class ChainProblem:
 class BoundResult:
     status: str
     value: float
-    knots: np.ndarray               # canonical rows (F_i, G_i); 0 rows when infeasible
+    knots: PointData                # canonical knots (i/N) e_1, F_i, G_i; none when infeasible
     problem: ChainProblem           # their frame: spec, basis and scale
     max_constraint_violation: float
     duality_gap_estimate: float
@@ -315,19 +316,19 @@ def _barrier_path(problem: ChainProblem) -> tuple[np.ndarray, float, bool]:
         t /= MU_SHRINK
 
 
-def _upper_ends(problem: ChainProblem, G: np.ndarray) -> np.ndarray:
-    """Knots with gradients G and each F_i+1 - F_i at the top of its interval,
+def _upper_ends(problem: ChainProblem, G: np.ndarray) -> PointData:
+    """Knots (i/N) e_1 with gradients G and each F_i+1 - F_i at its interval's top,
     G_i+1.e_1/N - 1/2 |G_i+1 - G_i|^2 (h1_i = 0): the largest F_N through G."""
     step = G[1:, 0] / problem.N - 0.5 * np.sum(np.diff(G, axis=0) ** 2, axis=1)
-    return np.column_stack([np.concatenate(([0.0], np.cumsum(step))), G])
+    return PointData(make_chain(np.zeros(2), (1.0, 0.0), problem.N),
+                     np.concatenate(([0.0], np.cumsum(step))), G)
 
 
-def _constraint_values(problem: ChainProblem, K: np.ndarray) -> np.ndarray:
-    """(h1_i, h2_i) of each segment of the knot rows K = (F_i, G_i): N x 2,
-    feasible when all are <= 0."""
-    dF = np.diff(K[:, 0])
-    q = 0.5 * np.sum(np.diff(K[:, 1:], axis=0) ** 2, axis=1)
-    return np.column_stack([q + dF - K[1:, 1] / problem.N, q - dF + K[:-1, 1] / problem.N])
+def _constraint_values(K: PointData) -> np.ndarray:
+    """(h1_i, h2_i) of each segment of the knots K, N x 2, feasible when all are
+    <= 0: minus the co-coercivity gaps at L = 1 from knot i+1 to i and back."""
+    return -np.column_stack([cocoercivity_gap(1.0, K[1:], K[:-1]),
+                             cocoercivity_gap(1.0, K[:-1], K[1:])])
 
 
 def solve(problem: ChainProblem) -> BoundResult:
@@ -346,14 +347,14 @@ def solve(problem: ChainProblem) -> BoundResult:
         D, gap, converged = _barrier_path(problem)
         G[1:N] = np.cumsum(D[:-1], axis=0)
     K = _upper_ends(problem, G)
-    violation = problem.scale * max(0.0, float(np.max(_constraint_values(problem, K))))
+    violation = problem.scale * max(0.0, float(np.max(_constraint_values(K))))
     if margin < -band:
         return BoundResult(INFEASIBLE, math.nan, K[:0], problem, violation, 0.0)
     if problem.spec.direction == LOWER:
         K = _reverse(problem, K)
     return BoundResult(
         status=OPTIMAL if converged else ITERATION_LIMIT,
-        value=problem.value(1.0, float(K[-1, 0])),
+        value=problem.value(1.0, float(K.f[-1])),
         knots=K,
         problem=problem,
         max_constraint_violation=violation,
@@ -361,29 +362,27 @@ def solve(problem: ChainProblem) -> BoundResult:
     )
 
 
-def _reverse(problem: ChainProblem, K: np.ndarray) -> np.ndarray:
+def _reverse(problem: ChainProblem, K: PointData) -> PointData:
     """The reversed chain F~_i = F_N-i - F_N + a i/N, G~_i = G_N - G_N-i.
 
     Its segment i meets the constraints of segment N-1-i with h1 and h2
     exchanged, so it is feasible wherever K is, and it ends at a - F_N.
     """
-    N, a = problem.N, problem.gN[0]
-    F = K[::-1, 0] - K[-1, 0] + a * (np.arange(N + 1) / N)
-    return np.column_stack([F, problem.gN - K[::-1, 1:]])
+    F = K.f[::-1] - K.f[-1] + problem.gN[0] * K.x[:, 0]
+    return PointData(K.x, F, problem.gN - K.g[::-1])
 
 
-def _recover_chain(problem: ChainProblem, K: np.ndarray) -> PointData:
+def _recover_chain(problem: ChainProblem, K: PointData) -> PointData:
     """Map canonical knots back to the spec's chain points, as one stack.
 
     f_i is problem.value at i/N and g_i = g_x + L rho Q G_i (Q the reduced
     basis); g_0 and g_N are the data.  No knots map to no points.
     """
-    spec = problem.spec
-    frac = np.arange(len(K)) / spec.N
-    g = spec.g_x + problem.g_scale * (K[:, 1:] @ problem.basis.T)
+    spec, frac = problem.spec, K.x[:, 0]
+    g = spec.g_x + problem.g_scale * (K.g @ problem.basis.T)
     g[frac == 0], g[frac == 1] = spec.g_x, spec.g_y
     return PointData(x=spec.x + frac[:, None] * (spec.y - spec.x),
-                     f=problem.value(frac, K[:, 0]), g=g)
+                     f=problem.value(frac, K.f), g=g)
 
 
 def solve_spec(spec: ChainSpec) -> BoundResult:
@@ -394,13 +393,16 @@ def solve_spec(spec: ChainSpec) -> BoundResult:
 
 
 def closed_form_n1(spec: ChainSpec) -> tuple[float, float, bool]:
-    """(B1, U1, feasible) for the single-segment program."""
-    d = spec.y - spec.x
-    dg = spec.g_y - spec.g_x
-    cross = float(dg @ d)
-    quad = float(dg @ dg) / (2.0 * spec.L)
-    u1 = spec.f_x + float(spec.g_y @ d) - quad
-    b1 = spec.f_x + float(spec.g_x @ d) + quad
+    """(B1, U1, feasible) of the one-segment program; RangeError if B1 or U1 is inf."""
+    with np.errstate(all="ignore"):     # overflow reads as inf, and is refused
+        d = spec.y - spec.x
+        dg = spec.g_y - spec.g_x
+        cross = float(dg @ d)
+        quad = float(dg @ dg) / (2.0 * spec.L)
+        u1 = spec.f_x + float(spec.g_y @ d) - quad
+        b1 = spec.f_x + float(spec.g_x @ d) + quad
+    if not (math.isfinite(b1) and math.isfinite(u1)):
+        raise RangeError("B1 or U1 leaves the float64 range")
     # u1 - b1 = L ||d||^2 (a - a^2 - b^2), so solve's band in spec units is
     # FEAS_BAND * max(L ||d||^2, |<g_y - g_x, d>|)
     band = FEAS_BAND * max(spec.L * float(d @ d), abs(cross))

@@ -65,23 +65,21 @@ class SegmentInterpolant:
 
 
 def build_segment_interpolant(result: BoundResult) -> SegmentInterpolant:
-    """The envelope chain through a solver result's canonical knots.
+    """The envelope chain through a solver result's canonical knots, as they are.
 
-    Every segment must meet the solver's two-point constraints h1_i, h2_i <= 0
-    within 1e-9 canonical units, that is within 1e-9 L ||y - x||^2 in the
-    spec's units, so that the verdict depends neither on units nor on f_x;
-    the error names the first pair that does not.
+    Every segment must meet the solver's h1_i, h2_i <= 0 (co-coercivity at
+    L = 1 both ways) within 1e-9 canonical units, that is 1e-9 L ||y - x||^2
+    in the spec's units, so that the verdict depends neither on units nor on
+    f_x; the error names the first pair that does not.
     """
-    problem, K = result.problem, result.knots
-    if K.shape[0] < 2:
+    K = result.knots
+    if len(K.f) < 2:
         raise InfeasibleData("a chain needs at least two knots")
-    failing = np.flatnonzero(np.max(_constraint_values(problem, K), axis=1) > 1e-9)
+    failing = np.flatnonzero(np.max(_constraint_values(K), axis=1) > 1e-9)
     if failing.size:
         k = int(failing[0])
         raise InfeasibleData(f"pair ({k}, {k + 1}) violates the two-point conditions")
-    x = np.zeros_like(K[:, 1:])
-    x[:, 0] = np.arange(len(K)) / problem.N
-    return SegmentInterpolant(PointData(x, K[:, 0], K[:, 1:]), problem)
+    return SegmentInterpolant(K, result.problem)
 
 
 def eval_interpolant(interp: SegmentInterpolant, t):

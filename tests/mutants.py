@@ -34,6 +34,8 @@ CHAIN = "src/openconvex/chain.py"
 SPLINE = "src/openconvex/spline.py"
 INTERPOLATION = "src/openconvex/interpolation.py"
 CLI = "src/openconvex/cli.py"
+BOUNDS = "src/openconvex/bounds.py"
+CHECKS = "src/openconvex/checks.py"
 
 
 class Mutant(NamedTuple):
@@ -71,15 +73,17 @@ TABLE = (
     Mutant(CHAIN, "return self.spec.f_x + t * self.slope + self.scale * F",
            "return self.spec.f_x + self.scale * F",
            "tests/test_chain.py::TestUnitInvariance::test_rigid_motion_and_tilt[True-upper]"),
-    Mutant(CHAIN, "g = spec.g_x + problem.g_scale * (K[:, 1:] @ problem.basis.T)",
-           "g = problem.g_scale * (K[:, 1:] @ problem.basis.T)",
+    Mutant(CHAIN, "g = spec.g_x + problem.g_scale * (K.g @ problem.basis.T)",
+           "g = problem.g_scale * (K.g @ problem.basis.T)",
            "tests/test_chain.py::TestPrimalWitness::test_chain_is_feasible[d5-upper]"),
     Mutant(CHAIN, "duality_gap_estimate=problem.scale * gap", "duality_gap_estimate=gap",
            "tests/test_cli.py::TestSolve::test_json_bytes_pinned[L-int-1e20-N2]"),
-    Mutant(CHAIN, "F = K[::-1, 0] - K[-1, 0] + a * (np.arange(N + 1) / N)",
-           "F = K[::-1, 0] - K[-1, 0]",
+    Mutant(CHAIN, "F = K.f[::-1] - K.f[-1] + problem.gN[0] * K.x[:, 0]",
+           "F = K.f[::-1] - K.f[-1]",
            "tests/test_chain.py::TestReversalPrecision::test_lower_and_upper_sum_to_s[0.6]"),
-    Mutant(CHAIN, "q - dF + K[:-1, 1] / problem.N])", "q - dF - K[:-1, 1] / problem.N])",
+    # h2_i taken in h1_i's orientation, from knot i+1 to knot i
+    Mutant(CHAIN, "cocoercivity_gap(1.0, K[:-1], K[1:])])",
+           "cocoercivity_gap(1.0, K[1:], K[:-1])])",
            "tests/test_chain.py::TestProblemShape::test_constraint_values_at_known_point"),
     Mutant(CHAIN, "SweepRow(s, N, s - up.value, up.value, up.status)",
            "SweepRow(s, N, up.value - s, up.value, up.status)",
@@ -135,6 +139,73 @@ TABLE = (
     # the CLI's refusals
     Mutant(CLI, "stat.S_ISREG(os.lstat(p).st_mode)", "stat.S_ISREG(os.stat(p).st_mode)",
            "tests/test_cli.py::TestBadInput::test_out_is_not_a_regular_file[symlink]"),
+    # the knots in one stack, and the one co-coercivity formula
+    Mutant(CHAIN, "return -np.column_stack([cocoercivity_gap",
+           "return np.column_stack([cocoercivity_gap",
+           "tests/test_interpolation.py::TestEnvelope::test_violation_slack_is_1e_9_canonical"),
+    Mutant(CHAIN, "-np.column_stack([cocoercivity_gap(1.0, K[1:], K[:-1]),",
+           "-np.column_stack([cocoercivity_gap(1.0, K[:-1], K[1:]),",
+           "tests/test_chain.py::TestProblemShape::test_n3_sizes"),
+    Mutant(CHAIN, "make_chain(np.zeros(2), (1.0, 0.0), problem.N)",
+           "make_chain(np.zeros(2), (0.0, 1.0), problem.N)",
+           "tests/test_interpolation.py::TestSegmentInterpolant::"
+           "test_interpolant_takes_the_results_knots[upper]"),
+    Mutant(BOUNDS, "return x + (np.arange(N + 1) / N)[:, None] * (y - x)",
+           "return x + (np.arange(N + 1) / (N + 1))[:, None] * (y - x)",
+           "tests/test_bounds.py::TestChain::test_make_chain_spacing"),
+    Mutant(BOUNDS, "np.vecdot(dg, dg) / (2.0 * L)", "np.vecdot(dg, dg) / L",
+           "tests/test_bounds.py::TestCocoercivityGap::test_counterexample_is_negative"),
+    # closed_form_n1's refusal of a result past the float range
+    Mutant(CHAIN, "if not (math.isfinite(b1) and math.isfinite(u1)):",
+           "if not math.isfinite(u1):",
+           "tests/test_chain.py::TestClosedFormN1::test_overflow_is_refused[b1-overflow]"),
+    Mutant(CHAIN, "math.isfinite(b1) and math.isfinite(u1))", "math.isfinite(b1))",
+           "tests/test_chain.py::TestClosedFormN1::test_overflow_is_refused[u1-overflow]"),
+    Mutant(CHAIN, 'with np.errstate(all="ignore"):     # overflow reads as inf, and is refused',
+           "if True:",
+           "tests/test_chain.py::TestClosedFormN1::test_overflow_is_refused[slope-overflow]"),
+    # the lattice: its open domain, the convexity side of descent, its dtype
+    Mutant(SPLINE, "inside = X1 * DOMAIN_BOUND.denominator > DOMAIN_BOUND.numerator * D",
+           "inside = X1 * DOMAIN_BOUND.denominator >= DOMAIN_BOUND.numerator * D",
+           "tests/test_spline.py::TestGridInvariants::test_boundary_row_is_left_out"),
+    Mutant(SPLINE, "not ((lower < 0) | (lower > M * dd)).any()", "not (lower > M * dd).any()",
+           "tests/test_spline.py::TestGridInvariants::"
+           "test_non_convex_model_fails_the_convexity_side[default]"),
+    Mutant(SPLINE, "bound = max(8 * g * g, 8 * M * M * x * x, 2 * fv + 8 * g * x, half)",
+           "bound = max(8 * g * g, 2 * fv + 8 * g * x, half)",
+           "tests/test_spline.py::TestGridInvariants::"
+           "test_small_coefficients_run_in_python_integers"),
+    # the interpolant's refusals
+    Mutant(INTERPOLATION, "if len(K.f) < 2:", "if len(K.f) < 1:",
+           "tests/test_interpolation.py::TestSegmentInterpolant::test_short_chain_rejected"),
+    Mutant(INTERPOLATION, "k = int(failing[0])", "k = int(failing[-1])",
+           "tests/test_interpolation.py::TestSegmentInterpolant::test_corrupted_chain_rejected"),
+    Mutant(INTERPOLATION, "    check_unit_interval(t)\n    knots, problem", "    knots, problem",
+           "tests/test_interpolation.py::TestSegmentInterpolant::test_t_out_of_range"),
+    # the CLI's refusals
+    Mutant(CLI, "_seed = _checked(int, lambda n: n >= 0,",
+           "_seed = _checked(int, lambda n: n >= -1,",
+           "tests/test_cli.py::TestBadInput::test_exit_4_with_one_line[verify_seed_-1]"),
+    Mutant(CLI, "_count = _checked(int, lambda n: 1 <= n <= chain.MAX_N,",
+           "_count = _checked(int, lambda n: 0 <= n <= chain.MAX_N,",
+           "tests/test_cli.py::TestBadInput::test_exit_4_with_one_line[sweep_s-steps_0]"),
+    Mutant(CLI, "lambda ns: 1 <= min(ns) <= max(ns) <= chain.MAX_N,",
+           "lambda ns: max(ns) <= chain.MAX_N,",
+           "tests/test_cli.py::TestBadInput::test_exit_4_with_one_line[sweep_N-list_0]"),
+    Mutant(CLI, 'os.path.basename(p) != "" and ', "",
+           "tests/test_cli.py::TestBadInput::test_out_is_not_a_regular_file[trailing-slash]"),
+    Mutant(CLI, "except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:",
+           "except (OSError, ValueError, KeyError, TypeError) as exc:",
+           "tests/test_cli.py::TestBadInput::test_malformed_spec[L-huge-int-solve]"),
+    Mutant(CLI, "    except RangeError as exc:", "    except OverflowError as exc:",
+           "tests/test_cli.py::TestBadInput::test_malformed_spec[value-overflow-solve]"),
+    # the seeded float checks
+    Mutant(CHECKS, "radius = dist_y * np.sqrt(draws[:, 1]) * (1.0 - 1e-6)",
+           "radius = dist_y * np.sqrt(draws[:, 1])",
+           "tests/test_checks.py::test_gap_matches_reference[0]"),
+    Mutant(CHECKS, "excursion = np.maximum(iv.lo - py.f, py.f - iv.hi)",
+           "excursion = iv.lo - py.f",
+           "tests/test_checks.py::test_excursion_matches_reference[0]"),
 )
 
 

@@ -106,6 +106,14 @@ class TestChain:
         for i, p in enumerate(pts):
             assert np.allclose(p, [0.5 * i, 0.0], atol=1e-15)
 
+    def test_make_chain_rows_are_the_affine_points(self):
+        # row i is x + (i/N)(y - x), bit for bit, in any dimension
+        x, y = np.array([0.3, -1.0, 2.0]), np.array([1.7, 0.25, -3.0])
+        pts = bounds.make_chain(x, y, 7)
+        assert pts.shape == (8, 3)
+        for i in range(8):
+            assert np.array_equal(pts[i], x + (i / 7) * (y - x))
+
     def test_degenerate_chain(self):
         with pytest.raises(DegenerateError):
             bounds.make_chain(np.zeros(2), np.zeros(2), 3)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from openconvex import chain, cli
+from openconvex.bounds import PointData
 from openconvex.chain import (
     INFEASIBLE,
     LOWER,
@@ -31,6 +32,12 @@ from interpolation_helpers import two_point_feasible
 
 def _spec(s, N, direction=UPPER):
     return normalized_spec(s, N, direction)
+
+
+def _knots(F, G):
+    """Canonical knots at x_i = (i/N) e_1 with values F and gradients G."""
+    N = len(F) - 1
+    return PointData(np.column_stack([np.arange(N + 1) / N, np.zeros(N + 1)]), F, G)
 
 
 class TestSpecValidation:
@@ -142,10 +149,10 @@ class TestProblemShape:
         p = build_problem(_spec(0.6, 1))
         G = np.array([[0.0, 0.0], p.gN])
         K = chain._upper_ends(p, G)
-        assert K.shape == (2, 3)
-        assert chain._constraint_values(p, K).shape == (1, 2)
-        # F_N is the last knot's first entry: U_1 = a - (a^2 + b^2)/2
-        assert K[-1, 0] == pytest.approx(0.35, abs=1e-15)
+        assert K.x.shape == K.g.shape == (2, 2) and K.f.shape == (2,)
+        assert chain._constraint_values(K).shape == (1, 2)
+        # F_N is the last knot's value: U_1 = a - (a^2 + b^2)/2
+        assert K.f[-1] == pytest.approx(0.35, abs=1e-15)
 
     def test_n3_sizes(self):
         p = build_problem(_spec(0.6, 3))
@@ -153,10 +160,11 @@ class TestProblemShape:
         assert p.gN.size == 2
         G = (np.arange(4) / 3)[:, None] * p.gN
         K = chain._upper_ends(p, G)
-        assert K.shape == (4, 3)
-        assert np.array_equal(K[0], np.zeros(3))
-        assert np.array_equal(K[-1, 1:], p.gN)
-        h = chain._constraint_values(p, K)
+        assert K.x.shape == K.g.shape == (4, 2) and K.f.shape == (4,)
+        assert np.array_equal(K.x, _knots(np.zeros(4), G).x)
+        assert K.f[0] == 0.0 and np.array_equal(K.g[0], np.zeros(2))
+        assert np.array_equal(K.g[-1], p.gN)
+        h = chain._constraint_values(K)
         assert h.shape == (3, 2)
         # the upper ends make every h1 tight
         assert np.max(np.abs(h[:, 0])) <= 1e-15
@@ -194,7 +202,8 @@ class TestProblemShape:
         got, want = solve_spec(line), solve_spec(plane)
         assert got.status == want.status == OPTIMAL
         assert got.value == want.value
-        assert np.array_equal(got.knots, want.knots)
+        assert all(np.array_equal(getattr(got.knots, k), getattr(want.knots, k))
+                   for k in ("x", "f", "g"))
         assert got.chain.g.shape == (4, 1)
         assert np.array_equal(got.chain.g[:, 0], want.chain.g[:, 0])
         path = tmp_path / "spec.json"
@@ -214,14 +223,17 @@ class TestProblemShape:
     def test_constraint_values_at_known_point(self):
         # N=1, s = 0.5: both constraints are tight at f_1 = 1/4
         p = build_problem(_spec(0.5, 1))
-        K = np.array([[0.0, 0.0, 0.0], [0.25, *p.gN]])
-        h = chain._constraint_values(p, K)
+        K = _knots([0.0, 0.25], [[0.0, 0.0], p.gN])
+        h = chain._constraint_values(K)
         assert h.shape == (1, 2)
         assert np.max(np.abs(h)) <= 1e-12
+        # F_1 lowered by 1/8 leaves h1 slack and breaks h2 by as much
+        h = chain._constraint_values(_knots([0.0, 0.125], [[0.0, 0.0], p.gN]))
+        assert np.array_equal(h, [[-0.125, 0.125]])
         # N=2 on the boundary (a, b) = (1/2, 1/2): the straight chain with F
         # at the upper ends is tight on both segments, G_1 != 0 included
-        K = np.array([[0.0, 0.0, 0.0], [1 / 16, 1 / 4, 1 / 4], [1 / 4, 1 / 2, 1 / 2]])
-        assert not chain._constraint_values(build_problem(_spec(0.5, 2)), K).any()
+        K = _knots([0.0, 1 / 16, 1 / 4], [[0.0, 0.0], [1 / 4, 1 / 4], [1 / 2, 1 / 2]])
+        assert not chain._constraint_values(K).any()
 
 
 class TestClosedFormN1:
@@ -273,6 +285,21 @@ class TestClosedFormN1:
         _, _, feas = closed_form_n1(spec)
         assert feas is feasible
         assert (solve_spec(spec).status == OPTIMAL) is feasible
+
+    @pytest.mark.parametrize("spec", [
+        ChainSpec(1.0, [0.0, 0.0], [1.0, 0.0], 1e308, [1e308, 0.0], [1e308, 0.0], 3),
+        ChainSpec(1.0, [0.0], [1e10], 0.0, [1e300], [1e300], 2),
+        # only <g_x, y - x> or only <g_y, y - x> past the range: B1 or U1 alone
+        ChainSpec(1.0, [0.0], [1e300], 0.0, [1e10], [0.0], 1),
+        ChainSpec(1.0, [0.0], [1e300], 0.0, [0.0], [1e10], 1),
+    ], ids=["value-overflow", "slope-overflow", "b1-overflow", "u1-overflow"])
+    def test_overflow_is_refused(self, spec):
+        # build_problem refuses each spec too; B1 or U1 past the float range
+        # raises RangeError, with no RuntimeWarning on the way
+        with pytest.raises(RangeError):
+            closed_form_n1(spec)
+        with pytest.raises(RangeError):
+            build_problem(spec)
 
 
 def u2_closed_form(a: float, b: float) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from openconvex import chain
-from openconvex.bounds import PointData
+from openconvex.bounds import PointData, make_chain
 from openconvex.errors import InfeasibleData, RangeError
 from openconvex.interpolation import (
     build_segment_interpolant,
@@ -121,7 +121,8 @@ class TestEnvelope:
         # canonical knots (F, G) = (0, (0, 0)) and (0, (0.5, 0)) on the unit segment
         spec = chain.ChainSpec(1.0, np.zeros(1), np.ones(1), 0.0, np.zeros(1), [0.5], 1)
         res = chain.solve_spec(spec)
-        pair = dataclasses.replace(res, knots=np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0]]))
+        pair = dataclasses.replace(res, knots=PointData([[0.0, 0.0], [1.0, 0.0]], [0.0, 0.0],
+                                                        [[0.0, 0.0], [0.5, 0.0]]))
         with pytest.raises(InfeasibleData, match=r"pair \(0, 1\)"):
             build_segment_interpolant(pair)
 
@@ -132,10 +133,11 @@ class TestEnvelope:
         res = chain.solve_spec(spec)
 
         def raised(excess):
-            return dataclasses.replace(res, knots=np.array([[0.0, 0.0, 0.0],
-                                                            [0.375 + excess, 0.5, 0.0]]))
+            return dataclasses.replace(res, knots=PointData([[0.0, 0.0], [1.0, 0.0]],
+                                                            [0.0, 0.375 + excess],
+                                                            [[0.0, 0.0], [0.5, 0.0]]))
 
-        assert np.max(chain._constraint_values(res.problem, raised(1e-8).knots)) \
+        assert np.max(chain._constraint_values(raised(1e-8).knots)) \
             == pytest.approx(1e-8)
         build_segment_interpolant(raised(1e-10))
         with pytest.raises(InfeasibleData, match=r"pair \(0, 1\)"):
@@ -184,10 +186,19 @@ class TestSegmentInterpolant:
     def test_corrupted_chain_rejected(self):
         spec = chain.normalized_spec(0.6, 3, chain.UPPER)
         res = chain.solve_spec(spec)
-        K = res.knots.copy()
-        K[1, 0] += 0.1
+        f = res.knots.f.copy()
+        f[1] += 0.1
         with pytest.raises(InfeasibleData, match=r"pair \(0, 1\)"):
-            build_segment_interpolant(dataclasses.replace(res, knots=K))
+            build_segment_interpolant(dataclasses.replace(res, knots=dataclasses.replace(
+                res.knots, f=f)))
+
+    @pytest.mark.parametrize("direction", [chain.UPPER, chain.LOWER])
+    def test_interpolant_takes_the_results_knots(self, direction):
+        # one stack of canonical knots from the solver to the interpolant, at
+        # the chain points make_chain places on the unit segment
+        interp, res = self._interp(0.6, 4, direction)
+        assert interp.knots is res.knots
+        assert np.array_equal(res.knots.x, make_chain(np.zeros(2), np.array([1.0, 0.0]), 4))
 
     def test_short_chain_rejected(self):
         res = chain.solve_spec(chain.normalized_spec(0.6, 3, chain.UPPER))

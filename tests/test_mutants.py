@@ -28,5 +28,8 @@ def test_each_node_names_a_test():
 
 
 def test_table_size():
-    assert len(mutants.TABLE) >= 20
+    assert len(mutants.TABLE) >= 40
     assert len({(m.path, m.old) for m in mutants.TABLE}) == len(mutants.TABLE)
+    # every module with a decision of its own has a mutant that a test kills
+    killed = {Path(m.path).stem for m in mutants.TABLE if m.killed}
+    assert killed >= {"chain", "spline", "interpolation", "cli", "bounds", "checks"}

@@ -133,10 +133,11 @@ def test_interpolant_unit_invariance(canonical, log_scale, log_L, seed):
     assert np.max(np.abs(curve - unit)) <= 1e-12
     # the upper chain takes F_1 at the top of its interval, so raising knot 1
     # by a tenth of a canonical unit breaks pair (0, 1) at any scale
-    K = res.knots.copy()
-    K[1, 0] += 0.1
+    f = res.knots.f.copy()
+    f[1] += 0.1
     with pytest.raises(InfeasibleData, match=r"pair \(0, 1\)"):
-        build_segment_interpolant(dataclasses.replace(res, knots=K))
+        build_segment_interpolant(dataclasses.replace(res, knots=dataclasses.replace(
+            res.knots, f=f)))
 
 
 def _interpolate_rows(spec, directory) -> list[list[str]]:

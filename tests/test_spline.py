@@ -418,6 +418,16 @@ _PLAIN = build_spline()
 SWAPPED_SEAMS = replace(_PLAIN, seams=(_PLAIN.seams[1], _PLAIN.seams[0], _PLAIN.seams[2]))
 # every piece 1/2 ||z||^2: at (0,0), (2,0) the co-coercivity sides are equal, lhs = rhs = 2
 ALL_PIECE_1 = replace(_PLAIN, pieces=(_PLAIN.pieces[0],) * 4)
+# every piece 1/2 (x1^2 - x0^2/3): C^1 and 1-smooth, but not convex
+SADDLE = replace(_PLAIN, pieces=(
+    spline.QuadraticPiece(Q(-1, 3), Q(0), Q(1), Q(0), Q(0), Q(0)),) * 4)
+# every piece 1/2 10^-7 ||z||^2: each coefficient times M = 10^7 is 0 or 1,
+# and only the pair checks' M^2 ||d||^2 term passes 2^62
+TINY_CURVATURE = replace(_PLAIN, pieces=(
+    spline.QuadraticPiece(Q(1, 10**7), Q(0), Q(1, 10**7), Q(0), Q(0), Q(0)),) * 4)
+# the coarse lattice with its first row on the boundary x1 = -23/240, which
+# the open domain leaves out: 21 x 9 points less that row of 21
+BOUNDARY_ROW = dict(COARSE_LATTICE, y_range=(spline.DOMAIN_BOUND, Q(2)))
 
 # For each verify line, by its position (a line's name can carry data), a
 # spline on which it FAILs: lines 0-16 are verify_all's, 17 and 18 the two
@@ -563,6 +573,29 @@ class TestGridInvariants:
             ("1-smoothness (squared norms) on lattice pairs", False),
             ("two-sided descent inequality on lattice pairs", False),
         ]
+
+    def test_boundary_row_is_left_out(self):
+        report = spline.verify_grid_properties(**BOUNDARY_ROW)
+        assert report.checks[0].name == "region coverage on 168-point lattice"
+        assert [(c.name, c.passed) for c in report.checks] == \
+            _reference_grid_report(model=_PLAIN, **BOUNDARY_ROW)
+
+    @pytest.mark.parametrize("lattice", ["default", "coarse"])
+    def test_non_convex_model_fails_the_convexity_side(self, lattice):
+        # 1-smooth, so only monotonicity and the lower side of descent fail
+        kw = {"default": {}, "coarse": COARSE_LATTICE}[lattice]
+        report = spline.verify_grid_properties(spline=SADDLE, **kw)
+        assert [c.passed for c in report.checks] == [True, True, False, True, False]
+        if lattice == "coarse":
+            assert [(c.name, c.passed) for c in report.checks] == \
+                _reference_grid_report(model=SADDLE, **COARSE_LATTICE)
+
+    def test_small_coefficients_run_in_python_integers(self, monkeypatch):
+        # int64 would overflow in M^2 ||d||^2 and fail 1-smoothness
+        dtypes = _pair_check_dtypes(monkeypatch)
+        report = spline.verify_grid_properties(spline=TINY_CURVATURE)
+        assert dtypes == [np.object_]
+        assert [c.passed for c in report.checks] == [True] * 5, report.to_text()
 
     def test_domain_distance(self):
         assert spline.domain_distance(ExactPoint.of(0, 0)) == Q(23, 240)

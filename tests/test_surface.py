@@ -19,7 +19,6 @@ UNREAD = {
     "bounds.descent_gap",         # traced
     "bounds.local_condition",     # traced; the domain-aware chain bound (ROADMAP item 3) reads it
     "bounds.min_chain_length",    # traced; the domain-aware chain bound reads it
-    "bounds.make_chain",          # traced
     "bounds.sum_identity",        # traced
     "spline.eval_F_float",        # traced
     "spline.grad_F_float",        # traced
