@@ -10,11 +10,13 @@ Subcommands:
 
 All files are written atomically (temp file + rename); floats are printed
 with 17 significant digits so CSV output is byte-reproducible, at any BLAS
-thread count.  A CSV table is formatted a block of rows at a
-time, by one ``%`` format over the block's cells (``"%.17g" % v`` is the same
-text as ``format(v, ".17g")``), so no cell is formatted by its own call, and
-each block is written as it is formatted, so no table is held whole, nor
-the grid behind ``contour``'s: it is evaluated a block of rows at a time.
+thread count.  No cell is formatted by its own call (``"%.17g" % v`` is
+the same text as ``format(v, ".17g")``): a table is formatted by one ``%``
+over its cells, and ``contour`` formats only its values, by one ``%`` per
+grid row, into a line template whose x labels are formatted once and whose
+y and piece digits each row writes in.  Text is written as it is formatted,
+so no table is held whole, nor the grid behind ``contour``'s: it is
+evaluated a block of rows at a time.
 The argument parser is built once per process and reused by every ``main``
 call.  Each option's check is its argparse ``type=`` converter, and every
 parse error, a refused value included, is one ``openconvex: error:`` line
@@ -254,10 +256,22 @@ def cmd_contour(args) -> int:
         values = np.array([f for _, _, f in grid()])
         _atomic_write(args.out, _svg_document(_svg_heatmap(values)))
     else:
-        # one block per row of the grid, its x labels formatted once
-        block = ("%.17g,%%s,%%d,%%.17g\n" * nx) % tuple(x.tolist())
-        blocks = (_cells(["%.17g" % y1] * nx, k.tolist(), f.tolist()) for y1, k, f in grid())
-        _atomic_write(args.out, _csv("x0,x1,piece,value", block, blocks))
+        # One line template serves every grid row: its x labels formatted
+        # once, a "Y" for y and a "0" for the piece digit (1..4) on each line.
+        # A row writes its digits over the "0"s and its y over the "Y"s, then
+        # formats only its values, by one %.
+        template = np.frombuffer(
+            (("%.17g,Y,0,%%.17g\n" * nx) % tuple(x.tolist())).encode(), np.uint8)
+        digit_slots = np.flatnonzero(template == ord("Y")) + 2
+
+        def lines() -> Iterator[str]:
+            yield "x0,x1,piece,value\n"
+            for y1, k, f in grid():
+                row = template.copy()
+                row[digit_slots] = k + ord("0")
+                yield row.tobytes().replace(b"Y", b"%.17g" % y1).decode() % tuple(f.tolist())
+
+        _atomic_write(args.out, lines())
     return EXIT_OK
 
 

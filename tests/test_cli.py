@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from openconvex import chain, checks, cli, spline
@@ -138,6 +139,33 @@ class TestContour:
         out = tmp_path / "contour.csv"
         assert cli.main(["contour", "--out", str(out)]) == cli.EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.CSV_SHA256
+
+    # (x range, y range, shape, pieces of the first row, of the last, of the
+    # grid): a window inside piece 1, a column whose rows climb from piece 4
+    # across all three seams into piece 1, and rows that each hold all four
+    @pytest.mark.parametrize("window", [
+        ((-1.0, -0.5), (1.0, 2.0), (7, 5), {1}, {1}, {1}),
+        ((1.4, 1.6), (0.0, 5.0), (3, 41), {4}, {1}, {1, 2, 3, 4}),
+        ((-0.5, 2.5), (0.0, 0.3), (31, 4), {1, 2, 3, 4}, {1, 2, 3, 4}, {1, 2, 3, 4}),
+    ], ids=["one-piece", "across-seams", "four-pieces"])
+    @pytest.mark.parametrize("chunk", [1, cli._CONTOUR_CHUNK], ids=["chunk1", "default-chunk"])
+    def test_matches_point_by_point_format(self, tmp_path, monkeypatch, window, chunk):
+        # the line template against "%.17g,%.17g,%d,%.17g" of each grid point
+        xs, ys, shape, first, last, pieces = window
+        for name, value in [("CONTOUR_X", xs), ("CONTOUR_Y", ys), ("CONTOUR_SHAPE", shape),
+                            ("_CONTOUR_CHUNK", chunk)]:
+            monkeypatch.setattr(cli, name, value)
+        nx, ny = shape
+        X = [(x0, x1) for x1 in np.linspace(*ys, ny).tolist()
+             for x0 in np.linspace(*xs, nx).tolist()]
+        points, piece = spline.SPLINE.eval_float(X)
+        piece = piece.tolist()
+        assert (set(piece[:nx]), set(piece[-nx:]), set(piece)) == (first, last, pieces)
+        out = tmp_path / "contour.csv"
+        assert cli.main(["contour", "--out", str(out)]) == cli.EXIT_OK
+        assert out.read_text() == "x0,x1,piece,value\n" + "".join(
+            "%.17g,%.17g,%d,%.17g\n" % (x0, x1, k, f)
+            for (x0, x1), k, f in zip(X, piece, points.f.tolist()))
 
     def test_peak_memory_does_not_grow_with_the_grid(self, tmp_path):
         # The grid is evaluated and written a block of rows at a time. Each
